@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .errors import InvariantViolation, ParseError
@@ -33,7 +34,13 @@ def _number(obj, where, key):
     v = obj[key]
     if not isinstance(v, (int, float)) or isinstance(v, bool):
         raise ParseError(f"{where}.{key}: expected a number, got {v!r}")
-    return float(v)
+    try:
+        x = float(v)
+    except OverflowError:  # an integer literal beyond the float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise ParseError(f"{where}.{key}: expected a finite number, got {v!r}")
+    return x
 
 
 def _integer(obj, where, key):

@@ -16,6 +16,12 @@ with
 The ``xample_beamformed_oracle`` path instead integrates the unwarped kernels
 against a materialized beamformed line; the two must agree, which is the
 package's central consistency check.
+
+Cost: the positive harmonics are consecutive integers, so for each element
+the kernel bank takes two complex exponentials per grid sample (the first
+harmonic and the unit step between harmonics) plus K = 2 rho L complex
+multiply-adds per sample; the -k half is the conjugate of the +k half
+because the traces are real.
 """
 
 from __future__ import annotations
@@ -179,24 +185,38 @@ def _check_real_pairing(cfg: XampleConfig, S: MixingMatrix) -> None:
         )
 
 
-def _element_harmonics(kappa, tau, t, weights, trace, a, dynamic):
-    """Windowed harmonic integrals of one element trace.
+def _warp(t, a):
+    """Dynamic-focus warp of the kernel time axis for one element.
+
+    Returns ``(mask, phase, bracket)``: the support ``t >= a``, the warped
+    phase ``t - a^2/t`` and the bracket ``1 + (a/t)^2``, both on ``t[mask]``.
+    ``a = 0`` (on-axis element or infinity focus) is the plain axis.
+    """
+    if a == 0.0:
+        return slice(None), t, 1.0
+    mask = t >= a
+    ts = t[mask]
+    return mask, ts - (a * a) / ts, 1.0 + (a / ts) ** 2
+
+
+def _element_harmonics(kappa_pos, tau, t, weights, trace, a):
+    """Windowed harmonic integrals of one real element trace.
 
     Returns g[k] = sum_i weights[i] * bracket(t_i) * trace[t_i]
                    * exp(-2j pi k (t_i - a^2/t_i) / tau)
-    restricted to t >= a, i.e. the per-element branch integrals before the
-    S mixing is applied (mixing commutes with the time integral).
+    over t >= a for k in ``kappa_pos`` followed by ``-kappa_pos``, i.e. the
+    per-element branch integrals before the S mixing is applied (mixing
+    commutes with the time integral).  ``kappa_pos`` must be consecutive.
     """
-    if not dynamic or a == 0.0:
-        phase = t
-        weighted = weights * trace
-    else:
-        mask = t >= a
-        ts = t[mask]
-        phase = ts - (a * a) / ts
-        weighted = weights[mask] * (1.0 + (a / ts) ** 2) * trace[mask]
-    ex = np.exp((-2j * np.pi / tau) * np.outer(kappa, phase))
-    return ex @ weighted
+    mask, phase, bracket = _warp(t, a)
+    w = (-2j * np.pi / tau) * phase
+    z = np.exp(kappa_pos[0] * w) * (weights[mask] * bracket * trace[mask])
+    step = np.exp(w)
+    g = np.empty(len(kappa_pos), dtype=complex)
+    for i in range(len(g)):
+        g[i] = z.sum()
+        z *= step
+    return np.concatenate([g, g.conj()])
 
 
 def _trapezoid_weights(n: int, step: float) -> np.ndarray:
@@ -221,25 +241,25 @@ def xample_channels(ch: ChannelSet, cfg: XampleConfig, S: MixingMatrix,
         )
     n_elem = ch.geometry.num_elements
     _check_real_pairing(cfg, S)
-    dynamic = cfg.focus_mode == "dynamic"
     t = ch.times
     w = _trapezoid_weights(ch.grid_len, ch.grid_step)
     a = ch.geometry.offset_times
+    if cfg.focus_mode != "dynamic":
+        a = np.zeros_like(a)
 
     c_qm = np.zeros((S.num_branches, n_elem))
     if fold:
         for i in range((n_elem + 1) // 2):
             j = n_elem - 1 - i
             trace = ch.samples[i] if i == j else ch.samples[i] + ch.samples[j]
-            g = _element_harmonics(cfg.kappa, cfg.tau, t, w, trace, a[i],
-                                   dynamic)
+            g = _element_harmonics(cfg.kappa_pos, cfg.tau, t, w, trace, a[i])
             # the pair shares one modulation branch; its sample lands in the
             # lower-index column and the mirror column stays zero
             c_qm[:, i] = np.real(S.entries @ g) / cfg.tau
     else:
         for m in range(n_elem):
-            g = _element_harmonics(cfg.kappa, cfg.tau, t, w, ch.samples[m],
-                                   a[m], dynamic)
+            g = _element_harmonics(cfg.kappa_pos, cfg.tau, t, w,
+                                   ch.samples[m], a[m])
             c_qm[:, m] = np.real(S.entries @ g) / cfg.tau
     return XampleOutput(c_qm=c_qm, c=c_qm.sum(axis=1))
 
@@ -258,7 +278,7 @@ def xample_beamformed_oracle(line: BeamformedLine, cfg: XampleConfig,
     _check_real_pairing(cfg, S)
     t = line.times
     w = _trapezoid_weights(len(line.samples), line.grid_step)
-    g = _element_harmonics(cfg.kappa, cfg.tau, t, w, line.samples, 0.0, False)
+    g = _element_harmonics(cfg.kappa_pos, cfg.tau, t, w, line.samples, 0.0)
     return np.real(S.entries @ g) / cfg.tau
 
 
@@ -273,24 +293,15 @@ def kernel_value(cfg: XampleConfig, S: MixingMatrix, q: int, elem: int, t):
     """
     if not 0 <= q < S.num_branches:
         raise IndexError(f"branch {q} outside 0..{S.num_branches - 1}")
-    offsets = cfg.geometry.offsets
-    if not 0 <= elem < len(offsets):
-        raise IndexError(f"element {elem} outside 0..{len(offsets) - 1}")
+    n_elem = cfg.geometry.num_elements
+    if not 0 <= elem < n_elem:
+        raise IndexError(f"element {elem} outside 0..{n_elem - 1}")
     t = np.asarray(t, dtype=float)
     scalar = t.ndim == 0
     t = np.atleast_1d(t)
-    a = abs(offsets[elem]) / cfg.geometry.speed_of_sound
-    row = S.entries[q]
-    if cfg.focus_mode != "dynamic" or a == 0.0:
-        vals = np.real(
-            np.exp((-2j * np.pi / cfg.tau) * np.outer(cfg.kappa, t)).T @ row
-        )
-    else:
-        vals = np.zeros(t.shape)
-        mask = t >= a
-        ts = t[mask]
-        if ts.size:
-            phase = ts - (a * a) / ts
-            ex = np.exp((-2j * np.pi / cfg.tau) * np.outer(cfg.kappa, phase))
-            vals[mask] = (1.0 + (a / ts) ** 2) * np.real(ex.T @ row)
+    a = cfg.geometry.offset_times[elem] if cfg.focus_mode == "dynamic" else 0.0
+    mask, phase, bracket = _warp(t, a)
+    ex = np.exp((-2j * np.pi / cfg.tau) * np.outer(cfg.kappa, phase))
+    vals = np.zeros(t.shape)
+    vals[mask] = bracket * np.real(ex.T @ S.entries[q])
     return float(vals[0]) if scalar else vals

@@ -101,3 +101,24 @@ def test_empty_lines_rejected(tmp_path):
     doc["lines"] = []
     with pytest.raises(ParseError, match="lines"):
         load_scene(write(tmp_path, doc))
+
+
+@pytest.mark.parametrize("literal",
+                         ["NaN", "Infinity", "-Infinity", "1e999", "1" + "0" * 400])
+@pytest.mark.parametrize("field", [
+    ("tau_s",),
+    ("pulse", "carrier_hz"),
+    ("lines", 0, "scatterers", 1, "reflectivity"),
+])
+def test_non_finite_numbers_rejected(tmp_path, literal, field):
+    # json.loads accepts these tokens and reads them as nan, +-inf or an
+    # integer too large for a float
+    doc = base_doc()
+    target = doc
+    for step in field[:-1]:
+        target = target[step]
+    target[field[-1]] = 12345.5
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(doc).replace("12345.5", literal))
+    with pytest.raises(ParseError, match=field[-1]):
+        load_scene(path)

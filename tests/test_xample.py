@@ -200,6 +200,81 @@ def test_output_fold_identity():
     assert out_shape_checked
 
 
+# --- dense reference --------------------------------------------------------
+
+def _trapezoid(ch):
+    w = np.full(ch.grid_len, ch.grid_step)
+    w[[0, -1]] /= 2
+    return w
+
+
+def _dense_c_qm(ch, cfg, S):
+    """Per-element branch samples from the dense |kappa| x N exp table."""
+    t = ch.times
+    w = _trapezoid(ch)
+    dynamic = cfg.focus_mode == "dynamic"
+    out = np.zeros((S.num_branches, ch.geometry.num_elements))
+    for m, a in enumerate(ch.geometry.offset_times):
+        keep = t >= a if dynamic else np.ones(t.shape, bool)
+        ts = t[keep]
+        phase, bracket = ts, 1.0
+        if dynamic and a:
+            phase, bracket = ts - a * a / ts, 1.0 + (a / ts) ** 2
+        weighted = w[keep] * bracket * ch.samples[m][keep]
+        # row blocks keep the table small at L=30, rho=4
+        g = np.concatenate([
+            np.exp((-2j * np.pi / cfg.tau) * np.outer(k, phase)) @ weighted
+            for k in np.array_split(cfg.kappa, 12)])
+        out[:, m] = np.real(S.entries @ g) / cfg.tau
+    return out
+
+
+def _rel(got, ref):
+    return np.linalg.norm(got - ref) / np.linalg.norm(ref)
+
+
+def _noisy_channels(cfg, seed):
+    # 3 elements: one on axis, two mirrored off-axis at 0.65 us
+    scene, _, _ = random_scene(np.random.default_rng(seed), 3, cfg.tau)
+    ch = synthesize(scene, cfg.geometry)
+    noise = np.random.default_rng(seed + 1).standard_normal(ch.samples.shape)
+    return ChannelSet(ch.grid_step, ch.samples + 0.1 * noise, ch.geometry,
+                      ch.tau)
+
+
+@pytest.mark.parametrize("focus", ["dynamic", "infinity"])
+@pytest.mark.parametrize("L,rho", [(5, 2), (30, 4)])
+def test_kernel_bank_matches_dense_reference(L, rho, focus):
+    geom = default_geometry(num_elements=3, pitch=1e-3)
+    cfg = make_config(L=L, rho=rho, tau=51.2e-6, geometry=geom, focus=focus)
+    S = build_S(cfg.p)
+    ch = _noisy_channels(cfg, seed=15)
+    ref = _dense_c_qm(ch, cfg, S)
+    out = xample_channels(ch, cfg, S)
+    assert _rel(out.c, ref.sum(axis=1)) <= 1e-12
+    for m in (1, 0):  # on-axis element, then an off-axis one
+        assert _rel(out.c_qm[:, m], ref[:, m]) <= 1e-12
+    # fold: the mirrored pair lands in column 0, column 2 stays empty
+    folded = xample_channels(ch, cfg, S, fold=True)
+    assert _rel(folded.c, ref.sum(axis=1)) <= 1e-12
+    assert _rel(folded.c_qm[:, 0], ref[:, 0] + ref[:, 2]) <= 1e-12
+    assert _rel(folded.c_qm[:, 1], ref[:, 1]) <= 1e-12
+    assert not np.any(folded.c_qm[:, 2])
+
+
+def test_kernel_value_integrates_to_c_qm_column():
+    geom = default_geometry(num_elements=3, pitch=1e-3)
+    cfg = make_config(L=5, rho=2, tau=51.2e-6, geometry=geom)
+    S = build_S(cfg.p)
+    ch = _noisy_channels(cfg, seed=16)
+    out = xample_channels(ch, cfg, S)
+    m = 0  # off-axis: exercises the step and the warp
+    weighted = _trapezoid(ch) * ch.samples[m]
+    col = np.array([kernel_value(cfg, S, q, m, ch.times) @ weighted
+                    for q in range(cfg.p)]) / cfg.tau
+    assert _rel(col, out.c_qm[:, m]) <= 1e-12
+
+
 def test_grid_too_short_detected():
     geom = default_geometry(pitch=1e-3)
     cfg = make_config(geometry=geom)
