@@ -18,8 +18,8 @@ from .geometry import ArrayGeometry, arrival_time, focus_delay, receive_warp, ta
 from .imaging import ImageGrid, assemble_image, read_pgm, render_line, write_pgm
 from .pulse import PulseModel, build_H, eval_pulse, pulse_spectrum
 from .recover import (FourierCoeffs, LineEstimate, annihilating_filter,
-                      least_squares_amplitudes, matrix_pencil, recover_fourier,
-                      recover_line)
+                      estimate_order, least_squares_amplitudes, matrix_pencil,
+                      pencil_split, recover_fourier, recover_line)
 from .scenefile import SceneFile, load_scene
 from .sim import (ChannelSet, NoiseSpec, Scatterer, Scene, add_interference,
                   simulation_grid_step, synthesize_channels)

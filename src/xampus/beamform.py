@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import hilbert
 
 from .geometry import focus_delay, receive_warp
 from .sim import ChannelSet
@@ -120,7 +119,12 @@ def beamform_line(
 
 
 def envelope_detect(line: BeamformedLine) -> np.ndarray:
-    """Magnitude of the analytic signal (one-sided spectrum doubling)."""
-    if len(line.samples) == 0:
+    """Magnitude of the analytic signal: bins 1..(n-1)//2 doubled, bin 0 and
+    the Nyquist bin (even n) kept, the negative half zeroed."""
+    n = len(line.samples)
+    if n == 0:
         return np.zeros(0)
-    return np.abs(hilbert(line.samples))
+    spectrum = np.zeros(n, dtype=complex)
+    spectrum[:n // 2 + 1] = np.fft.rfft(line.samples)
+    spectrum[1:(n + 1) // 2] *= 2.0
+    return np.abs(np.fft.ifft(spectrum))

@@ -9,8 +9,8 @@ Subcommands::
     compare    estimates + images vs. scene ground truth (metrics CSV)
 
 Every failure prints a single ``error[<Kind>]: message`` line on stderr and
-exits nonzero.  ``XAMPUS_SEED`` overrides the noise seed, ``XAMPUS_THREADS``
-sets the per-line worker count.
+exits nonzero; a failure on one line names that line's file first.
+``XAMPUS_SEED`` overrides the noise seed.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import argparse
 import csv
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +29,7 @@ from .beamform import beamform_line, envelope_detect
 from .errors import InvariantViolation, XampusError
 from .imaging import (DEFAULT_DYNAMIC_RANGE_DB, assemble_image, read_pgm,
                       render_line, write_pgm)
-from .recover import SV_THRESHOLD_DEFAULT, _check_pencil_parameter, recover_line
+from .recover import SV_THRESHOLD_DEFAULT, pencil_split, recover_line
 from .scenefile import load_scene
 from .sim import add_interference, simulation_grid_step, synthesize_channels
 from .xample import XampleConfig, build_S, xample_channels
@@ -41,16 +41,14 @@ def _fmt(x: float) -> str:
     return f"{x:.12e}"
 
 
-def _workers() -> int:
-    return max(1, int(os.environ.get("XAMPUS_THREADS", "1")))
-
-
-def _map_lines(fn, items):
-    n = _workers()
-    if n == 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
+@contextmanager
+def _naming(path: Path):
+    """Prefix an error raised while working on one line with its file name."""
+    try:
+        yield
+    except (XampusError, ValueError) as e:
+        e.args = (f"{path.name}: {e}",)
+        raise
 
 
 def _line_paths(channel_dir: Path, limit=None) -> list[Path]:
@@ -78,28 +76,21 @@ def cmd_simulate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     step = simulation_grid_step(args.oversample)
-    seed_override = os.environ.get("XAMPUS_SEED")
-    if seed_override is not None:
-        seed_override = int(seed_override)
-    elif args.seed is not None:
-        seed_override = args.seed
+    env_seed = os.environ.get("XAMPUS_SEED")
+    seed_override = int(env_seed) if env_seed is not None else args.seed
 
-    lines = _first(list(enumerate(scene.lines)), args.lines)
-
-    def one(item):
-        idx, line = item
-        ch = synthesize_channels(line, scene.geometry, scene.pulse, step)
-        noise = line.noise
-        if noise is not None and (noise.snr_db is not None
-                                  or noise.speckle_count > 0):
-            seed = seed_override if seed_override is not None else noise.seed
-            ch = add_interference(ch, noise.snr_db, noise.speckle_count,
-                                  seed + idx, pulse=scene.pulse,
-                                  beam_angle=line.beam_angle)
-        urf.write_channels(out / f"line_{idx:03d}.urf", ch)
-        return idx
-
-    _map_lines(one, lines)
+    lines = _first(scene.lines, args.lines)
+    for idx, line in enumerate(lines):
+        path = out / f"line_{idx:03d}.urf"
+        with _naming(path):
+            ch = synthesize_channels(line, scene.geometry, scene.pulse, step)
+            noise = line.noise
+            if noise is not None:
+                seed = noise.seed if seed_override is None else seed_override
+                ch = add_interference(ch, noise.snr_db, noise.speckle_count,
+                                      seed + idx, pulse=scene.pulse,
+                                      beam_angle=line.beam_angle)
+        urf.write_channels(path, ch)
     print(f"wrote {len(lines)} channel file(s) to {out}")
     return 0
 
@@ -109,15 +100,14 @@ def cmd_beamform(args) -> int:
     paths = _line_paths(Path(args.channels), args.lines)
     n_axial = _axial_samples(scene.tau)
 
-    def one(path):
+    traces = []
+    for path in paths:
         ch = urf.read_channels(path, scene.geometry)
-        line = beamform_line(ch, alpha=0.0, focus_mode=args.focus,
-                             out_step=AXIAL_STEP, duration=scene.tau,
-                             num_focal_zones=args.focal_zones)
-        env = envelope_detect(line)[:n_axial]
-        return env
-
-    traces = _map_lines(one, paths)
+        with _naming(path):
+            line = beamform_line(ch, alpha=0.0, focus_mode=args.focus,
+                                 out_step=AXIAL_STEP, duration=scene.tau,
+                                 num_focal_zones=args.focal_zones)
+        traces.append(envelope_detect(line)[:n_axial])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     image = assemble_image(traces, args.dynamic_range_db, AXIAL_STEP)
@@ -136,7 +126,7 @@ def cmd_xample(args) -> int:
     # configuration guards come before any input is touched
     K, _ = costs.sample_counts(args.L, args.rho)
     if args.eta is not None:
-        _check_pencil_parameter(args.eta, K, args.L)
+        pencil_split(K, args.L, args.eta)
     scene = load_scene(args.scene)
     paths = _line_paths(Path(args.channels), args.lines)
     for line in scene.lines:
@@ -151,15 +141,15 @@ def cmd_xample(args) -> int:
     n_axial = _axial_samples(scene.tau)
     axial_grid = np.arange(n_axial) * AXIAL_STEP
 
-    def one(path):
+    results = []
+    for path in paths:
         ch = urf.read_channels(path, scene.geometry)
-        out_samples = xample_channels(ch, cfg, S, fold=args.fold)
-        est = recover_line(out_samples.c, cfg, scene.pulse,
-                           method=args.method, eta=args.eta,
-                           sv_threshold=args.sv_threshold, S=S)
-        return out_samples, est
-
-    results = _map_lines(one, paths)
+        with _naming(path):
+            out_samples = xample_channels(ch, cfg, S, fold=args.fold)
+            est = recover_line(out_samples.c, cfg, scene.pulse,
+                               method=args.method, eta=args.eta,
+                               sv_threshold=args.sv_threshold, S=S)
+        results.append((out_samples, est))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -358,10 +348,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except XampusError as e:
-        print(f"error[{type(e).__name__}]: {e}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError) as e:
+    except (XampusError, OSError, ValueError) as e:
         print(f"error[{type(e).__name__}]: {e}", file=sys.stderr)
         return 1
 

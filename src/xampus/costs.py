@@ -18,7 +18,6 @@ DEFAULT_DEPTH_M = 0.0788
 DEFAULT_SAMPLE_RATE_HZ = 20e6
 DEFAULT_SPEED_OF_SOUND = 1540.0
 DEFAULT_NUM_ELEMENTS = 16
-FFT_CONSTANT = 1.0  # ops = C * n log2 n per FFT; the constant is a model knob
 
 
 def sample_counts(L: int, rho: float) -> tuple[int, int]:
@@ -65,13 +64,12 @@ def standard_samples(depth_m: float = DEFAULT_DEPTH_M,
     return int(round(2.0 * depth_m / c * sample_rate_hz))
 
 
-def standard_ops(samples_per_line: int, num_elements: int,
-                 fft_constant: float = FFT_CONSTANT) -> float:
+def standard_ops(samples_per_line: int, num_elements: int) -> float:
     """Delay-and-sum adds plus two FFTs (Hilbert envelope) per line."""
     if samples_per_line < 1 or num_elements < 1:
         raise ValueError("counts must be >= 1")
     adds = samples_per_line * (num_elements - 1)
-    hilbert = 2.0 * fft_constant * samples_per_line * np.log2(samples_per_line)
+    hilbert = 2.0 * samples_per_line * np.log2(samples_per_line)
     return adds + hilbert
 
 
@@ -90,11 +88,10 @@ class CostRow:
 def cost_table(L: int, rhos, num_elements: int = DEFAULT_NUM_ELEMENTS,
                depth_m: float = DEFAULT_DEPTH_M,
                sample_rate_hz: float = DEFAULT_SAMPLE_RATE_HZ,
-               c: float = DEFAULT_SPEED_OF_SOUND,
-               fft_constant: float = FFT_CONSTANT) -> list[CostRow]:
+               c: float = DEFAULT_SPEED_OF_SOUND) -> list[CostRow]:
     """One row per oversampling factor, with the standard path for scale."""
     std_samples = standard_samples(depth_m, sample_rate_hz, c)
-    std_mops = standard_ops(std_samples, num_elements, fft_constant) / 1e6
+    std_mops = standard_ops(std_samples, num_elements) / 1e6
     M = num_elements // 2
     rows = []
     for rho in rhos:

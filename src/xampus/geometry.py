@@ -9,6 +9,7 @@ with ``focus_delay`` / ``receive_warp``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,10 +32,10 @@ class ArrayGeometry:
     def __post_init__(self):
         if self.num_elements < 1:
             raise ValueError("num_elements must be >= 1")
-        if self.pitch <= 0:
-            raise ValueError("pitch must be positive")
-        if self.speed_of_sound <= 0:
-            raise ValueError("speed_of_sound must be positive")
+        if not 0 < self.pitch < math.inf:
+            raise ValueError("pitch must be finite and positive")
+        if not 0 < self.speed_of_sound < math.inf:
+            raise ValueError("speed_of_sound must be finite and positive")
 
     @property
     def offsets(self) -> np.ndarray:

@@ -11,7 +11,6 @@ from .pulse import PulseModel
 from .recover import LineEstimate
 
 DEFAULT_DYNAMIC_RANGE_DB = 50.0
-DEFAULT_NUM_LINES = 113
 
 
 @dataclass

@@ -8,6 +8,7 @@ selected harmonic frequencies.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,10 +39,12 @@ class PulseModel:
     amplitude: float = 1.0
 
     def __post_init__(self):
-        if self.carrier_hz <= 0:
-            raise ValueError("carrier_hz must be positive")
-        if self.envelope_sigma <= 0:
-            raise ValueError("envelope_sigma must be positive")
+        if not 0 < self.carrier_hz < math.inf:
+            raise ValueError("carrier_hz must be finite and positive")
+        if not 0 < self.envelope_sigma < math.inf:
+            raise ValueError("envelope_sigma must be finite and positive")
+        if not math.isfinite(self.amplitude):
+            raise ValueError("amplitude must be finite")
 
     @property
     def support(self) -> float:

@@ -87,17 +87,43 @@ def _delays_from_poles(z: np.ndarray, tau: float) -> np.ndarray:
     return np.sort(frac * tau)
 
 
-def _check_pencil_parameter(eta: int, K: int, L_max: int) -> None:
+def pencil_split(K: int, L_max: int, eta: int | None = None) -> int:
+    """Hankel split ``eta`` of K coefficients, checked to lie in [L_max, K - L_max].
+
+    The default K//3 balances the split, clamped into that interval (a single
+    point at the minimal K = 2*L_max).
+    """
+    if eta is None:
+        eta = min(max(K // 3, L_max), K - L_max)
     if not (L_max <= eta <= K - L_max):
         raise ValueError(
             f"pencil parameter eta={eta} outside [{L_max}, {K - L_max}]"
         )
+    return eta
 
 
-def _default_eta(K: int, L_max: int) -> int:
-    # K//3 balances the Hankel split, clamped into the feasible interval
-    # (at the minimal K = 2*L_max the interval collapses to a point)
-    return min(max(K // 3, L_max), K - L_max)
+def estimate_order(y, L_max: int, eta: int | None = None,
+                   sv_threshold: float = SV_THRESHOLD_DEFAULT):
+    """Model order: the count of Hankel singular values whose ratio to the
+    largest exceeds ``sv_threshold`` (0 for all-zero data).
+
+    Returns (order, singular values, right singular vectors).  Raises
+    ``OrderOverflow`` if the order exceeds ``L_max`` and
+    ``ConditioningFailure`` if the SVD does not converge.
+    """
+    u = np.asarray(y, dtype=complex)
+    eta = pencil_split(len(u), L_max, eta)
+    try:
+        _, s, Vh = np.linalg.svd(_hankel(u, eta))
+    except np.linalg.LinAlgError as e:
+        raise ConditioningFailure(f"SVD did not converge: {e}") from e
+    order = int(np.sum(s / s[0] > sv_threshold)) if s[0] > 0.0 else 0
+    if order > L_max:
+        raise OrderOverflow(
+            f"{order} singular values above threshold {sv_threshold:g}, "
+            f"bound is {L_max}"
+        )
+    return order, s, Vh
 
 
 def matrix_pencil(coeffs: FourierCoeffs, eta: int | None = None,
@@ -105,36 +131,18 @@ def matrix_pencil(coeffs: FourierCoeffs, eta: int | None = None,
                   L_max: int | None = None):
     """Delay estimation via the shifted-pencil eigenproblem.
 
-    Builds the Hankel matrix of the coefficient sequence (split by ``eta``,
-    default K//3 clamped into the feasible [L_max, K - L_max] interval),
-    estimates the model order from the singular-value profile, and reads
-    delays off the signal-subspace shift eigenvalues.
+    Estimates the model order from the singular-value profile of the
+    coefficient Hankel matrix (``estimate_order``; ``L_max`` defaults to
+    K//2) and reads delays off the signal-subspace shift eigenvalues.
 
     Returns (delays ascending, full singular-value list).
 
     Raises ``OrderOverflow`` if more than ``L_max`` singular values clear the
     threshold, and ``ConditioningFailure`` if the eigen-solve fails.
     """
-    u = np.asarray(coeffs.y, dtype=complex)
-    K = len(u)
     if L_max is None:
-        L_max = K // 2
-    if eta is None:
-        eta = _default_eta(K, L_max)
-    _check_pencil_parameter(eta, K, L_max)
-
-    Y = _hankel(u, eta)
-    try:
-        _, s, Vh = np.linalg.svd(Y)
-    except np.linalg.LinAlgError as e:
-        raise ConditioningFailure(f"SVD did not converge: {e}") from e
-    if s[0] <= 0.0:
-        return np.zeros(0), s
-    order = int(np.sum(s / s[0] > sv_threshold))
-    if order > L_max:
-        raise OrderOverflow(
-            f"{order} singular values above threshold, bound is {L_max}"
-        )
+        L_max = len(coeffs.y) // 2
+    order, s, Vh = estimate_order(coeffs.y, L_max, eta, sv_threshold)
     if order == 0:
         return np.zeros(0), s
 
@@ -189,12 +197,12 @@ def least_squares_amplitudes(coeffs: FourierCoeffs, delays) -> np.ndarray:
     if delays.size > len(coeffs.y):
         raise ValueError("more delays than coefficients")
     V = np.exp((-2j * np.pi / coeffs.tau) * np.outer(coeffs.kappa_pos, delays))
-    if np.linalg.cond(V) > _COND_LIMIT:
+    a, _, _, sv = np.linalg.lstsq(V, coeffs.y, rcond=None)
+    if sv[0] > _COND_LIMIT * sv[-1]:  # 2-norm condition number of V
         raise IllConditioned(
             f"amplitude system condition exceeds {_COND_LIMIT:g} "
             "(near-coincident delays)"
         )
-    a, _, _, _ = np.linalg.lstsq(V, coeffs.y, rcond=None)
     real_scale = max(np.max(np.abs(a.real)), np.finfo(float).tiny)
     if np.max(np.abs(a.imag)) / real_scale > 1e-3:
         warnings.warn("amplitude solution has significant imaginary residue",
@@ -223,18 +231,8 @@ def recover_line(c, cfg: XampleConfig, pulse: PulseModel,
         delays, sv = matrix_pencil(coeffs, eta=eta, sv_threshold=sv_threshold,
                                    L_max=cfg.L)
     else:
-        # share the pencil's SVD-based order estimate, then hand the count to
-        # the annihilating filter
-        u = coeffs.y
-        K = len(u)
-        eta_eff = _default_eta(K, cfg.L) if eta is None else eta
-        _check_pencil_parameter(eta_eff, K, cfg.L)
-        _, sv, _ = np.linalg.svd(_hankel(u, eta_eff))
-        order = int(np.sum(sv / sv[0] > sv_threshold)) if sv[0] > 0 else 0
-        if order > cfg.L:
-            raise OrderOverflow(
-                f"{order} singular values above threshold, bound is {cfg.L}"
-            )
+        # the pencil's order estimate, handed to the annihilating filter
+        order, sv, _ = estimate_order(coeffs.y, cfg.L, eta, sv_threshold)
         delays = (annihilating_filter(coeffs, order) if order > 0
                   else np.zeros(0))
 

@@ -8,6 +8,7 @@ integrals to be trustworthy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,16 +61,18 @@ class Scene:
 
     def __post_init__(self):
         object.__setattr__(self, "scatterers", tuple(self.scatterers))
-        if self.tau <= 0:
-            raise InvariantViolation("tau must be positive")
+        if not 0 < self.tau < math.inf:
+            raise InvariantViolation("tau must be finite and positive")
         times = [s.axial_time for s in self.scatterers]
         for t_n in times:
-            if t_n <= 0:
+            if not t_n > 0:
                 raise InvariantViolation(f"scatterer axial_time {t_n} must be > 0")
-            if 2.0 * t_n >= self.tau:
+            if not 2.0 * t_n < self.tau:
                 raise InvariantViolation(
                     f"scatterer round trip 2*{t_n} falls outside the window {self.tau}"
                 )
+        if not all(math.isfinite(s.reflectivity) for s in self.scatterers):
+            raise InvariantViolation("scatterer reflectivities must be finite")
         if len(set(times)) != len(times):
             raise InvariantViolation("scatterer delays must be distinct")
 
@@ -89,10 +92,10 @@ class ChannelSet:
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=float)
-        if self.grid_step > MAX_GRID_STEP * (1 + 1e-12):
+        if not 0 < self.grid_step <= MAX_GRID_STEP * (1 + 1e-12):
             raise GridTooCoarse(
-                f"grid_step {self.grid_step:g} s exceeds "
-                f"{MAX_GRID_STEP:g} s (16x the 20 MHz rate)"
+                f"grid_step {self.grid_step:g} s is not in (0, "
+                f"{MAX_GRID_STEP:g}] s (16x the 20 MHz rate)"
             )
         if self.samples.shape[0] != self.geometry.num_elements:
             raise InvariantViolation("samples row count != num_elements")
@@ -140,9 +143,9 @@ def synthesize_channels(
     arrival time; replica amplitude equals the scatterer reflectivity
     (transmit illumination is idealized as uniform along the beam).
     """
-    if grid_step > MAX_GRID_STEP * (1 + 1e-12):
+    if not 0 < grid_step <= MAX_GRID_STEP * (1 + 1e-12):
         raise GridTooCoarse(
-            f"grid_step {grid_step:g} s exceeds {MAX_GRID_STEP:g} s"
+            f"grid_step {grid_step:g} s is not in (0, {MAX_GRID_STEP:g}] s"
         )
     end = tau_hat(scene.tau, geometry)
     grid_len = int(np.ceil(end / grid_step - 1e-9)) + 1

@@ -8,6 +8,7 @@ configuration.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -37,6 +38,11 @@ def read_channels(path, geometry: ArrayGeometry) -> ChannelSet:
         magic, num_elements, grid_len, grid_step, tau = _HEADER.unpack(raw)
         if magic != MAGIC:
             raise ParseError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
+        for key, value in (("grid_step", grid_step), ("tau", tau)):
+            if not 0 < value < math.inf:
+                raise ParseError(
+                    f"{path}: {key} {value!r} must be finite and positive"
+                )
         body = f.read(8 * num_elements * grid_len)
     if len(body) != 8 * num_elements * grid_len:
         raise ParseError(f"{path}: truncated URF1 body")

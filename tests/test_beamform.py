@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import xampus
 from xampus import (BeamformedLine, Scatterer, Scene, beamform_line,
                     distort_channel, envelope_detect)
 
@@ -160,3 +166,28 @@ def test_envelope_dominates_signal():
                           focus_mode="dynamic")
     env = envelope_detect(line)
     assert np.all(env >= np.abs(sig) - 1e-9 * np.max(env))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 65, 1025])
+def test_envelope_matches_scipy_hilbert(n):
+    signal = pytest.importorskip("scipy.signal")
+    sig = np.random.default_rng(n).standard_normal(n)
+    line = BeamformedLine(samples=sig, grid_step=50e-9, alpha=0.0,
+                          focus_mode="dynamic")
+    ref = np.abs(signal.hilbert(sig))
+    env = envelope_detect(line)
+    assert env.shape == ref.shape
+    assert np.max(np.abs(env - ref)) <= 1e-12 * np.max(ref)
+
+
+def test_cli_import_loads_no_scipy():
+    probe = ("import sys, xampus.cli; "
+             "print(sorted(m for m in sys.modules "
+             "if m == 'scipy' or m.startswith('scipy.')))")
+    src = str(Path(xampus.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -258,15 +258,36 @@ def test_xample_infinity_focus_side_by_side(scene_path, tmp_path):
     assert a.shape == b.shape  # same layout, ready for side-by-side display
 
 
-def test_threaded_run_matches_serial(scene_path, tmp_path, monkeypatch):
-    out1 = tmp_path / "serial"
-    main(["simulate", "--scene", str(scene_path), "--out", str(out1)])
-    monkeypatch.setenv("XAMPUS_THREADS", "4")
-    out2 = tmp_path / "threaded"
-    main(["simulate", "--scene", str(scene_path), "--out", str(out2)])
-    for f1 in sorted(out1.glob("*.urf")):
-        f2 = out2 / f1.name
-        assert f1.read_bytes() == f2.read_bytes()
+def test_failing_line_is_named(scene_path, tmp_path, capsys):
+    # line 0 fits the bound L = 2, line 1 carries four echoes
+    doc = json.loads(scene_path.read_text())
+    doc["lines"] = [doc["lines"][1],
+                    {"scatterers": [{"t_n_s": t, "reflectivity": 1.0}
+                                    for t in (3e-6, 8e-6, 13e-6, 18e-6)]}]
+    scene = tmp_path / "four.json"
+    scene.write_text(json.dumps(doc))
+    ch_dir = tmp_path / "ch"
+    assert main(["simulate", "--scene", str(scene), "--out", str(ch_dir)]) == 0
+    capsys.readouterr()
+    rc = main(["xample", "--channels", str(ch_dir), "--scene", str(scene),
+               "--out", str(tmp_path / "xa"), "--L", "2"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error[OrderOverflow]: line_001.urf: ")
+    assert "above threshold 0.01, bound is 2" in err
+
+
+def test_failing_beamform_line_is_named(scene_path, tmp_path, capsys):
+    ch_dir = tmp_path / "ch"
+    assert main(["simulate", "--scene", str(scene_path), "--out",
+                 str(ch_dir)]) == 0
+    capsys.readouterr()
+    rc = main(["beamform", "--channels", str(ch_dir), "--scene",
+               str(scene_path), "--out", str(tmp_path / "ref"),
+               "--focal-zones", "0"])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(
+        "error[ValueError]: line_000.urf: num_focal_zones must be >= 1")
 
 
 def test_seed_env_override(scene_path, tmp_path, monkeypatch):

@@ -117,3 +117,12 @@ def test_geometry_validation():
         ArrayGeometry(16, -1e-3, C)
     with pytest.raises(ValueError):
         ArrayGeometry(16, 1e-3, 0.0)
+
+
+@pytest.mark.parametrize("pitch, speed", [
+    (float("nan"), C), (float("inf"), C), (-float("inf"), C),
+    (1e-3, float("nan")), (1e-3, float("inf")),
+])
+def test_geometry_rejects_non_finite(pitch, speed):
+    with pytest.raises(ValueError):
+        ArrayGeometry(16, pitch, speed)

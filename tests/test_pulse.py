@@ -90,3 +90,16 @@ def test_invalid_parameters():
         PulseModel(carrier_hz=-1.0, envelope_sigma=1e-7)
     with pytest.raises(ValueError):
         PulseModel(carrier_hz=5e6, envelope_sigma=0.0)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"carrier_hz": float("inf")},
+    {"carrier_hz": float("nan")},
+    {"envelope_sigma": float("inf")},
+    {"envelope_sigma": float("nan")},
+    {"amplitude": float("nan")},
+    {"amplitude": float("inf")},
+])
+def test_pulse_rejects_non_finite(kwargs):
+    with pytest.raises(ValueError):
+        PulseModel(**kwargs)

@@ -4,8 +4,9 @@ import pytest
 from xampus import (FourierCoeffs, IllConditioned, MixingMatrix, OrderOverflow,
                     RankDeficient, Scatterer, Scene, SingularSystem,
                     annihilating_filter, beamform_line, build_H, build_S,
-                    least_squares_amplitudes, matrix_pencil, recover_fourier,
-                    recover_line, XampleConfig, xample_channels)
+                    estimate_order, least_squares_amplitudes, matrix_pencil,
+                    pencil_split, recover_fourier, recover_line, XampleConfig,
+                    xample_channels)
 from xampus.recover import SV_THRESHOLD_EXACT
 
 from util import (PULSE, SPEED, cisoid_coeffs, default_geometry,
@@ -299,3 +300,50 @@ def test_recover_line_minimal_oversampling_default_eta():
     est = recover_line(pipeline_c(scene, geom, cfg), cfg, PULSE)
     assert est.model_order == 2
     np.testing.assert_allclose(est.delays, [10e-6, 18e-6], atol=50e-9)
+
+
+# --- shared model-order estimate ----------------------------------------------
+
+def test_pencil_split_default_and_guard():
+    assert pencil_split(12, 4) == 4            # K//3
+    assert pencil_split(12, 2) == 4
+    assert pencil_split(10, 5) == 5            # K = 2 L_max: one feasible eta
+    assert pencil_split(12, 2, eta=7) == 7
+    with pytest.raises(ValueError):
+        pencil_split(12, 2, eta=11)            # eta > K - L_max
+    with pytest.raises(ValueError):
+        pencil_split(12, 2, eta=1)             # eta < L_max
+    with pytest.raises(ValueError):
+        pencil_split(6, 4)                     # K < 2 L_max: no feasible eta
+
+
+def test_estimate_order_counts_and_zero_data():
+    fc = make_coeffs([6e-6, 13e-6, 20e-6], [1.0, 0.7, 1.2], K=12)
+    order, s, _ = estimate_order(fc.y, 4, sv_threshold=SV_THRESHOLD_EXACT)
+    assert order == 3
+    assert np.sum(s / s[0] > SV_THRESHOLD_EXACT) == 3
+    order, s, _ = estimate_order(np.zeros(12, dtype=complex), 4)
+    assert order == 0
+
+
+def test_pencil_and_annihilating_share_the_order_estimate():
+    geom = default_geometry()
+    scene, _, _ = random_scene(np.random.default_rng(26), 3, TAU)
+    cfg = XampleConfig.create(5, 2, TAU, PULSE, geom)
+    c = pipeline_c(scene, geom, cfg)
+    pen = recover_line(c, cfg, PULSE, method="pencil")
+    ann = recover_line(c, cfg, PULSE, method="annihilating")
+    assert pen.model_order == ann.model_order == 3
+    np.testing.assert_array_equal(pen.singular_values, ann.singular_values)
+
+
+@pytest.mark.parametrize("method", ["pencil", "annihilating"])
+def test_recover_line_order_overflow(method):
+    # five echoes on a line whose reflector bound is L = 3
+    geom = default_geometry()
+    scene, _, _ = random_scene(np.random.default_rng(27), 5, TAU)
+    cfg = XampleConfig.create(3, 2, TAU, PULSE, geom)
+    c = pipeline_c(scene, geom, cfg)
+    with pytest.raises(OrderOverflow,
+                       match=r"above threshold 0\.01, bound is 3$"):
+        recover_line(c, cfg, PULSE, method=method)

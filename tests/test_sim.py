@@ -62,6 +62,9 @@ def test_grid_too_coarse():
     scene = Scene(scatterers=(), tau=25.6e-6)
     with pytest.raises(GridTooCoarse):
         synthesize_channels(scene, default_geometry(), PULSE, grid_step=1e-8)
+    for step in (float("nan"), 0.0, -3.125e-9):
+        with pytest.raises(GridTooCoarse):
+            synthesize_channels(scene, default_geometry(), PULSE, step)
     with pytest.raises(GridTooCoarse):
         simulation_grid_step(8)
 
@@ -119,4 +122,25 @@ def test_channelset_row_count_checked():
     geom = default_geometry(num_elements=4)
     with pytest.raises(InvariantViolation):
         ChannelSet(grid_step=3.125e-9, samples=np.zeros((3, 100)),
+                   geometry=geom, tau=25.6e-6)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"tau": float("nan")},
+    {"tau": float("inf")},
+    {"scatterers": (Scatterer(float("nan"), 1.0),)},
+    {"scatterers": (Scatterer(float("inf"), 1.0),)},
+    {"scatterers": (Scatterer(5e-6, float("nan")),)},
+])
+def test_scene_rejects_non_finite(kwargs):
+    with pytest.raises(InvariantViolation):
+        Scene(**{"scatterers": (), "tau": 25.6e-6, **kwargs})
+
+
+@pytest.mark.parametrize("grid_step",
+                         [float("nan"), float("inf"), 0.0, -3.125e-9])
+def test_channelset_rejects_bad_grid_step(grid_step):
+    geom = default_geometry(num_elements=3)
+    with pytest.raises(GridTooCoarse):
+        ChannelSet(grid_step=grid_step, samples=np.zeros((3, 100)),
                    geometry=geom, tau=25.6e-6)

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -54,3 +56,21 @@ def test_element_count_mismatch(tmp_path):
     write_channels(path, ch)
     with pytest.raises(ParseError):
         read_channels(path, default_geometry(num_elements=5))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("grid_step", float("nan")), ("grid_step", float("inf")),
+    ("grid_step", 0.0), ("grid_step", -3.125e-9),
+    ("tau", float("nan")), ("tau", float("inf")), ("tau", -25.6e-6),
+])
+def test_header_rejects_bad_step_or_tau(tmp_path, field, value):
+    geom = default_geometry(num_elements=3)
+    ch = synthesize(Scene(scatterers=(), tau=25.6e-6), geom)
+    path = tmp_path / "line_007.urf"
+    write_channels(path, ch)
+    raw = bytearray(path.read_bytes())
+    offset = {"grid_step": 12, "tau": 20}[field]
+    raw[offset:offset + 8] = struct.pack("<d", value)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ParseError, match=f"line_007.urf: {field}"):
+        read_channels(path, geom)
