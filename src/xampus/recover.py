@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConditioningFailure, IllConditioned, OrderOverflow,
-                     RankDeficient, SingularSystem)
+from .errors import (ConditioningFailure, IllConditioned, InvariantViolation,
+                     OrderOverflow, RankDeficient, SingularSystem)
 from .pulse import PulseModel, build_H
 from .xample import MixingMatrix, XampleConfig, build_S
 
@@ -60,19 +60,37 @@ def recover_fourier(c, S: MixingMatrix, H, kappa, tau: float) -> FourierCoeffs:
     """Unmix branch samples and deconvolve the pulse spectrum.
 
     ``H`` is the diagonal of the pulse-spectrum matrix over the full kappa
-    (as returned by ``build_H``).  Solves S phi = c in the least-squares
-    sense, divides out H, and keeps the positive half (the negative half is
-    conjugate-redundant for a real line).
+    (as returned by ``build_H``).  Solves S phi = c (by LU for a square S,
+    in the least-squares sense for a tall one), divides out H, and keeps the
+    positive half (the negative half is conjugate-redundant for a real line).
+
+    Raises ``InvariantViolation`` when the shapes of S, H, kappa and c
+    disagree or c is not finite, and ``RankDeficient`` when S is not full
+    column rank.
     """
     c = np.asarray(c, dtype=complex)
+    H = np.asarray(H)
     kappa = np.asarray(kappa)
+    rows, cols = S.entries.shape
+    if cols != len(kappa):
+        raise InvariantViolation(
+            f"mixing matrix columns {cols} != |kappa| {len(kappa)}")
+    if H.shape != kappa.shape:
+        raise InvariantViolation(
+            f"pulse spectrum H shape {H.shape} != kappa shape {kappa.shape}")
+    if c.shape != (rows,):
+        raise InvariantViolation(
+            f"branch samples shape {c.shape} != ({rows},) mixing matrix rows")
+    if not np.all(np.isfinite(c)):
+        raise InvariantViolation("branch samples must be finite")
+    if S.rank < cols:
+        raise RankDeficient(f"mixing matrix rank {S.rank} < {cols} columns")
+    if rows == cols:
+        phi = np.linalg.solve(S.entries, c)
+    else:
+        phi = np.linalg.lstsq(S.entries, c, rcond=None)[0]
     K = len(kappa) // 2
-    phi, _, rank, _ = np.linalg.lstsq(S.entries, c, rcond=None)
-    if rank < S.entries.shape[1]:
-        raise RankDeficient(
-            f"mixing matrix rank {rank} < {S.entries.shape[1]} columns"
-        )
-    y_full = phi / np.asarray(H)
+    y_full = phi / H
     return FourierCoeffs(y=y_full[:K], kappa_pos=kappa[:K], tau=tau,
                          phi=phi[:K])
 
@@ -114,7 +132,7 @@ def estimate_order(y, L_max: int, eta: int | None = None,
     u = np.asarray(y, dtype=complex)
     eta = pencil_split(len(u), L_max, eta)
     try:
-        _, s, Vh = np.linalg.svd(_hankel(u, eta))
+        _, s, Vh = np.linalg.svd(_hankel(u, eta), full_matrices=False)
     except np.linalg.LinAlgError as e:
         raise ConditioningFailure(f"SVD did not converge: {e}") from e
     order = int(np.sum(s / s[0] > sv_threshold)) if s[0] > 0.0 else 0
@@ -169,9 +187,8 @@ def annihilating_filter(coeffs: FourierCoeffs, L_est: int) -> np.ndarray:
         raise ValueError("L_est must be >= 1")
     if K < 2 * L_est:
         raise ValueError(f"need K >= 2*L_est, got K={K}, L_est={L_est}")
-    rows = K - L_est
-    T = np.array([[u[L_est - 1 + r - c] for c in range(L_est)]
-                  for r in range(rows)])
+    # T[r, c] = u[L_est - 1 + r - c]
+    T = u[np.arange(L_est - 1, K - 1)[:, None] - np.arange(L_est)]
     rhs = -u[L_est:]
     coef, _, rank, _ = np.linalg.lstsq(T, rhs, rcond=None)
     if rank < L_est:

@@ -35,6 +35,11 @@ class Scatterer:
     reflectivity: float
 
 
+def _check_snr(snr_db: float | None) -> None:
+    if snr_db is not None and not math.isfinite(snr_db):
+        raise InvariantViolation(f"snr_db {snr_db} must be finite")
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     snr_db: float | None = None
@@ -42,6 +47,7 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
+        _check_snr(self.snr_db)
         if self.speckle_count < 0:
             raise InvariantViolation("speckle_count must be >= 0")
         if self.speckle_count > 0 and self.snr_db is None:
@@ -99,6 +105,8 @@ class ChannelSet:
             )
         if self.samples.shape[0] != self.geometry.num_elements:
             raise InvariantViolation("samples row count != num_elements")
+        if not 0 < self.tau < math.inf:
+            raise InvariantViolation("tau must be finite and positive")
 
     @property
     def grid_len(self) -> int:
@@ -177,6 +185,7 @@ def add_interference(
     white Gaussian noise; with no speckle the white noise takes the whole
     budget.  Deterministic for a fixed seed.
     """
+    _check_snr(snr_db)
     if snr_db is None and speckle_count == 0:
         return ChannelSet(ch.grid_step, ch.samples.copy(), ch.geometry, ch.tau)
     if speckle_count > 0 and pulse is None:

@@ -26,6 +26,7 @@ because the traces are real.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,13 +124,17 @@ class XampleConfig:
 
 @dataclass(frozen=True)
 class MixingMatrix:
-    """Branch mixing weights S; rows are branches, columns follow kappa."""
+    """Branch mixing weights S; rows are branches, columns follow kappa.
+
+    ``entries`` is a read-only copy, so the cached ``rank`` cannot go stale.
+    """
 
     entries: np.ndarray
     structure: str = "custom"
 
     def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=complex)
+        entries = np.array(self.entries, dtype=complex)
+        entries.flags.writeable = False
         object.__setattr__(self, "entries", entries)
         if entries.ndim != 2:
             raise InvariantViolation("mixing matrix must be 2-D")
@@ -141,7 +146,18 @@ class MixingMatrix:
     def num_branches(self) -> int:
         return self.entries.shape[0]
 
+    @functools.cached_property
+    def rank(self) -> int:
+        """Numerical rank with lstsq's cutoff, ``s > s[0] * max(shape) * eps``.
 
+        One SVD, taken on first use (not at construction, which stays cheap).
+        """
+        s = np.linalg.svd(self.entries, compute_uv=False)
+        tol = max(self.entries.shape) * np.finfo(float).eps
+        return int(np.sum(s > s.max(initial=0.0) * tol))
+
+
+@functools.cache
 def build_S(p: int) -> MixingMatrix:
     """Square mixing matrix pairing each +k with its -k partner.
 
@@ -149,7 +165,8 @@ def build_S(p: int) -> MixingMatrix:
      [ I/2j, -I/2j ]]   with I of size p/2.
 
     Row q <= p/2 makes branch kernel cos(2 pi k_q t / tau); row q + p/2 makes
-    -sin of the same harmonic.
+    -sin of the same harmonic.  Memoized: every caller with the same p shares
+    one read-only matrix and its cached rank.
     """
     if p % 2 != 0:
         raise InvariantViolation("p must be even for the paired structure")

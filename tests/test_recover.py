@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from xampus import (FourierCoeffs, IllConditioned, MixingMatrix, OrderOverflow,
+from xampus import (FourierCoeffs, IllConditioned, InvariantViolation,
+                    MixingMatrix, OrderOverflow,
                     RankDeficient, Scatterer, Scene, SingularSystem,
                     annihilating_filter, beamform_line, build_H, build_S,
                     estimate_order, least_squares_amplitudes, matrix_pencil,
@@ -73,6 +76,104 @@ def test_coefficients_match_dense_grid_fourier_oracle():
     Hpos = H[: cfg.K]
     assert np.linalg.norm(fc.y - direct / Hpos) \
         / np.linalg.norm(direct / Hpos) <= 1e-3
+
+
+def _kappa(p, k0=10):
+    pos = np.arange(k0, k0 + p // 2)
+    return np.concatenate([pos, -pos])
+
+
+def _unitary(rng, n):
+    q, _ = np.linalg.qr(rng.standard_normal((n, n))
+                        + 1j * rng.standard_normal((n, n)))
+    return q
+
+
+@pytest.mark.parametrize("p", [4, 40, 480, "custom"])
+def test_unmix_square_solve_matches_lstsq(p):
+    rng = np.random.default_rng(31)
+    if p == "custom":  # a random well-conditioned square S
+        S = MixingMatrix(entries=_unitary(rng, 24)
+                         @ np.diag(rng.uniform(1.0, 4.0, 24)))
+    else:
+        S = build_S(p)
+    n = S.entries.shape[1]
+    c = rng.standard_normal(n)
+    fc = recover_fourier(c, S, np.ones(n), _kappa(n), TAU)
+    ref = np.linalg.lstsq(S.entries, c.astype(complex), rcond=None)[0]
+    assert np.linalg.norm(fc.phi - ref[:n // 2]) \
+        <= 1e-12 * np.linalg.norm(ref[:n // 2])
+
+
+def test_unmix_tall_custom_matrix_recovers():
+    # the paired rows plus two extra real-kernel rows: lstsq path
+    geom = default_geometry()
+    cfg = XampleConfig.create(2, 1, TAU, PULSE, geom)
+    rng = np.random.default_rng(33)
+    extra = rng.standard_normal((2, cfg.K)) + 1j * rng.standard_normal((2, cfg.K))
+    S = MixingMatrix(entries=np.vstack([build_S(cfg.p).entries,
+                                        np.hstack([extra, np.conj(extra)])]),
+                     structure="custom")
+    assert S.num_branches == cfg.p + 2
+    v = rng.standard_normal(cfg.K) + 1j * rng.standard_normal(cfg.K)
+    c = np.real(S.entries @ np.concatenate([v, np.conj(v)]))
+    fc = recover_fourier(c, S, np.ones(cfg.p), cfg.kappa, cfg.tau)
+    np.testing.assert_allclose(fc.phi, v, rtol=1e-12)
+    scene = Scene(scatterers=(Scatterer(5e-6, 1.0),), tau=cfg.tau)
+    c = xample_channels(synthesize(scene, geom), cfg, S).c
+    est = recover_line(c, cfg, PULSE, S=S)
+    assert est.model_order == 1
+    assert abs(est.delays[0] - 10e-6) <= 50e-9
+
+
+def test_unmix_numerically_rank_deficient_square():
+    # smallest singular value ~1e-18 of the largest, but no exact zero pivot:
+    # an LU solve alone would return garbage instead of raising
+    rng = np.random.default_rng(35)
+    n = 8
+    s = np.geomspace(1.0, 0.1, n)
+    s[-1] = 1e-18
+    entries = _unitary(rng, n) @ np.diag(s) @ _unitary(rng, n).conj().T
+    np.linalg.solve(entries, np.ones(n))  # does not raise on its own
+    S = MixingMatrix(entries=entries, structure="custom")
+    assert S.rank == n - 1
+    with pytest.raises(RankDeficient, match="rank 7 < 8 columns"):
+        recover_fourier(np.ones(n), S, np.ones(n), _kappa(n), TAU)
+
+
+def test_mixing_matrix_read_only_and_build_S_memoized():
+    S = build_S(8)
+    assert build_S(8) is S
+    with pytest.raises(ValueError):
+        S.entries[0, 0] = 1.0
+    mine = np.eye(4, dtype=complex)
+    custom = MixingMatrix(entries=mine)
+    mine[0, 0] = 2.0  # the caller's array stays writable and is not shared
+    assert custom.entries[0, 0] == 1.0
+
+
+@pytest.mark.parametrize("case, message", [
+    ("columns", "mixing matrix columns"), ("H", "pulse spectrum H"),
+    ("c_length", "branch samples shape"), ("c_nan", "must be finite")])
+def test_unmix_rejects_mismatched_inputs(case, message):
+    S, H, kappa, c = build_S(8), np.ones(8), _kappa(8), np.ones(8)
+    if case == "columns":
+        kappa = _kappa(6)
+    elif case == "H":
+        H = np.ones(6)
+    elif case == "c_length":
+        c = np.ones(9)
+    else:
+        c = np.full(8, np.nan)
+    with pytest.raises(InvariantViolation, match=message):
+        recover_fourier(c, S, H, kappa, TAU)
+
+
+def test_recover_line_rejects_p_above_kappa():
+    cfg = XampleConfig.create(2, 1, TAU, PULSE, default_geometry())
+    wide = dataclasses.replace(cfg, p=cfg.p + 2)
+    with pytest.raises(InvariantViolation, match="columns"):
+        recover_line(np.ones(wide.p), wide, PULSE)
 
 
 # --- matrix pencil -----------------------------------------------------------

@@ -144,3 +144,21 @@ def test_channelset_rejects_bad_grid_step(grid_step):
     with pytest.raises(GridTooCoarse):
         ChannelSet(grid_step=grid_step, samples=np.zeros((3, 100)),
                    geometry=geom, tau=25.6e-6)
+
+
+@pytest.mark.parametrize("snr_db", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_snr_rejected(snr_db):
+    with pytest.raises(InvariantViolation):
+        NoiseSpec(snr_db=snr_db)
+    scene = Scene(scatterers=(Scatterer(6e-6, 1.0),), tau=25.6e-6)
+    ch = synthesize(scene, default_geometry(num_elements=3))
+    with pytest.raises(InvariantViolation):
+        add_interference(ch, snr_db, 0, seed=0)
+
+
+@pytest.mark.parametrize("tau", [float("nan"), float("inf"), 0.0, -25.6e-6])
+def test_channelset_rejects_bad_tau(tau):
+    geom = default_geometry(num_elements=3)
+    with pytest.raises(InvariantViolation):
+        ChannelSet(grid_step=3.125e-9, samples=np.zeros((3, 100)),
+                   geometry=geom, tau=tau)
