@@ -7,11 +7,13 @@ squares) evaluated at the pencil split eta = K/3 the shapes assume.  The
 standard path counts the delay-and-sum adds plus two FFTs for envelope
 detection.
 
-The unmixing term, K*p, is the cost of applying a stored inverse of S.  The
-code instead pays one LU solve per line, O(p^3) (``recover_fourier``), after
-one SVD per S for its rank: a stored dense inverse raised the peak memory of
-an L=30, rho=4 recovery run by about a third (49 to 66 MB), over the
-benchmark's 10% bound.
+The unmixing term, K*p, is the cost of applying a stored inverse of S.
+``build_S``'s paired S is unmixed below that, in O(K) by its closed-form
+inverse with no factorization or stored matrix (``recover_fourier``).  A
+custom S still pays one LU solve per line, O(p^3), or a least squares when
+tall, after one SVD per S for its rank: a stored dense inverse raised the
+peak memory of an L=30, rho=4 recovery run by about a third (49 to 66 MB),
+over the benchmark's 10% bound.
 """
 
 from __future__ import annotations

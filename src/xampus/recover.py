@@ -60,9 +60,12 @@ def recover_fourier(c, S: MixingMatrix, H, kappa, tau: float) -> FourierCoeffs:
     """Unmix branch samples and deconvolve the pulse spectrum.
 
     ``H`` is the diagonal of the pulse-spectrum matrix over the full kappa
-    (as returned by ``build_H``).  Solves S phi = c (by LU for a square S,
-    in the least-squares sense for a tall one), divides out H, and keeps the
-    positive half (the negative half is conjugate-redundant for a real line).
+    (as returned by ``build_H``).  Solves S phi = c for the positive half of
+    phi (the negative half is conjugate-redundant for a real line) and
+    divides out H.  ``build_S``'s paired S has the closed-form inverse
+    phi[:K] = c[:K] + j c[K:], O(K) with no factorization, below the K*p
+    of a stored inverse that ``costs.xampled_ops`` counts; a custom S still
+    pays an LU solve when square and a least squares when tall.
 
     Raises ``InvariantViolation`` when the shapes of S, H, kappa and c
     disagree or c is not finite, and ``RankDeficient`` when S is not full
@@ -85,14 +88,14 @@ def recover_fourier(c, S: MixingMatrix, H, kappa, tau: float) -> FourierCoeffs:
         raise InvariantViolation("branch samples must be finite")
     if S.rank < cols:
         raise RankDeficient(f"mixing matrix rank {S.rank} < {cols} columns")
-    if rows == cols:
-        phi = np.linalg.solve(S.entries, c)
+    K = cols // 2
+    if S.structure == "paired-real":
+        phi = c[:K] + 1j * c[K:]
+    elif rows == cols:
+        phi = np.linalg.solve(S.entries, c)[:K]
     else:
-        phi = np.linalg.lstsq(S.entries, c, rcond=None)[0]
-    K = len(kappa) // 2
-    y_full = phi / H
-    return FourierCoeffs(y=y_full[:K], kappa_pos=kappa[:K], tau=tau,
-                         phi=phi[:K])
+        phi = np.linalg.lstsq(S.entries, c, rcond=None)[0][:K]
+    return FourierCoeffs(y=phi / H[:K], kappa_pos=kappa[:K], tau=tau, phi=phi)
 
 
 def _hankel(u: np.ndarray, eta: int) -> np.ndarray:

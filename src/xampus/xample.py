@@ -73,9 +73,12 @@ def select_kappa(L: int, rho: float, tau: float, carrier_hz: float,
     return kappa
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class XampleConfig:
-    """Everything that fixes the kernel bank and recovery problem sizes."""
+    """Everything that fixes the kernel bank and recovery problem sizes.
+
+    Compares and hashes by identity (its fields hold arrays).
+    """
 
     L: int
     rho: float
@@ -122,11 +125,14 @@ class XampleConfig:
         return self.kappa[: self.K]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MixingMatrix:
     """Branch mixing weights S; rows are branches, columns follow kappa.
 
     ``entries`` is a read-only copy, so the cached ``rank`` cannot go stale.
+    ``structure="paired-real"`` promises exactly ``build_S``'s pattern, whose
+    inverse ``recover_fourier`` applies in closed form, so the promise is
+    checked.  Compares and hashes by identity.
     """
 
     entries: np.ndarray
@@ -141,6 +147,14 @@ class MixingMatrix:
         if entries.shape[0] < entries.shape[1]:
             raise InvariantViolation("mixing matrix needs at least as many "
                                      "branches as harmonics")
+        if self.structure == "paired-real":
+            if not _is_paired(entries):
+                raise InvariantViolation(
+                    "paired-real mixing matrix must be [[I/2, I/2], "
+                    "[I/2j, -I/2j]]")
+        elif self.structure != "custom":
+            raise InvariantViolation(
+                f"unknown mixing structure {self.structure!r}")
 
     @property
     def num_branches(self) -> int:
@@ -150,11 +164,29 @@ class MixingMatrix:
     def rank(self) -> int:
         """Numerical rank with lstsq's cutoff, ``s > s[0] * max(shape) * eps``.
 
-        One SVD, taken on first use (not at construction, which stays cheap).
+        One SVD, taken on first use (not at construction, which stays cheap);
+        none for the paired pattern, which is invertible by construction.
         """
+        if self.structure == "paired-real":
+            return self.entries.shape[1]
         s = np.linalg.svd(self.entries, compute_uv=False)
         tol = max(self.entries.shape) * np.finfo(float).eps
         return int(np.sum(s > s.max(initial=0.0) * tol))
+
+
+def _is_paired(e: np.ndarray) -> bool:
+    """Whether ``e`` is exactly [[I/2, I/2], [I/2j, -I/2j]].
+
+    Reads the four block diagonals as views and counts the nonzeros, so no
+    p x p temporary is built.
+    """
+    p = e.shape[0]
+    if p != e.shape[1] or p % 2 != 0 or np.count_nonzero(e) != 2 * p:
+        return False
+    K = p // 2
+    return all(np.all(np.diagonal(e[r:r + K, col:col + K]) == v)
+               for r, col, v in ((0, 0, 0.5), (0, K, 0.5),
+                                 (K, 0, -0.5j), (K, K, 0.5j)))
 
 
 @functools.cache

@@ -176,6 +176,62 @@ def test_recover_line_rejects_p_above_kappa():
         recover_line(np.ones(wide.p), wide, PULSE)
 
 
+@pytest.mark.parametrize("p", [2, 4, 40, 480])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_paired_closed_form_matches_solve(p, kind):
+    rng = np.random.default_rng(p)
+    c = rng.standard_normal(p)
+    if kind == "complex":
+        c = c + 1j * rng.standard_normal(p)
+    S = build_S(p)
+    fc = recover_fourier(c, S, np.ones(p), _kappa(p), TAU)
+    ref = np.linalg.solve(S.entries, c.astype(complex))[:p // 2]
+    assert np.linalg.norm(fc.phi - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("case", ["off_diagonal", "diagonal", "odd", "tall"])
+def test_paired_structure_rejects_other_matrices(case):
+    e = build_S(8).entries.copy()
+    if case == "off_diagonal":
+        e[0, 1] = 1e-3
+    elif case == "diagonal":
+        e[5, 1] = 0.5j  # the sign of a -I/2j entry flipped
+    elif case == "odd":
+        e = 0.5 * np.eye(3)
+    else:
+        e = np.vstack([e, np.zeros((2, 8))])
+    with pytest.raises(InvariantViolation, match="paired-real"):
+        MixingMatrix(entries=e, structure="paired-real")
+
+
+def test_mixing_structure_must_be_known():
+    with pytest.raises(InvariantViolation, match="unknown mixing structure"):
+        MixingMatrix(entries=np.eye(2), structure="paired")
+
+
+def test_paired_rank_takes_no_svd(monkeypatch):
+    def no_svd(*args, **kwargs):
+        raise AssertionError("svd called")
+
+    build_S.cache_clear()
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    assert build_S(480).rank == 480
+    custom = MixingMatrix(entries=build_S(8).entries, structure="custom")
+    with pytest.raises(AssertionError, match="svd called"):
+        custom.rank  # a custom S keeps the lazy SVD
+
+
+def test_mixing_matrix_and_config_compare_by_identity():
+    a, b = MixingMatrix(np.eye(2)), MixingMatrix(np.eye(2))
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
+    geom = default_geometry()
+    c1 = XampleConfig.create(2, 1, TAU, PULSE, geom)
+    c2 = XampleConfig.create(2, 1, TAU, PULSE, geom)
+    assert c1 == c1 and c1 != c2
+    assert len({c1, c2, c1}) == 2
+
+
 # --- matrix pencil -----------------------------------------------------------
 
 def test_pencil_single_cisoid():
