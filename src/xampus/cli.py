@@ -145,7 +145,7 @@ def cmd_xample(args) -> int:
     for path in paths:
         ch = urf.read_channels(path, scene.geometry)
         with _naming(path):
-            out_samples = xample_channels(ch, cfg, S, fold=args.fold)
+            out_samples = xample_channels(ch, cfg, S)
             est = recover_line(out_samples.c, cfg, scene.pulse,
                                method=args.method, eta=args.eta,
                                sv_threshold=args.sv_threshold, S=S)
@@ -315,8 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="pencil parameter (default K//3)")
     xa.add_argument("--sv-threshold", type=float,
                     default=SV_THRESHOLD_DEFAULT)
-    xa.add_argument("--fold", action="store_true",
-                    help="sum symmetric element pairs before modulation")
     xa.add_argument("--dump-samples", action="store_true",
                     help="also write the branch sample CSVs")
     xa.add_argument("--dynamic-range-db", type=float,

@@ -17,11 +17,12 @@ The ``xample_beamformed_oracle`` path instead integrates the unwarped kernels
 against a materialized beamformed line; the two must agree, which is the
 package's central consistency check.
 
-Cost: the positive harmonics are consecutive integers, so for each element
-the kernel bank takes two complex exponentials per grid sample (the first
-harmonic and the unit step between harmonics) plus K = 2 rho L complex
-multiply-adds per sample; the -k half is the conjugate of the +k half
-because the traces are real.
+Cost: elements with the same warp share one kernel, so the bank takes one
+harmonic pass per warp, ceil(N/2) for N elements in dynamic focus and one in
+infinity focus.  A pass takes two complex exponentials per grid sample (the
+first harmonic and the step between consecutive harmonics) plus K = 2 rho L
+complex multiply-adds per sample; the -k half is the conjugate of the +k
+half because the traces are real.
 """
 
 from __future__ import annotations
@@ -177,11 +178,11 @@ class MixingMatrix:
 def _is_paired(e: np.ndarray) -> bool:
     """Whether ``e`` is exactly [[I/2, I/2], [I/2j, -I/2j]].
 
-    Reads the four block diagonals as views and counts the nonzeros, so no
-    p x p temporary is built.
+    Reads the four block diagonals as views and counts the nonzero float
+    parts (one per pattern entry), so no p x p temporary is built.
     """
     p = e.shape[0]
-    if p != e.shape[1] or p % 2 != 0 or np.count_nonzero(e) != 2 * p:
+    if p != e.shape[1] or p % 2 or np.count_nonzero(e.view(float)) != 2 * p:
         return False
     K = p // 2
     return all(np.all(np.diagonal(e[r:r + K, col:col + K]) == v)
@@ -210,9 +211,14 @@ def build_S(p: int) -> MixingMatrix:
 
 @dataclass
 class XampleOutput:
-    """Branch outputs per element and their fold over the aperture."""
+    """Branch outputs per warp group and their fold over the aperture.
 
-    c_qm: np.ndarray  # (p, num_elements)
+    A group of elements sharing one warp fills the column of its lowest
+    index and leaves its other columns zero: pair i, N-1-i fills column i in
+    dynamic focus, the whole aperture fills column 0 in infinity focus.
+    """
+
+    c_qm: np.ndarray  # (p, num_elements), grouped layout
     c: np.ndarray     # (p,)
 
 
@@ -275,20 +281,20 @@ def _trapezoid_weights(n: int, step: float) -> np.ndarray:
     return w
 
 
-def xample_channels(ch: ChannelSet, cfg: XampleConfig, S: MixingMatrix,
-                    fold: bool = False) -> XampleOutput:
+def xample_channels(ch: ChannelSet, cfg: XampleConfig,
+                    S: MixingMatrix) -> XampleOutput:
     """Run the kernel bank over every element and fold the outputs.
 
-    With ``fold=True`` symmetric element pairs are summed before modulation
-    (their kernels are identical because the offset enters only as delta^2
-    and |delta|); the result matches the per-element path to roundoff.
+    Elements with the same warp have the same kernel (the offset enters only
+    as delta^2 and |delta|), so their traces are summed and take one
+    harmonic pass: pairs +/-m in dynamic focus, the whole aperture in
+    infinity focus.
     """
     bound = tau_hat(cfg.tau, ch.geometry)
     if ch.duration < bound * (1 - 1e-12):
         raise GridTooShort(
             f"channel grid ends at {ch.duration:g} s, needs {bound:g} s"
         )
-    n_elem = ch.geometry.num_elements
     _check_real_pairing(cfg, S)
     t = ch.times
     w = _trapezoid_weights(ch.grid_len, ch.grid_step)
@@ -296,20 +302,12 @@ def xample_channels(ch: ChannelSet, cfg: XampleConfig, S: MixingMatrix,
     if cfg.focus_mode != "dynamic":
         a = np.zeros_like(a)
 
-    c_qm = np.zeros((S.num_branches, n_elem))
-    if fold:
-        for i in range((n_elem + 1) // 2):
-            j = n_elem - 1 - i
-            trace = ch.samples[i] if i == j else ch.samples[i] + ch.samples[j]
-            g = _element_harmonics(cfg.kappa_pos, cfg.tau, t, w, trace, a[i])
-            # the pair shares one modulation branch; its sample lands in the
-            # lower-index column and the mirror column stays zero
-            c_qm[:, i] = np.real(S.entries @ g) / cfg.tau
-    else:
-        for m in range(n_elem):
-            g = _element_harmonics(cfg.kappa_pos, cfg.tau, t, w,
-                                   ch.samples[m], a[m])
-            c_qm[:, m] = np.real(S.entries @ g) / cfg.tau
+    c_qm = np.zeros((S.num_branches, ch.geometry.num_elements))
+    warps, first, group = np.unique(a, return_index=True, return_inverse=True)
+    for k, (a_k, m) in enumerate(zip(warps, first)):
+        trace = ch.samples[group == k].sum(axis=0)
+        g = _element_harmonics(cfg.kappa_pos, cfg.tau, t, w, trace, a_k)
+        c_qm[:, m] = np.real(S.entries @ g) / cfg.tau
     return XampleOutput(c_qm=c_qm, c=c_qm.sum(axis=1))
 
 

@@ -142,6 +142,8 @@ def test_xample_outputs(scene_path, tmp_path):
     assert len(c_rows) == 2 * 40  # p = 4*rho*L = 40 per line
     cqm_rows = read_rows(out / "samples_cqm.csv")
     assert len(cqm_rows) == 2 * 40 * 16
+    # grouped layout: each mirror pair sits in its lower-index element's rows
+    assert all(float(r["value"]) == 0 for r in cqm_rows if int(r["m"]) >= 8)
 
 
 def test_xample_eta_guard_before_compute(scene_path, tmp_path, capsys):

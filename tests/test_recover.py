@@ -189,11 +189,17 @@ def test_paired_closed_form_matches_solve(p, kind):
     assert np.linalg.norm(fc.phi - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
-@pytest.mark.parametrize("case", ["off_diagonal", "diagonal", "odd", "tall"])
+@pytest.mark.parametrize("case", ["off_diagonal", "off_diagonal_imag",
+                                  "off_diagonal_lower", "diagonal", "odd",
+                                  "tall"])
 def test_paired_structure_rejects_other_matrices(case):
     e = build_S(8).entries.copy()
     if case == "off_diagonal":
         e[0, 1] = 1e-3
+    elif case == "off_diagonal_imag":
+        e[0, 1] = 1e-3j
+    elif case == "off_diagonal_lower":
+        e[5, 2] = 1e-3 + 0j  # a real part in the imaginary-diagonal block
     elif case == "diagonal":
         e[5, 1] = 0.5j  # the sign of a -I/2j entry flipped
     elif case == "odd":

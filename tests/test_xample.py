@@ -182,22 +182,24 @@ def test_sampling_linear_in_channels():
 
 
 def test_output_fold_identity():
-    out_shape_checked = False
     geom = default_geometry()
-    cfg = make_config(geometry=geom)
-    scene, _, _ = random_scene(np.random.default_rng(12), 3, cfg.tau)
+    scene, _, _ = random_scene(np.random.default_rng(12), 3, 25.6e-6)
     ch = synthesize(scene, geom)
-    S = build_S(cfg.p)
-    plain = xample_channels(ch, cfg, S, fold=False)
-    folded = xample_channels(ch, cfg, S, fold=True)
-    scale = np.linalg.norm(plain.c)
-    assert np.max(np.abs(folded.c - plain.c)) <= 1e-12 * scale
-    assert np.allclose(plain.c, plain.c_qm.sum(axis=1))
-    assert np.allclose(folded.c, folded.c_qm.sum(axis=1))
-    # folded layout: mirror columns carry nothing
-    assert not np.any(folded.c_qm[:, geom.num_elements // 2:])
-    out_shape_checked = plain.c_qm.shape == (cfg.p, geom.num_elements)
-    assert out_shape_checked
+    half = geom.num_elements // 2
+    for focus in ("dynamic", "infinity"):
+        cfg = make_config(geometry=geom, focus=focus)
+        S = build_S(cfg.p)
+        out = xample_channels(ch, cfg, S)
+        plain = _dense_c_qm(ch, cfg, S).sum(axis=1)  # one pass per element
+        scale = np.linalg.norm(plain)
+        assert np.max(np.abs(out.c - plain)) <= 1e-12 * scale
+        assert np.array_equal(out.c, out.c_qm.sum(axis=1))
+        assert out.c_qm.shape == (cfg.p, geom.num_elements)
+        # grouped layout: a mirror pair shares column i < N/2 in dynamic
+        # focus, the whole aperture shares column 0 in infinity focus
+        empty = half if focus == "dynamic" else 1
+        assert not np.any(out.c_qm[:, empty:])
+        assert np.all(np.any(out.c_qm[:, :empty], axis=0))
 
 
 # --- dense reference --------------------------------------------------------
@@ -252,14 +254,16 @@ def test_kernel_bank_matches_dense_reference(L, rho, focus):
     ref = _dense_c_qm(ch, cfg, S)
     out = xample_channels(ch, cfg, S)
     assert _rel(out.c, ref.sum(axis=1)) <= 1e-12
-    for m in (1, 0):  # on-axis element, then an off-axis one
-        assert _rel(out.c_qm[:, m], ref[:, m]) <= 1e-12
-    # fold: the mirrored pair lands in column 0, column 2 stays empty
-    folded = xample_channels(ch, cfg, S, fold=True)
-    assert _rel(folded.c, ref.sum(axis=1)) <= 1e-12
-    assert _rel(folded.c_qm[:, 0], ref[:, 0] + ref[:, 2]) <= 1e-12
-    assert _rel(folded.c_qm[:, 1], ref[:, 1]) <= 1e-12
-    assert not np.any(folded.c_qm[:, 2])
+    if focus == "dynamic":
+        # the mirrored pair lands in column 0, the on-axis element in
+        # column 1, and column 2 stays empty
+        assert _rel(out.c_qm[:, 0], ref[:, 0] + ref[:, 2]) <= 1e-12
+        assert _rel(out.c_qm[:, 1], ref[:, 1]) <= 1e-12
+        assert not np.any(out.c_qm[:, 2])
+    else:
+        # every warp is the identity: one pass over the whole aperture
+        assert _rel(out.c_qm[:, 0], ref.sum(axis=1)) <= 1e-12
+        assert not np.any(out.c_qm[:, 1:])
 
 
 def test_kernel_value_integrates_to_c_qm_column():
@@ -268,11 +272,14 @@ def test_kernel_value_integrates_to_c_qm_column():
     S = build_S(cfg.p)
     ch = _noisy_channels(cfg, seed=16)
     out = xample_channels(ch, cfg, S)
-    m = 0  # off-axis: exercises the step and the warp
-    weighted = _trapezoid(ch) * ch.samples[m]
-    col = np.array([kernel_value(cfg, S, q, m, ch.times) @ weighted
-                    for q in range(cfg.p)]) / cfg.tau
-    assert _rel(col, out.c_qm[:, m]) <= 1e-12
+    # off-axis pair 0 and 2: exercises the step and the warp, and shares
+    # one kernel, so column 0 holds both elements
+    weighted = _trapezoid(ch) * (ch.samples[0] + ch.samples[2])
+    kernels = [kernel_value(cfg, S, q, 0, ch.times) for q in range(cfg.p)]
+    for q, k in enumerate(kernels):
+        assert np.array_equal(k, kernel_value(cfg, S, q, 2, ch.times))
+    col = np.array([k @ weighted for k in kernels]) / cfg.tau
+    assert _rel(col, out.c_qm[:, 0]) <= 1e-12
 
 
 def test_grid_too_short_detected():
