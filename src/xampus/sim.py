@@ -4,18 +4,25 @@ Channels are produced on a dense grid that stands in for the analog domain:
 every downstream integral is quadrature on this grid, so the grid must
 oversample the nominal 20 MHz acquisition rate by at least 16x for those
 integrals to be trustworthy.
+
+Echoes (scatterers and the speckle surrogate alike) are synthesized in one
+batch per call: one table of 2*ceil(8 sigma / dt) + 1 complex entries is
+shared by every echo, each echo needs two scalars of its own, and no sample
+takes a trigonometric function.  Each channel row stays within 1e-12 of its
+peak of the per-sample ``eval_pulse`` sum over the same windows.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import GridTooCoarse, InvariantViolation
 from .geometry import ArrayGeometry, arrival_time, tau_hat
-from .pulse import PulseModel, eval_pulse
+from .pulse import PulseModel
 
 # Nominal acquisition rate the simulation grid must oversample.
 NYQUIST_RATE_HZ = 20e6
@@ -40,6 +47,20 @@ def _check_snr(snr_db: float | None) -> None:
         raise InvariantViolation(f"snr_db {snr_db} must be finite")
 
 
+def _check_speckle_count(speckle_count) -> None:
+    if (isinstance(speckle_count, bool)
+            or not isinstance(speckle_count, numbers.Integral)
+            or speckle_count < 0):
+        raise InvariantViolation(
+            f"speckle_count {speckle_count!r} must be an integer >= 0"
+        )
+
+
+def _check_beam_angle(beam_angle: float) -> None:
+    if not math.isfinite(beam_angle):
+        raise InvariantViolation(f"beam_angle {beam_angle} must be finite")
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     snr_db: float | None = None
@@ -48,8 +69,7 @@ class NoiseSpec:
 
     def __post_init__(self):
         _check_snr(self.snr_db)
-        if self.speckle_count < 0:
-            raise InvariantViolation("speckle_count must be >= 0")
+        _check_speckle_count(self.speckle_count)
         if self.speckle_count > 0 and self.snr_db is None:
             raise InvariantViolation(
                 "speckle_count > 0 requires snr_db (speckle power budget)"
@@ -67,6 +87,7 @@ class Scene:
 
     def __post_init__(self):
         object.__setattr__(self, "scatterers", tuple(self.scatterers))
+        _check_beam_angle(self.beam_angle)
         if not 0 < self.tau < math.inf:
             raise InvariantViolation("tau must be finite and positive")
         times = [s.axial_time for s in self.scatterers]
@@ -128,15 +149,67 @@ def simulation_grid_step(oversample: int = MIN_OVERSAMPLE) -> float:
     return 1.0 / (oversample * NYQUIST_RATE_HZ)
 
 
-def _add_echo(row, t0, grid_step, grid_len, gain, pulse):
-    """Accumulate gain * h(t - t0) into a channel row, windowed to the tail."""
-    half = _PULSE_WINDOW_SIGMAS * pulse.envelope_sigma
-    lo = max(0, int(np.ceil((t0 - half) / grid_step)))
-    hi = min(grid_len - 1, int(np.floor((t0 + half) / grid_step)))
-    if hi < lo:
-        return
-    idx = np.arange(lo, hi + 1)
-    row[idx] += gain * eval_pulse(pulse, idx * grid_step - t0)
+def _echoes(t0, gains, grid_step, grid_len, pulse):
+    """Dense rows of ``sum_e gains[e] * h(t - t0[row, e])`` on the grid.
+
+    ``t0`` holds one row of arrival times per output row, one column per
+    echo.  Each echo covers the samples within +/- 8 sigma of its arrival,
+    clipped to the grid, and echoes are added to each sample in column order.
+    Writing the offset of sample ``anchor + k`` as ``u = k*dt - phi``, with
+    ``anchor`` the sample nearest the arrival, gives
+    ``h(u) = A * z**k * Re(T[k] * w)``: the table
+    ``T[k] = exp(-(k dt)^2 / 2 sigma^2 + j w_c k dt)`` is shared by every
+    echo, and ``z = exp(dt phi / sigma^2)`` and
+    ``w = gain * exp(-phi^2 / 2 sigma^2 - j w_c phi)`` are per-echo scalars.
+    Rows are evaluated one at a time to keep the temporaries to one row's
+    echoes.
+    """
+    sig = pulse.envelope_sigma
+    if grid_step > sig:
+        # beyond this z**k and T[k] may overflow and underflow to inf * 0
+        raise GridTooCoarse(
+            f"grid_step {grid_step:g} s does not resolve the pulse envelope "
+            f"sigma {sig:g} s"
+        )
+    t0 = np.asarray(t0, dtype=float)
+    half = _PULSE_WINDOW_SIGMAS * sig
+    reach = int(np.ceil(half / grid_step))
+    k = np.arange(-reach, reach + 1, dtype=float)
+    wc = 2.0 * np.pi * pulse.carrier_hz
+    table = np.exp(-((k * grid_step) ** 2) / (2.0 * sig**2)
+                   + 1j * wc * k * grid_step)
+    table = np.stack([table.real, table.imag])
+    anchor = np.rint(t0 / grid_step)
+    # |phi| <= dt/2, so the +/- 8 sigma window lies within k = -reach..reach
+    # and can exclude at most its first or last entry
+    skip_first = np.ceil((t0 - half) / grid_step) > anchor - reach
+    skip_last = np.floor((t0 + half) / grid_step) < anchor + reach
+    phi = t0 - anchor * grid_step
+    log_z = grid_step * phi / sig**2
+    w = (pulse.amplitude * np.asarray(gains, dtype=float)
+         * np.exp(-(phi**2) / (2.0 * sig**2) - 1j * wc * phi))
+    # Re(T[k] w) = Re(T[k]) Re(w) - Im(T[k]) Im(w), one matrix product per row
+    coef = np.stack([w.real, -w.imag], axis=-1)
+    # bins run over the grid padded by `reach` on each side: anchor >= 0 puts
+    # every window inside, and the padding drops the part off the grid
+    anchor = anchor.astype(np.intp)
+    offsets = np.arange(2 * reach + 1)
+    rows = np.empty((t0.shape[0], grid_len))
+    for m in range(t0.shape[0]):
+        vals = coef[m] @ table
+        vals *= np.exp(np.multiply.outer(log_z[m], k))
+        vals[skip_first[m], 0] = 0.0
+        vals[skip_last[m], -1] = 0.0
+        bins = anchor[m, :, None] + offsets
+        padded = np.bincount(bins.ravel(), weights=vals.ravel(),
+                             minlength=grid_len + 2 * reach)
+        rows[m] = padded[reach:reach + grid_len]
+    return rows
+
+
+def _row_power(x):
+    """Mean square of each row, without an x**2 temporary."""
+    return np.einsum("ij,ij->i", x, x) / x.shape[1]
 
 
 def synthesize_channels(
@@ -157,14 +230,11 @@ def synthesize_channels(
         )
     end = tau_hat(scene.tau, geometry)
     grid_len = int(np.ceil(end / grid_step - 1e-9)) + 1
-    samples = np.zeros((geometry.num_elements, grid_len))
-    for m, delta in enumerate(geometry.offsets):
-        for sc in scene.scatterers:
-            t0 = float(
-                arrival_time(sc.axial_time, scene.beam_angle, delta,
-                             geometry.speed_of_sound)
-            )
-            _add_echo(samples[m], t0, grid_step, grid_len, sc.reflectivity, pulse)
+    t0 = arrival_time([sc.axial_time for sc in scene.scatterers],
+                      scene.beam_angle, geometry.offsets[:, None],
+                      geometry.speed_of_sound)
+    samples = _echoes(t0, [sc.reflectivity for sc in scene.scatterers],
+                      grid_step, grid_len, pulse)
     return ChannelSet(grid_step=grid_step, samples=samples,
                       geometry=geometry, tau=scene.tau)
 
@@ -186,6 +256,8 @@ def add_interference(
     budget.  Deterministic for a fixed seed.
     """
     _check_snr(snr_db)
+    _check_speckle_count(speckle_count)
+    _check_beam_angle(beam_angle)
     if snr_db is None and speckle_count == 0:
         return ChannelSet(ch.grid_step, ch.samples.copy(), ch.geometry, ch.tau)
     if speckle_count > 0 and pulse is None:
@@ -194,10 +266,8 @@ def add_interference(
         raise InvariantViolation("speckle_count > 0 requires snr_db")
 
     rng = np.random.default_rng(seed)
-    clean_power = np.mean(ch.samples**2, axis=1)
-    target = clean_power * 10.0 ** (-snr_db / 10.0)
+    target = _row_power(ch.samples) * 10.0 ** (-snr_db / 10.0)
     out = ch.samples.copy()
-    grid_len = ch.grid_len
 
     speckle_frac = 0.5 if speckle_count > 0 else 0.0
     if speckle_count > 0:
@@ -207,21 +277,20 @@ def add_interference(
         t_hi = 0.48 * ch.tau
         positions = rng.uniform(t_lo, t_hi, speckle_count)
         gains = rng.standard_normal(speckle_count)
-        speckle = np.zeros_like(out)
-        for m, delta in enumerate(ch.geometry.offsets):
-            t0s = arrival_time(positions, beam_angle, delta,
-                               ch.geometry.speed_of_sound)
-            for t0, gain in zip(t0s, gains):
-                _add_echo(speckle[m], float(t0), ch.grid_step, grid_len,
-                          gain, pulse)
-        sp_power = np.mean(speckle**2, axis=1)
-        for m in range(out.shape[0]):
-            if sp_power[m] > 0 and target[m] > 0:
-                out[m] += speckle[m] * np.sqrt(
-                    speckle_frac * target[m] / sp_power[m]
-                )
-
-    white = rng.standard_normal(out.shape)
-    sigma = np.sqrt((1.0 - speckle_frac) * target)
-    out += white * sigma[:, None]
+        t0 = arrival_time(positions, beam_angle, ch.geometry.offsets[:, None],
+                          ch.geometry.speed_of_sound)
+        speckle = _echoes(t0, gains, ch.grid_step, ch.grid_len, pulse)
+        sp_power = _row_power(speckle)
+        scale = np.zeros_like(sp_power)
+        ok = (sp_power > 0) & (target > 0)
+        scale[ok] = np.sqrt(speckle_frac * target[ok] / sp_power[ok])
+        speckle *= scale[:, None]
+        out += speckle
+        # the white draw reuses the speckle buffer: writing a fresh
+        # full-size array first faults in its pages, which costs time
+        white = rng.standard_normal(out=speckle)
+    else:
+        white = rng.standard_normal(out.shape)
+    white *= np.sqrt((1.0 - speckle_frac) * target)[:, None]
+    out += white
     return ChannelSet(ch.grid_step, out, ch.geometry, ch.tau)

@@ -3,12 +3,13 @@
 Layout (little-endian): magic ``URF1``, u32 num_elements, u32 grid_len,
 f64 grid_step_s, f64 tau_s, then num_elements x grid_len f64 samples
 row-major.  Array geometry is not stored; readers supply it from the scene
-configuration.
+configuration.  The file must hold exactly the samples its header declares.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
 
 import numpy as np
@@ -24,10 +25,9 @@ _HEADER = struct.Struct("<4sIIdd")
 def write_channels(path, ch: ChannelSet) -> None:
     header = _HEADER.pack(MAGIC, ch.samples.shape[0], ch.samples.shape[1],
                           ch.grid_step, ch.tau)
-    body = np.ascontiguousarray(ch.samples, dtype="<f8").tobytes()
     with open(path, "wb") as f:
         f.write(header)
-        f.write(body)
+        f.write(np.ascontiguousarray(ch.samples, dtype="<f8"))
 
 
 def read_channels(path, geometry: ArrayGeometry) -> ChannelSet:
@@ -43,14 +43,22 @@ def read_channels(path, geometry: ArrayGeometry) -> ChannelSet:
                 raise ParseError(
                     f"{path}: {key} {value!r} must be finite and positive"
                 )
-        body = f.read(8 * num_elements * grid_len)
-    if len(body) != 8 * num_elements * grid_len:
-        raise ParseError(f"{path}: truncated URF1 body")
-    if num_elements != geometry.num_elements:
-        raise ParseError(
-            f"{path}: file has {num_elements} elements, geometry expects "
-            f"{geometry.num_elements}"
-        )
-    samples = np.frombuffer(body, dtype="<f8").reshape(num_elements, grid_len)
-    return ChannelSet(grid_step=grid_step, samples=samples.copy(),
+        if num_elements != geometry.num_elements:
+            raise ParseError(
+                f"{path}: file has {num_elements} elements, geometry expects "
+                f"{geometry.num_elements}"
+            )
+        # checked against the file size before allocating, so a hostile
+        # header cannot ask for more memory than the file holds
+        body_size = 8 * num_elements * grid_len
+        file_size = os.fstat(f.fileno()).st_size
+        if file_size != _HEADER.size + body_size:
+            raise ParseError(
+                f"{path}: header declares {body_size} body bytes, "
+                f"file holds {file_size - _HEADER.size}"
+            )
+        samples = np.empty((num_elements, grid_len), dtype="<f8")
+        if f.readinto(samples) != body_size:
+            raise ParseError(f"{path}: truncated URF1 body")
+    return ChannelSet(grid_step=grid_step, samples=samples,
                       geometry=geometry, tau=tau)

@@ -2,10 +2,25 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from xampus import ParseError, Scatterer, Scene, read_channels, write_channels
+from xampus import (ChannelSet, ParseError, Scatterer, Scene, read_channels,
+                    write_channels)
+from xampus.sim import MAX_GRID_STEP
 
 from util import default_geometry, synthesize
+
+# deterministic, no example database; tmp_path is reused across examples
+FUZZ = settings(max_examples=60, deadline=None, derandomize=True,
+                database=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+samples_st = st.tuples(st.integers(1, 4), st.integers(0, 40)).flatmap(
+    lambda shape: arrays(np.float64, shape, elements=st.floats(width=64)))
+grid_step_st = st.floats(0.0, MAX_GRID_STEP, exclude_min=True)
+tau_st = st.floats(0.0, 1e300, exclude_min=True)
 
 
 def test_roundtrip_bit_exact(tmp_path):
@@ -74,3 +89,43 @@ def test_header_rejects_bad_step_or_tau(tmp_path, field, value):
     path.write_bytes(bytes(raw))
     with pytest.raises(ParseError, match=f"line_007.urf: {field}"):
         read_channels(path, geom)
+
+
+@FUZZ
+@given(samples=samples_st, grid_step=grid_step_st, tau=tau_st)
+@example(samples=np.array([[-0.0, 0.0, 5e-324, -2.2e-308, 1.5e-310]]),
+         grid_step=MAX_GRID_STEP, tau=25.6e-6)
+def test_fuzz_roundtrip_bitwise(tmp_path, samples, grid_step, tau):
+    geom = default_geometry(num_elements=samples.shape[0])
+    path = tmp_path / "f.urf"
+    write_channels(path, ChannelSet(grid_step, samples, geom, tau))
+    back = read_channels(path, geom)
+    np.testing.assert_array_equal(back.samples.view(np.uint64),
+                                  samples.view(np.uint64))
+    assert (back.grid_step, back.tau) == (grid_step, tau)
+
+
+@FUZZ
+@given(samples=samples_st, data=st.data())
+def test_fuzz_every_truncation_fails(tmp_path, samples, data):
+    geom = default_geometry(num_elements=samples.shape[0])
+    path = tmp_path / "f.urf"
+    write_channels(path, ChannelSet(MAX_GRID_STEP, samples, geom, 25.6e-6))
+    raw = path.read_bytes()
+    cut = data.draw(st.integers(0, len(raw) - 1))
+    path.write_bytes(raw[:cut])
+    with pytest.raises(ParseError):
+        read_channels(path, geom)
+
+
+@FUZZ
+@given(num_elements=st.integers(1, 4), grid_len=st.integers(41, 2**32 - 1),
+       body=st.binary(max_size=8 * 40))
+def test_fuzz_huge_grid_len_fails(tmp_path, num_elements, grid_len, body):
+    # the header asks for more samples than the file holds (the body is
+    # shorter than one row); the reader must refuse before allocating them
+    path = tmp_path / "f.urf"
+    path.write_bytes(struct.pack("<4sIIdd", b"URF1", num_elements, grid_len,
+                                 MAX_GRID_STEP, 25.6e-6) + body)
+    with pytest.raises(ParseError):
+        read_channels(path, default_geometry(num_elements=num_elements))
