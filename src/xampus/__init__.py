@@ -12,8 +12,7 @@ from .beamform import BeamformedLine, beamform_line, distort_channel, envelope_d
 from .costs import cost_table, sample_counts, standard_ops, standard_samples, xampled_ops
 from .errors import (AllZero, ConditioningFailure, GridTooCoarse, GridTooShort,
                      IllConditioned, InvariantViolation, OffBand, OrderOverflow,
-                     ParseError, RankDeficient, SingularHarmonic, SingularSystem,
-                     XampusError)
+                     ParseError, SingularHarmonic, SingularSystem, XampusError)
 from .geometry import ArrayGeometry, arrival_time, focus_delay, receive_warp, tau_hat
 from .imaging import ImageGrid, assemble_image, read_pgm, render_line, write_pgm
 from .pulse import PulseModel, build_H, eval_pulse, pulse_spectrum

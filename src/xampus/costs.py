@@ -7,13 +7,10 @@ squares) evaluated at the pencil split eta = K/3 the shapes assume.  The
 standard path counts the delay-and-sum adds plus two FFTs for envelope
 detection.
 
-The unmixing term, K*p, is the cost of applying a stored inverse of S.
-``build_S``'s paired S is unmixed below that, in O(K) by its closed-form
-inverse with no factorization or stored matrix (``recover_fourier``).  A
-custom S still pays one LU solve per line, O(p^3), or a least squares when
-tall, after one SVD per S for its rank: a stored dense inverse raised the
-peak memory of an L=30, rho=4 recovery run by about a third (49 to 66 MB),
-over the benchmark's 10% bound.
+The unmixing term, K*p, is the cost of applying a stored inverse of S.  The
+paired S is unmixed below that, in O(K) by its closed-form inverse
+phi = c[:K] + j c[K:] with no factorization or stored matrix
+(``recover_fourier``), so the model's unmixing term is an upper bound.
 """
 
 from __future__ import annotations
@@ -26,6 +23,7 @@ DEFAULT_DEPTH_M = 0.0788
 DEFAULT_SAMPLE_RATE_HZ = 20e6
 DEFAULT_SPEED_OF_SOUND = 1540.0
 DEFAULT_NUM_ELEMENTS = 16
+_MAX_K = 1e100
 
 
 def sample_counts(L: int, rho: float) -> tuple[int, int]:
@@ -36,8 +34,11 @@ def sample_counts(L: int, rho: float) -> tuple[int, int]:
     """
     if L < 1:
         raise ValueError("L must be >= 1")
-    if rho < 1:
-        raise ValueError("rho must be >= 1")
+    if not (np.isfinite(rho) and rho >= 1):
+        raise ValueError("rho must be finite and >= 1")
+    # the K^3 op count stays a finite float; dividing keeps a huge L exact
+    if L > _MAX_K / (2 * rho):
+        raise ValueError(f"2*rho*L must be <= {_MAX_K:g}")
     K = int(round(2 * rho * L))
     return K, 2 * K
 

@@ -21,10 +21,6 @@ class OffBand(XampusError):
     """Selected harmonic set misses the pulse band."""
 
 
-class RankDeficient(XampusError):
-    """Mixing matrix is not full column rank; samples cannot be unmixed."""
-
-
 class OrderOverflow(XampusError):
     """SVD model-order estimate exceeds the configured reflector bound."""
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ConditioningFailure, IllConditioned, InvariantViolation,
-                     OrderOverflow, RankDeficient, SingularSystem)
+                     OrderOverflow, SingularSystem)
 from .pulse import PulseModel, build_H
 from .xample import MixingMatrix, XampleConfig, build_S
 
@@ -60,41 +60,32 @@ def recover_fourier(c, S: MixingMatrix, H, kappa, tau: float) -> FourierCoeffs:
     """Unmix branch samples and deconvolve the pulse spectrum.
 
     ``H`` is the diagonal of the pulse-spectrum matrix over the full kappa
-    (as returned by ``build_H``).  Solves S phi = c for the positive half of
-    phi (the negative half is conjugate-redundant for a real line) and
-    divides out H.  ``build_S``'s paired S has the closed-form inverse
-    phi[:K] = c[:K] + j c[K:], O(K) with no factorization, below the K*p
-    of a stored inverse that ``costs.xampled_ops`` counts; a custom S still
-    pays an LU solve when square and a least squares when tall.
+    (as returned by ``build_H``).  The paired S maps the harmonics [phi,
+    conj phi] of a real line to the branch samples [Re phi, Im phi], so its
+    inverse is phi = c[:K] + j c[K:]: O(K) with no factorization, below the
+    K*p of a stored inverse that ``costs.xampled_ops`` counts.  The negative
+    half of phi is conjugate-redundant and is not formed.  H is divided out.
 
     Raises ``InvariantViolation`` when the shapes of S, H, kappa and c
-    disagree or c is not finite, and ``RankDeficient`` when S is not full
-    column rank.
+    disagree or c is not finite.
     """
     c = np.asarray(c, dtype=complex)
     H = np.asarray(H)
     kappa = np.asarray(kappa)
-    rows, cols = S.entries.shape
-    if cols != len(kappa):
+    p = S.num_branches
+    if p != len(kappa):
         raise InvariantViolation(
-            f"mixing matrix columns {cols} != |kappa| {len(kappa)}")
+            f"mixing matrix columns {p} != |kappa| {len(kappa)}")
     if H.shape != kappa.shape:
         raise InvariantViolation(
             f"pulse spectrum H shape {H.shape} != kappa shape {kappa.shape}")
-    if c.shape != (rows,):
+    if c.shape != (p,):
         raise InvariantViolation(
-            f"branch samples shape {c.shape} != ({rows},) mixing matrix rows")
+            f"branch samples shape {c.shape} != ({p},) mixing matrix rows")
     if not np.all(np.isfinite(c)):
         raise InvariantViolation("branch samples must be finite")
-    if S.rank < cols:
-        raise RankDeficient(f"mixing matrix rank {S.rank} < {cols} columns")
-    K = cols // 2
-    if S.structure == "paired-real":
-        phi = c[:K] + 1j * c[K:]
-    elif rows == cols:
-        phi = np.linalg.solve(S.entries, c)[:K]
-    else:
-        phi = np.linalg.lstsq(S.entries, c, rcond=None)[0][:K]
+    K = p // 2
+    phi = c[:K] + 1j * c[K:]
     return FourierCoeffs(y=phi / H[:K], kappa_pos=kappa[:K], tau=tau, phi=phi)
 
 

@@ -35,13 +35,25 @@ import numpy as np
 from .beamform import BeamformedLine
 from .errors import GridTooShort, InvariantViolation, OffBand, SingularHarmonic
 from .geometry import ArrayGeometry, tau_hat
-from .pulse import SPECTRUM_FLOOR, PulseModel, build_H
+from .pulse import PulseModel, build_H
 from .sim import MAX_GRID_STEP, ChannelSet
 
 
+def _half_count(L: int, rho: float) -> int:
+    """K = 2 rho L, checked to be an even integer for finite L >= 1, rho >= 1."""
+    if L < 1:
+        raise InvariantViolation("L must be >= 1")
+    if not (np.isfinite(rho) and rho >= 1):
+        raise InvariantViolation("rho must be finite and >= 1")
+    k_float = 2.0 * rho * L
+    K = int(round(k_float))
+    if abs(K - k_float) > 1e-9 or K % 2 != 0:
+        raise InvariantViolation("2*rho*L must be an even integer")
+    return K
+
+
 def select_kappa(L: int, rho: float, tau: float, carrier_hz: float,
-                 pulse: PulseModel | None = None,
-                 floor: float = SPECTRUM_FLOOR) -> np.ndarray:
+                 pulse: PulseModel | None = None) -> np.ndarray:
     """Harmonic index set for ``K = 2 rho L`` coefficients near the carrier.
 
     The positive half is the K consecutive integers centered on
@@ -50,25 +62,19 @@ def select_kappa(L: int, rho: float, tau: float, carrier_hz: float,
     which is what keeps the mixed kernels real.
 
     Raises ``OffBand`` if a pulse model is supplied and any selected harmonic
-    falls below ``floor`` of its spectrum peak.
+    falls below ``pulse.SPECTRUM_FLOOR`` of its spectrum peak.
     """
-    if L < 1:
-        raise InvariantViolation("L must be >= 1")
-    if rho < 1:
-        raise InvariantViolation("rho must be >= 1")
-    k_float = 2.0 * rho * L
-    K = int(round(k_float))
-    if abs(K - k_float) > 1e-9 or K % 2 != 0:
-        raise InvariantViolation("2*rho*L must be an even integer")
+    K = _half_count(L, rho)
     k_c = int(round(carrier_hz * tau))
-    pos = np.arange(k_c - K // 2 + 1, k_c + K // 2 + 1)
-    if pos[0] < 1:
+    # checked on scalars, before a huge K could allocate its index range
+    if k_c - K // 2 + 1 < 1:
         raise InvariantViolation("harmonic set reaches k < 1; tau too short "
                                  "for this carrier")
+    pos = np.arange(k_c - K // 2 + 1, k_c + K // 2 + 1)
     kappa = np.concatenate([pos, -pos])
     if pulse is not None:
         try:
-            build_H(pulse, kappa, tau, floor=floor)
+            build_H(pulse, kappa, tau)
         except SingularHarmonic as e:
             raise OffBand(str(e)) from e
     return kappa
@@ -86,7 +92,6 @@ class XampleConfig:
     tau: float
     carrier_hz: float
     kappa: np.ndarray
-    p: int
     focus_mode: str
     geometry: ArrayGeometry
 
@@ -94,32 +99,33 @@ class XampleConfig:
         kappa = np.asarray(self.kappa, dtype=int)
         object.__setattr__(self, "kappa", kappa)
         K = len(kappa) // 2
-        if len(kappa) != 2 * K or K != int(round(2 * self.rho * self.L)):
+        if len(kappa) != 2 * K or K != _half_count(self.L, self.rho):
             raise InvariantViolation("|kappa| must equal 4*rho*L")
         pos = kappa[:K]
         if np.any(np.diff(pos) != 1):
             raise InvariantViolation("positive half of kappa must be consecutive")
         if np.any(kappa[K:] != -pos):
             raise InvariantViolation("negative half must mirror the positive half")
-        if self.p < len(kappa):
-            raise InvariantViolation("p must be >= |kappa| for full column rank")
         if self.focus_mode not in ("dynamic", "infinity"):
             raise InvariantViolation(f"unknown focus_mode {self.focus_mode!r}")
 
     @classmethod
     def create(cls, L: int, rho: float, tau: float, pulse: PulseModel,
-               geometry: ArrayGeometry, focus_mode: str = "dynamic",
-               floor: float = SPECTRUM_FLOOR) -> "XampleConfig":
-        kappa = select_kappa(L, rho, tau, pulse.carrier_hz, pulse=pulse,
-                             floor=floor)
+               geometry: ArrayGeometry,
+               focus_mode: str = "dynamic") -> "XampleConfig":
+        kappa = select_kappa(L, rho, tau, pulse.carrier_hz, pulse=pulse)
         return cls(L=L, rho=rho, tau=tau, carrier_hz=pulse.carrier_hz,
-                   kappa=kappa, p=len(kappa), focus_mode=focus_mode,
-                   geometry=geometry)
+                   kappa=kappa, focus_mode=focus_mode, geometry=geometry)
 
     @property
     def K(self) -> int:
         """Positive-half harmonic count, 2*rho*L."""
         return len(self.kappa) // 2
+
+    @property
+    def p(self) -> int:
+        """Branch count, |kappa|: one cos and one -sin kernel per harmonic."""
+        return len(self.kappa)
 
     @property
     def kappa_pos(self) -> np.ndarray:
@@ -128,85 +134,46 @@ class XampleConfig:
 
 @dataclass(frozen=True, eq=False)
 class MixingMatrix:
-    """Branch mixing weights S; rows are branches, columns follow kappa.
+    """Branch mixing weights S of ``p`` branches; columns follow kappa.
 
-    ``entries`` is a read-only copy, so the cached ``rank`` cannot go stale.
-    ``structure="paired-real"`` promises exactly ``build_S``'s pattern, whose
-    inverse ``recover_fourier`` applies in closed form, so the promise is
-    checked.  Compares and hashes by identity.
+    S pairs each +k with its -k partner,
+
+        [[ I/2,   I/2  ],
+         [ I/2j, -I/2j ]]   with I of size p/2,
+
+    so row q < p/2 makes branch kernel cos(2 pi k_q t / tau) and row q + p/2
+    makes -sin of the same harmonic.  It maps the harmonic integrals
+    [g, conj g] of a real trace to [Re g, Im g], which is how the kernel bank
+    writes its outputs and ``recover_fourier`` inverts them.  ``entries`` is
+    the dense matrix, built read-only on first use.  Compares and hashes by
+    identity.
     """
 
-    entries: np.ndarray
-    structure: str = "custom"
+    p: int
 
     def __post_init__(self):
-        entries = np.array(self.entries, dtype=complex)
-        entries.flags.writeable = False
-        object.__setattr__(self, "entries", entries)
-        if entries.ndim != 2:
-            raise InvariantViolation("mixing matrix must be 2-D")
-        if entries.shape[0] < entries.shape[1]:
-            raise InvariantViolation("mixing matrix needs at least as many "
-                                     "branches as harmonics")
-        if self.structure == "paired-real":
-            if not _is_paired(entries):
-                raise InvariantViolation(
-                    "paired-real mixing matrix must be [[I/2, I/2], "
-                    "[I/2j, -I/2j]]")
-        elif self.structure != "custom":
+        if self.p < 2 or self.p % 2 != 0:
             raise InvariantViolation(
-                f"unknown mixing structure {self.structure!r}")
+                f"mixing matrix needs an even branch count >= 2, got {self.p!r}")
 
     @property
     def num_branches(self) -> int:
-        return self.entries.shape[0]
+        return self.p
 
     @functools.cached_property
-    def rank(self) -> int:
-        """Numerical rank with lstsq's cutoff, ``s > s[0] * max(shape) * eps``.
-
-        One SVD, taken on first use (not at construction, which stays cheap);
-        none for the paired pattern, which is invertible by construction.
-        """
-        if self.structure == "paired-real":
-            return self.entries.shape[1]
-        s = np.linalg.svd(self.entries, compute_uv=False)
-        tol = max(self.entries.shape) * np.finfo(float).eps
-        return int(np.sum(s > s.max(initial=0.0) * tol))
-
-
-def _is_paired(e: np.ndarray) -> bool:
-    """Whether ``e`` is exactly [[I/2, I/2], [I/2j, -I/2j]].
-
-    Reads the four block diagonals as views and counts the nonzero float
-    parts (one per pattern entry), so no p x p temporary is built.
-    """
-    p = e.shape[0]
-    if p != e.shape[1] or p % 2 or np.count_nonzero(e.view(float)) != 2 * p:
-        return False
-    K = p // 2
-    return all(np.all(np.diagonal(e[r:r + K, col:col + K]) == v)
-               for r, col, v in ((0, 0, 0.5), (0, K, 0.5),
-                                 (K, 0, -0.5j), (K, K, 0.5j)))
+    def entries(self) -> np.ndarray:
+        eye = np.eye(self.p // 2)
+        entries = np.block([[0.5 * eye, 0.5 * eye],
+                            [eye / 2j, -eye / 2j]])
+        entries.flags.writeable = False
+        return entries
 
 
 @functools.cache
 def build_S(p: int) -> MixingMatrix:
-    """Square mixing matrix pairing each +k with its -k partner.
-
-    [[ I/2,   I/2  ],
-     [ I/2j, -I/2j ]]   with I of size p/2.
-
-    Row q <= p/2 makes branch kernel cos(2 pi k_q t / tau); row q + p/2 makes
-    -sin of the same harmonic.  Memoized: every caller with the same p shares
-    one read-only matrix and its cached rank.
-    """
-    if p % 2 != 0:
-        raise InvariantViolation("p must be even for the paired structure")
-    eye = np.eye(p // 2)
-    entries = np.block([[0.5 * eye, 0.5 * eye],
-                        [eye / 2j, -eye / 2j]])
-    return MixingMatrix(entries=entries, structure="paired-real")
+    """The paired mixing matrix of ``p`` branches, memoized: every caller
+    with the same p shares one matrix and its dense ``entries``."""
+    return MixingMatrix(p)
 
 
 @dataclass
@@ -220,24 +187,6 @@ class XampleOutput:
 
     c_qm: np.ndarray  # (p, num_elements), grouped layout
     c: np.ndarray     # (p,)
-
-
-def _check_real_pairing(cfg: XampleConfig, S: MixingMatrix) -> None:
-    """Real kernels require each -k column to conjugate its +k partner.
-
-    Without this the branch waveforms are complex (not physically
-    realizable) and the real-valued branch outputs lose half the
-    information.
-    """
-    if S.entries.shape[1] != len(cfg.kappa):
-        raise InvariantViolation("mixing matrix columns must match |kappa|")
-    K = cfg.K
-    if not np.allclose(S.entries[:, K:], np.conj(S.entries[:, :K]),
-                       rtol=0, atol=1e-12):
-        raise InvariantViolation(
-            "mixing matrix must pair conjugate harmonics so the kernels "
-            "are real"
-        )
 
 
 def _warp(t, a):
@@ -259,9 +208,10 @@ def _element_harmonics(kappa_pos, tau, t, weights, trace, a):
 
     Returns g[k] = sum_i weights[i] * bracket(t_i) * trace[t_i]
                    * exp(-2j pi k (t_i - a^2/t_i) / tau)
-    over t >= a for k in ``kappa_pos`` followed by ``-kappa_pos``, i.e. the
-    per-element branch integrals before the S mixing is applied (mixing
-    commutes with the time integral).  ``kappa_pos`` must be consecutive.
+    over t >= a for k in ``kappa_pos``, i.e. the per-element branch
+    integrals before the S mixing is applied (mixing commutes with the time
+    integral); the -k half is their conjugate.  ``kappa_pos`` must be
+    consecutive.
     """
     mask, phase, bracket = _warp(t, a)
     w = (-2j * np.pi / tau) * phase
@@ -271,7 +221,7 @@ def _element_harmonics(kappa_pos, tau, t, weights, trace, a):
     for i in range(len(g)):
         g[i] = z.sum()
         z *= step
-    return np.concatenate([g, g.conj()])
+    return g
 
 
 def _trapezoid_weights(n: int, step: float) -> np.ndarray:
@@ -295,7 +245,8 @@ def xample_channels(ch: ChannelSet, cfg: XampleConfig,
         raise GridTooShort(
             f"channel grid ends at {ch.duration:g} s, needs {bound:g} s"
         )
-    _check_real_pairing(cfg, S)
+    if S.num_branches != len(cfg.kappa):
+        raise InvariantViolation("mixing matrix branches must match |kappa|")
     t = ch.times
     w = _trapezoid_weights(ch.grid_len, ch.grid_step)
     a = ch.geometry.offset_times
@@ -307,7 +258,7 @@ def xample_channels(ch: ChannelSet, cfg: XampleConfig,
     for k, (a_k, m) in enumerate(zip(warps, first)):
         trace = ch.samples[group == k].sum(axis=0)
         g = _element_harmonics(cfg.kappa_pos, cfg.tau, t, w, trace, a_k)
-        c_qm[:, m] = np.real(S.entries @ g) / cfg.tau
+        c_qm[:, m] = np.concatenate([g.real, g.imag]) / cfg.tau
     return XampleOutput(c_qm=c_qm, c=c_qm.sum(axis=1))
 
 
@@ -322,11 +273,12 @@ def xample_beamformed_oracle(line: BeamformedLine, cfg: XampleConfig,
         raise InvariantViolation("oracle line must be at simulation resolution")
     if line.grid_step * (len(line.samples) - 1) < cfg.tau * (1 - 1e-9):
         raise GridTooShort("oracle line does not span [0, tau]")
-    _check_real_pairing(cfg, S)
+    if S.num_branches != len(cfg.kappa):
+        raise InvariantViolation("mixing matrix branches must match |kappa|")
     t = line.times
     w = _trapezoid_weights(len(line.samples), line.grid_step)
     g = _element_harmonics(cfg.kappa_pos, cfg.tau, t, w, line.samples, 0.0)
-    return np.real(S.entries @ g) / cfg.tau
+    return np.concatenate([g.real, g.imag]) / cfg.tau
 
 
 def kernel_value(cfg: XampleConfig, S: MixingMatrix, q: int, elem: int, t):

@@ -183,9 +183,25 @@ def test_cost_single_rho(tmp_path):
 
 
 def test_cost_invalid_rho(tmp_path, capsys):
-    rc = main(["cost", "--rho", "0", "--out", str(tmp_path / "c.csv")])
-    assert rc != 0
-    assert capsys.readouterr().err.startswith("error[ValueError]:")
+    for rho in ("0", "inf", "nan", "1e300"):
+        rc = main(["cost", "--rho", rho, "--out", str(tmp_path / "c.csv")])
+        assert rc != 0
+        err = capsys.readouterr().err
+        assert err.startswith("error[ValueError]:") and err.count("\n") == 1
+
+
+def test_xample_rejects_hostile_rho(scene_path, tmp_path, capsys):
+    # the configuration is checked before any channel file is read
+    (tmp_path / "ch").mkdir()
+    (tmp_path / "ch" / "line_000.urf").write_bytes(b"")
+    for rho, kind in (("inf", "ValueError"), ("nan", "ValueError"),
+                      ("1e300", "ValueError"), ("1e6", "InvariantViolation")):
+        rc = main(["xample", "--channels", str(tmp_path / "ch"),
+                   "--scene", str(scene_path), "--out", str(tmp_path / "o"),
+                   "--L", "5", "--rho", rho])
+        assert rc != 0
+        err = capsys.readouterr().err
+        assert err.startswith(f"error[{kind}]:") and err.count("\n") == 1
 
 
 def test_compare_pipeline(scene_path, tmp_path):

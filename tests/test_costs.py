@@ -17,6 +17,11 @@ def test_sample_counts_validation():
         sample_counts(0, 1)
     with pytest.raises(ValueError):
         sample_counts(30, 0.5)
+    for rho in (float("inf"), float("nan"), 1e300):
+        with pytest.raises(ValueError):
+            sample_counts(30, rho)
+    with pytest.raises(ValueError):
+        sample_counts(10**400, 1)  # too large for a float
 
 
 def test_xampled_ops_frozen_block_sums():
