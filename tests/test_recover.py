@@ -123,10 +123,19 @@ def test_paired_closed_form_matches_solve(p, kind):
         c = c + 1j * rng.standard_normal(p)
     S = build_S(p)
     fc = recover_fourier(c, S, np.ones(p), _kappa(p), TAU)
-    for ref in (np.linalg.solve(S.entries, c.astype(complex)),
-                np.linalg.lstsq(S.entries, c.astype(complex), rcond=None)[0]):
-        ref = ref[:p // 2]
-        assert np.linalg.norm(fc.phi - ref) <= 1e-12 * np.linalg.norm(ref)
+    ref = np.linalg.solve(S.entries, c.astype(complex))[:p // 2]
+    assert np.linalg.norm(fc.phi - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("p", [4, 40, 480])
+def test_unmix_square_solve_matches_lstsq(p):
+    rng = np.random.default_rng(31)
+    S = build_S(p)
+    c = rng.standard_normal(p)
+    fc = recover_fourier(c, S, np.ones(p), _kappa(p), TAU)
+    ref = np.linalg.lstsq(S.entries, c.astype(complex), rcond=None)[0]
+    assert np.linalg.norm(fc.phi - ref[:p // 2]) \
+        <= 1e-12 * np.linalg.norm(ref[:p // 2])
 
 
 def test_mixing_matrix_and_config_compare_by_identity():
