@@ -15,15 +15,19 @@ phi = c[:K] + j c[K:] with no factorization or stored matrix
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import InvariantViolation
 
 DEFAULT_DEPTH_M = 0.0788
 DEFAULT_SAMPLE_RATE_HZ = 20e6
 DEFAULT_SPEED_OF_SOUND = 1540.0
 DEFAULT_NUM_ELEMENTS = 16
 _MAX_K = 1e100
+_MAX_SAMPLES = 2.0**53
 
 
 def sample_counts(L: int, rho: float) -> tuple[int, int]:
@@ -70,7 +74,18 @@ def standard_samples(depth_m: float = DEFAULT_DEPTH_M,
                      sample_rate_hz: float = DEFAULT_SAMPLE_RATE_HZ,
                      c: float = DEFAULT_SPEED_OF_SOUND) -> int:
     """Per-element samples per line for a round trip to the given depth."""
-    return int(round(2.0 * depth_m / c * sample_rate_hz))
+    for name, value in (("depth_m", depth_m),
+                        ("sample_rate_hz", sample_rate_hz), ("c", c)):
+        if not 0 < value < math.inf:
+            raise InvariantViolation(f"{name} {value!r} must be finite and "
+                                     "positive")
+    samples = 2.0 * depth_m / c * sample_rate_hz
+    # beyond 2**53 the count is no longer an exact integer, and standard_ops
+    # would take the log of an int past int64
+    if not samples <= _MAX_SAMPLES:
+        raise InvariantViolation(f"a round trip to {depth_m!r} m takes "
+                                 f"{samples:g} samples, above 2**53")
+    return int(round(samples))
 
 
 def standard_ops(samples_per_line: int, num_elements: int) -> float:

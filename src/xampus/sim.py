@@ -267,7 +267,6 @@ def add_interference(
 
     rng = np.random.default_rng(seed)
     target = _row_power(ch.samples) * 10.0 ** (-snr_db / 10.0)
-    out = ch.samples.copy()
 
     speckle_frac = 0.5 if speckle_count > 0 else 0.0
     if speckle_count > 0:
@@ -279,18 +278,23 @@ def add_interference(
         gains = rng.standard_normal(speckle_count)
         t0 = arrival_time(positions, beam_angle, ch.geometry.offsets[:, None],
                           ch.geometry.speed_of_sound)
-        speckle = _echoes(t0, gains, ch.grid_step, ch.grid_len, pulse)
-        sp_power = _row_power(speckle)
+        out = _echoes(t0, gains, ch.grid_step, ch.grid_len, pulse)
+        sp_power = _row_power(out)
         scale = np.zeros_like(sp_power)
         ok = (sp_power > 0) & (target > 0)
         scale[ok] = np.sqrt(speckle_frac * target[ok] / sp_power[ok])
-        speckle *= scale[:, None]
-        out += speckle
-        # the white draw reuses the speckle buffer: writing a fresh
-        # full-size array first faults in its pages, which costs time
-        white = rng.standard_normal(out=speckle)
+        # the speckle buffer becomes the output: one full-size array fewer,
+        # and float addition commutes, so the sum is the same
+        out *= scale[:, None]
+        out += ch.samples
     else:
-        white = rng.standard_normal(out.shape)
-    white *= np.sqrt((1.0 - speckle_frac) * target)[:, None]
-    out += white
+        out = ch.samples.copy()
+    # one row of white noise at a time, drawn in the order a full-array draw
+    # would take, so the draws and the sums match it bitwise
+    white_scale = np.sqrt((1.0 - speckle_frac) * target)
+    row = np.empty(ch.grid_len)
+    for m in range(out.shape[0]):
+        rng.standard_normal(out=row)
+        row *= white_scale[m]
+        out[m] += row
     return ChannelSet(ch.grid_step, out, ch.geometry, ch.tau)

@@ -19,9 +19,11 @@ package's central consistency check.
 
 Cost: elements with the same warp share one kernel, so the bank takes one
 harmonic pass per warp, ceil(N/2) for N elements in dynamic focus and one in
-infinity focus.  A pass takes two complex exponentials per grid sample (the
-first harmonic and the step between consecutive harmonics) plus K = 2 rho L
-complex multiply-adds per sample; the -k half is the conjugate of the +k
+infinity focus.  A pass needs two complex exponentials per grid sample (the
+first harmonic and the step between consecutive harmonics); they depend on
+no echo, so they are built once per (configuration, grid) and kept, two
+complex arrays per pass.  Each line then takes K = 2 rho L complex
+multiply-adds per sample and pass; the -k half is the conjugate of the +k
 half because the traces are real.
 """
 
@@ -96,7 +98,9 @@ class XampleConfig:
     geometry: ArrayGeometry
 
     def __post_init__(self):
-        kappa = np.asarray(self.kappa, dtype=int)
+        # a read-only copy: the kernel bank caches tables built from it
+        kappa = np.array(self.kappa, dtype=int)
+        kappa.flags.writeable = False
         object.__setattr__(self, "kappa", kappa)
         K = len(kappa) // 2
         if len(kappa) != 2 * K or K != _half_count(self.L, self.rho):
@@ -189,36 +193,38 @@ class XampleOutput:
     c: np.ndarray     # (p,)
 
 
-def _warp(t, a):
-    """Dynamic-focus warp of the kernel time axis for one element.
-
-    Returns ``(mask, phase, bracket)``: the support ``t >= a``, the warped
-    phase ``t - a^2/t`` and the bracket ``1 + (a/t)^2``, both on ``t[mask]``.
-    ``a = 0`` (on-axis element or infinity focus) is the plain axis.
-    """
-    if a == 0.0:
-        return slice(None), t, 1.0
-    mask = t >= a
-    ts = t[mask]
-    return mask, ts - (a * a) / ts, 1.0 + (a / ts) ** 2
+def _phase(ts, a):
+    """Warped phase ``t - a^2/t`` on support points ``ts >= a``; the plain
+    axis for ``a = 0`` (on-axis element or infinity focus)."""
+    return ts - (a * a) / ts if a else ts
 
 
-def _element_harmonics(kappa_pos, tau, t, weights, trace, a):
-    """Windowed harmonic integrals of one real element trace.
+def _bracket(ts, a):
+    """Warp bracket ``1 + (a/t)^2`` on support points ``ts >= a``."""
+    return 1.0 + (a / ts) ** 2 if a else 1.0
 
-    Returns g[k] = sum_i weights[i] * bracket(t_i) * trace[t_i]
-                   * exp(-2j pi k (t_i - a^2/t_i) / tau)
-    over t >= a for k in ``kappa_pos``, i.e. the per-element branch
-    integrals before the S mixing is applied (mixing commutes with the time
-    integral); the -k half is their conjugate.  ``kappa_pos`` must be
-    consecutive.
-    """
-    mask, phase, bracket = _warp(t, a)
-    w = (-2j * np.pi / tau) * phase
-    z = np.exp(kappa_pos[0] * w) * (weights[mask] * bracket * trace[mask])
+
+def _harmonic_table(kappa_pos, tau, ts, a):
+    """``(z0, step)`` for the harmonic recurrence on support points ``ts``:
+    ``z0 = exp(-2j pi kappa_pos[0] phase / tau)`` and ``step`` the factor
+    between consecutive harmonics, both read-only.  ``kappa_pos`` must be
+    consecutive."""
+    w = (-2j * np.pi / tau) * _phase(ts, a)
+    z0 = np.exp(kappa_pos[0] * w)
     step = np.exp(w)
-    g = np.empty(len(kappa_pos), dtype=complex)
-    for i in range(len(g)):
+    z0.flags.writeable = False
+    step.flags.writeable = False
+    return z0, step
+
+
+def _harmonics(z0, step, weighted, n):
+    """g[i] = sum_t z0 * step^i * weighted for i < n: the windowed harmonic
+    integrals of one real weighted trace, the per-element branch integrals
+    before the S mixing is applied (mixing commutes with the time
+    integral); the -k half is their conjugate."""
+    z = z0 * weighted
+    g = np.empty(n, dtype=complex)
+    for i in range(n):
         g[i] = z.sum()
         z *= step
     return g
@@ -231,6 +237,47 @@ def _trapezoid_weights(n: int, step: float) -> np.ndarray:
     return w
 
 
+@dataclass(frozen=True, eq=False)
+class _WarpGroup:
+    """Elements sharing one warp ``a``: their rows, the ``c_qm`` column they
+    fill and their harmonic tables on the support ``t >= a`` of the grid."""
+
+    members: np.ndarray
+    column: int
+    a: float
+    support: slice
+    z0: np.ndarray
+    step: np.ndarray
+
+
+@functools.lru_cache(maxsize=1)
+def _bank_tables(cfg: XampleConfig, geometry: ArrayGeometry, grid_len: int,
+                 grid_step: float) -> tuple[_WarpGroup, ...]:
+    """The kernel bank's warp groups for one configuration, array and grid.
+
+    The exponentials depend on no echo, so they are built once and reused
+    on every line.  ``cfg`` hashes by identity and ``geometry`` by value;
+    the cache holds its key, so no id is reused while the entry lives.  One
+    entry fits the traffic: a run uses one configuration and one grid.
+    """
+    t = np.arange(grid_len) * grid_step
+    a = geometry.offset_times
+    if cfg.focus_mode != "dynamic":
+        a = np.zeros_like(a)
+    warps, first, group = np.unique(a, return_index=True, return_inverse=True)
+    groups = []
+    for k, (a_k, m) in enumerate(zip(warps, first)):
+        # t is ascending, so the support t >= a is a suffix of the grid
+        support = slice(int(np.searchsorted(t, a_k)), None)
+        z0, step = _harmonic_table(cfg.kappa_pos, cfg.tau, t[support], a_k)
+        members = np.flatnonzero(group == k)
+        members.flags.writeable = False
+        groups.append(_WarpGroup(members=members, column=int(m),
+                                 a=float(a_k), support=support, z0=z0,
+                                 step=step))
+    return tuple(groups)
+
+
 def xample_channels(ch: ChannelSet, cfg: XampleConfig,
                     S: MixingMatrix) -> XampleOutput:
     """Run the kernel bank over every element and fold the outputs.
@@ -238,7 +285,7 @@ def xample_channels(ch: ChannelSet, cfg: XampleConfig,
     Elements with the same warp have the same kernel (the offset enters only
     as delta^2 and |delta|), so their traces are summed and take one
     harmonic pass: pairs +/-m in dynamic focus, the whole aperture in
-    infinity focus.
+    infinity focus.  The passes' exponentials come from ``_bank_tables``.
     """
     bound = tau_hat(cfg.tau, ch.geometry)
     if ch.duration < bound * (1 - 1e-12):
@@ -249,16 +296,13 @@ def xample_channels(ch: ChannelSet, cfg: XampleConfig,
         raise InvariantViolation("mixing matrix branches must match |kappa|")
     t = ch.times
     w = _trapezoid_weights(ch.grid_len, ch.grid_step)
-    a = ch.geometry.offset_times
-    if cfg.focus_mode != "dynamic":
-        a = np.zeros_like(a)
-
     c_qm = np.zeros((S.num_branches, ch.geometry.num_elements))
-    warps, first, group = np.unique(a, return_index=True, return_inverse=True)
-    for k, (a_k, m) in enumerate(zip(warps, first)):
-        trace = ch.samples[group == k].sum(axis=0)
-        g = _element_harmonics(cfg.kappa_pos, cfg.tau, t, w, trace, a_k)
-        c_qm[:, m] = np.concatenate([g.real, g.imag]) / cfg.tau
+    for grp in _bank_tables(cfg, ch.geometry, ch.grid_len, ch.grid_step):
+        trace = ch.samples[grp.members].sum(axis=0)
+        sup = grp.support
+        weighted = w[sup] * _bracket(t[sup], grp.a) * trace[sup]
+        g = _harmonics(grp.z0, grp.step, weighted, cfg.K)
+        c_qm[:, grp.column] = np.concatenate([g.real, g.imag]) / cfg.tau
     return XampleOutput(c_qm=c_qm, c=c_qm.sum(axis=1))
 
 
@@ -275,9 +319,9 @@ def xample_beamformed_oracle(line: BeamformedLine, cfg: XampleConfig,
         raise GridTooShort("oracle line does not span [0, tau]")
     if S.num_branches != len(cfg.kappa):
         raise InvariantViolation("mixing matrix branches must match |kappa|")
-    t = line.times
     w = _trapezoid_weights(len(line.samples), line.grid_step)
-    g = _element_harmonics(cfg.kappa_pos, cfg.tau, t, w, line.samples, 0.0)
+    z0, step = _harmonic_table(cfg.kappa_pos, cfg.tau, line.times, 0.0)
+    g = _harmonics(z0, step, w * line.samples, cfg.K)
     return np.concatenate([g.real, g.imag]) / cfg.tau
 
 
@@ -299,8 +343,9 @@ def kernel_value(cfg: XampleConfig, S: MixingMatrix, q: int, elem: int, t):
     scalar = t.ndim == 0
     t = np.atleast_1d(t)
     a = cfg.geometry.offset_times[elem] if cfg.focus_mode == "dynamic" else 0.0
-    mask, phase, bracket = _warp(t, a)
-    ex = np.exp((-2j * np.pi / cfg.tau) * np.outer(cfg.kappa, phase))
+    mask = t >= a if a else slice(None)
+    ts = t[mask]
+    ex = np.exp((-2j * np.pi / cfg.tau) * np.outer(cfg.kappa, _phase(ts, a)))
     vals = np.zeros(t.shape)
-    vals[mask] = bracket * np.real(ex.T @ S.entries[q])
+    vals[mask] = _bracket(ts, a) * np.real(ex.T @ S.entries[q])
     return float(vals[0]) if scalar else vals

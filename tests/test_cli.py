@@ -190,6 +190,17 @@ def test_cost_invalid_rho(tmp_path, capsys):
         assert err.startswith("error[ValueError]:") and err.count("\n") == 1
 
 
+def test_cost_invalid_depth(tmp_path, capsys):
+    for depth in ("inf", "nan", "0", "-1", "1e300"):
+        rc = main(["cost", "--depth-cm", depth,
+                   "--out", str(tmp_path / "c.csv")])
+        assert rc != 0
+        err = capsys.readouterr().err
+        assert (err.startswith("error[InvariantViolation]:")
+                and err.count("\n") == 1)
+    assert not (tmp_path / "c.csv").exists()
+
+
 def test_xample_rejects_hostile_rho(scene_path, tmp_path, capsys):
     # the configuration is checked before any channel file is read
     (tmp_path / "ch").mkdir()

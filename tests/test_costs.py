@@ -1,7 +1,8 @@
 
 import pytest
 
-from xampus import cost_table, sample_counts, standard_ops, standard_samples, xampled_ops
+from xampus import (InvariantViolation, cost_table, sample_counts,
+                    standard_ops, standard_samples, xampled_ops)
 
 
 def test_sample_counts_table_rows():
@@ -47,6 +48,17 @@ def test_cubic_growth_ratio():
 def test_standard_samples_at_reference_depth():
     assert standard_samples(0.0788, 20e6, 1540.0) == 2047
     assert abs(standard_samples() - 2048) <= 1
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"depth_m": float("inf")}, {"depth_m": float("nan")}, {"depth_m": 0.0},
+    {"depth_m": -0.01}, {"sample_rate_hz": float("inf")},
+    {"sample_rate_hz": 0.0}, {"c": float("nan")}, {"c": -1540.0},
+    {"depth_m": 1e300},  # a finite depth whose count passes 2**53
+])
+def test_standard_samples_rejects_bad_inputs(kwargs):
+    with pytest.raises(InvariantViolation):
+        standard_samples(**kwargs)
 
 
 def test_standard_ops_reference_case():

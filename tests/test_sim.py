@@ -5,7 +5,7 @@ from xampus import (ChannelSet, GridTooCoarse, InvariantViolation, NoiseSpec,
                     PulseModel, Scatterer, Scene, add_interference,
                     arrival_time, eval_pulse, simulation_grid_step,
                     synthesize_channels, tau_hat)
-from xampus.sim import _echoes
+from xampus.sim import _echoes, _row_power
 
 from util import PULSE, SPEED, default_geometry, synthesize
 
@@ -115,6 +115,41 @@ def test_noise_disabled_is_identity():
     out = add_interference(ch, None, 0, seed=9)
     np.testing.assert_array_equal(out.samples, ch.samples)
     assert out.samples is not ch.samples
+
+
+def _interference_reference(ch, snr_db, speckle_count, seed, beam_angle):
+    """The full-array algorithm: a copy of the samples plus the scaled
+    speckle plus one full-array white-noise draw."""
+    rng = np.random.default_rng(seed)
+    target = _row_power(ch.samples) * 10.0 ** (-snr_db / 10.0)
+    out = ch.samples.copy()
+    frac = 0.5 if speckle_count else 0.0
+    if speckle_count:
+        positions = rng.uniform(0.02 * ch.tau, 0.48 * ch.tau, speckle_count)
+        gains = rng.standard_normal(speckle_count)
+        t0 = arrival_time(positions, beam_angle, ch.geometry.offsets[:, None],
+                          SPEED)
+        speckle = _echoes(t0, gains, ch.grid_step, ch.grid_len, PULSE)
+        speckle *= np.sqrt(frac * target / _row_power(speckle))[:, None]
+        out += speckle
+    white = rng.standard_normal(ch.samples.shape)
+    white *= np.sqrt((1.0 - frac) * target)[:, None]
+    out += white
+    return out
+
+
+@pytest.mark.parametrize("speckle", [0, 25])
+def test_interference_matches_full_array_reference(speckle):
+    scene = Scene(scatterers=(Scatterer(5e-6, 1.0), Scatterer(9e-6, -1.5)),
+                  beam_angle=0.1, tau=TAU)
+    ch = synthesize(scene, default_geometry(num_elements=5))
+    before = ch.samples.copy()
+    out = add_interference(ch, 20.0, speckle, seed=11, pulse=PULSE,
+                           beam_angle=0.1)
+    np.testing.assert_array_equal(
+        out.samples, _interference_reference(ch, 20.0, speckle, 11, 0.1))
+    np.testing.assert_array_equal(ch.samples, before)
+    assert not np.shares_memory(out.samples, ch.samples)
 
 
 @pytest.mark.parametrize("speckle", [0, 60])

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -5,10 +6,13 @@ import pytest
 
 from xampus import (BeamformedLine, ChannelSet, GridTooShort,
                     InvariantViolation, OffBand, Scatterer, Scene,
-                    XampleConfig, beamform_line, build_S, kernel_value,
-                    select_kappa, xample_beamformed_oracle, xample_channels)
+                    XampleConfig, add_interference, beamform_line, build_S,
+                    kernel_value, select_kappa, xample_beamformed_oracle,
+                    xample_channels)
+from xampus.cli import main
+from xampus.xample import _bank_tables
 
-from util import PULSE, default_geometry, random_scene, synthesize
+from util import PULSE, SPEED, default_geometry, random_scene, synthesize
 
 
 def make_config(L=5, rho=1.0, tau=25.6e-6, geometry=None, focus="dynamic"):
@@ -368,3 +372,115 @@ def test_kernel_indices_validated():
         kernel_value(cfg, S, cfg.p, 0, 0.0)
     with pytest.raises(IndexError):
         kernel_value(cfg, S, 0, 99, 0.0)
+
+
+# --- kernel-bank tables, cached per configuration and grid -------------------
+
+def _cache_cases():
+    """Named (cfg, channels) pairs for the cache tests."""
+    geom = default_geometry()
+    dyn = make_config(L=5, rho=2, geometry=geom)
+    inf = make_config(L=5, rho=2, geometry=geom, focus="infinity")
+    scene, _, _ = random_scene(np.random.default_rng(21), 3, dyn.tau)
+
+    def noisy(oversample):
+        ch = synthesize(scene, geom, oversample=oversample)
+        return add_interference(ch, 25.0, 25, seed=3, pulse=PULSE)
+
+    ch16, ch18 = noisy(16), noisy(18)
+    return {
+        "dynamic": (dyn, ch16),
+        "infinity": (inf, ch16),
+        # a narrower array on the same samples and grid
+        "pitch": (dyn, ChannelSet(ch16.grid_step, ch16.samples,
+                                  default_geometry(pitch=0.2e-3), ch16.tau)),
+        # the same grid step, seven samples longer
+        "longer": (dyn, ChannelSet(ch16.grid_step,
+                                   np.pad(ch16.samples, ((0, 0), (0, 7))),
+                                   geom, ch16.tau)),
+        "oversample": (dyn, ch18),
+        # the same samples and grid length at a coarser step, which still
+        # reaches tau_hat
+        "step": (dyn, ChannelSet(1.0 / (17 * 20e6), ch18.samples, geom,
+                                 ch18.tau)),
+    }
+
+
+def test_cached_tables_match_a_cleared_cache_bitwise():
+    cases = _cache_cases()
+    fresh = {}
+    for name, (cfg, ch) in cases.items():
+        _bank_tables.cache_clear()
+        fresh[name] = xample_channels(ch, cfg, build_S(cfg.p))
+    # each case changes the output, so a stale table would show
+    outs = list(fresh.values())
+    for i in range(len(outs)):
+        for j in range(i):
+            assert not np.array_equal(outs[i].c, outs[j].c)
+    # each call differs from the one before in one part of the cache key:
+    # the config, the array, the grid length, length and step, the step
+    order = ["dynamic", "infinity", "dynamic", "pitch", "dynamic", "longer",
+             "oversample", "step", "oversample", "dynamic"]
+    for name in order * 2:
+        cfg, ch = cases[name]
+        out = xample_channels(ch, cfg, build_S(cfg.p))
+        np.testing.assert_array_equal(out.c_qm, fresh[name].c_qm)
+        np.testing.assert_array_equal(out.c, fresh[name].c)
+        assert _bank_tables.cache_info().currsize <= 1
+    assert _bank_tables.cache_info().maxsize == 1
+
+
+def test_cached_tables_are_read_only():
+    cfg, ch = _cache_cases()["dynamic"]
+    xample_channels(ch, cfg, build_S(cfg.p))
+    groups = _bank_tables(cfg, ch.geometry, ch.grid_len, ch.grid_step)
+    assert _bank_tables.cache_info().hits >= 1
+    assert len(groups) == ch.geometry.num_elements // 2
+    for grp in groups:
+        for arr in (grp.members, grp.z0, grp.step):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0
+    # the tables are built from kappa, so it cannot change under them
+    assert not cfg.kappa.flags.writeable
+
+
+def test_config_copies_kappa():
+    kappa = select_kappa(5, 2, 25.6e-6, PULSE.carrier_hz)
+    cfg = XampleConfig(L=5, rho=2, tau=25.6e-6, carrier_hz=PULSE.carrier_hz,
+                       kappa=kappa, focus_mode="dynamic",
+                       geometry=default_geometry())
+    kappa[0] += 1
+    assert kappa.flags.writeable
+    assert cfg.kappa[0] == kappa[0] - 1
+
+
+# the infinity-focus run of this scene warns of an imaginary residue
+@pytest.mark.filterwarnings("ignore:amplitude solution has significant "
+                            "imaginary residue")
+def test_cli_focus_switch_reuses_no_stale_table(tmp_path):
+    doc = {
+        "speed_of_sound_m_s": SPEED,
+        "tau_s": 25.6e-6,
+        "pulse": {"carrier_hz": 5.142e6, "sigma_s": 1e-7, "amplitude": 1.0},
+        "array": {"num_elements": 16, "pitch_m": 0.3e-3},
+        "lines": [{"scatterers": [{"t_n_s": 4e-6, "reflectivity": 1.0},
+                                  {"t_n_s": 8e-6, "reflectivity": -0.7}]},
+                  {"scatterers": [{"t_n_s": 6e-6, "reflectivity": 1.5}]}],
+    }
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps(doc))
+    ch_dir = tmp_path / "ch"
+    assert main(["simulate", "--scene", str(scene), "--out", str(ch_dir)]) == 0
+    runs = []
+    for i, focus in enumerate(("dynamic", "infinity", "dynamic")):
+        out = tmp_path / f"run{i}"
+        assert main(["xample", "--channels", str(ch_dir), "--scene",
+                     str(scene), "--out", str(out), "--L", "5",
+                     "--focus", focus,
+                     "--dump-samples"]) == 0
+        runs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+    assert set(runs[0]) >= {"estimates.csv", "samples_c.csv",
+                            "samples_cqm.csv", "xampled.pgm"}
+    assert runs[0] == runs[2]
+    assert runs[0]["samples_c.csv"] != runs[1]["samples_c.csv"]
