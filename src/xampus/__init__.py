@@ -8,12 +8,12 @@ render images (``imaging``).  ``costs`` models the sample and operation
 counts of both paths; ``cli`` wires everything into subcommands.
 """
 
-from .beamform import BeamformedLine, beamform_line, distort_channel, envelope_detect
+from .beamform import BeamformedLine, beamform_line, envelope_detect
 from .costs import cost_table, sample_counts, standard_ops, standard_samples, xampled_ops
 from .errors import (AllZero, ConditioningFailure, GridTooCoarse, GridTooShort,
                      IllConditioned, InvariantViolation, OffBand, OrderOverflow,
                      ParseError, SingularHarmonic, SingularSystem, XampusError)
-from .geometry import ArrayGeometry, arrival_time, focus_delay, receive_warp, tau_hat
+from .geometry import ArrayGeometry, arrival_time, tau_hat
 from .imaging import ImageGrid, assemble_image, read_pgm, render_line, write_pgm
 from .pulse import PulseModel, build_H, eval_pulse, pulse_spectrum
 from .recover import (FourierCoeffs, LineEstimate, annihilating_filter,

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import focus_delay, receive_warp
+from .geometry import arrival_time
 from .sim import ChannelSet
 
 DEFAULT_OUT_STEP = 50e-9  # 20 MHz output rate
@@ -21,8 +21,6 @@ DEFAULT_OUT_STEP = 50e-9  # 20 MHz output rate
 class BeamformedLine:
     samples: np.ndarray
     grid_step: float
-    alpha: float
-    focus_mode: str  # "dynamic" | "infinity"
 
     @property
     def times(self) -> np.ndarray:
@@ -58,18 +56,6 @@ def _sample_trace(trace: np.ndarray, step: float, t: np.ndarray) -> np.ndarray:
     return out
 
 
-def distort_channel(ch: ChannelSet, m: int, alpha: float, t) -> np.ndarray:
-    """Element trace evaluated at the dynamically focused (warped) time.
-
-    Interpolates on the simulation grid; warped times outside the grid
-    contribute zero.
-    """
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    warped = receive_warp(t, ch.geometry.offsets[m], ch.geometry.speed_of_sound,
-                          alpha)
-    return _sample_trace(ch.samples[m], ch.grid_step, warped)
-
-
 def beamform_line(
     ch: ChannelSet,
     alpha: float = 0.0,
@@ -80,11 +66,12 @@ def beamform_line(
 ) -> BeamformedLine:
     """Delay-and-sum the channel set into one image-line trace.
 
-    dynamic: each output sample gets its own receive focus (per-sample warp).
-    infinity: plain sum of the element traces, no delays.
-    ``num_focal_zones`` switches dynamic focusing to the staircase
-    approximation: the line is split into that many segments, each using the
-    single delay set of its center.
+    Each output sample t has a focal time: t/2 in dynamic focus, or with
+    ``num_focal_zones`` the staircase approximation, the line split into that
+    many segments that each focus at their center's time over 2.  Element m is
+    read where the echo of that focal point lands on it,
+    ``t - 2 focal + arrival_time(focal)``; infinity focus reads every element
+    at t, with no delays.
     """
     if focus_mode not in ("dynamic", "infinity"):
         raise ValueError(f"unknown focus_mode {focus_mode!r}")
@@ -95,27 +82,24 @@ def beamform_line(
     n = int(np.floor(duration / out_step + 1e-9)) + 1
     t = np.arange(n) * out_step
 
-    acc = np.zeros(n)
-    if focus_mode == "infinity":
-        for m in range(ch.geometry.num_elements):
-            acc += _sample_trace(ch.samples[m], ch.grid_step, t)
-    elif num_focal_zones is None:
-        for m in range(ch.geometry.num_elements):
-            acc += distort_channel(ch, m, alpha, t)
-    else:
+    focal = t / 2.0
+    if focus_mode == "dynamic" and num_focal_zones is not None:
         if num_focal_zones < 1:
             raise ValueError("num_focal_zones must be >= 1")
         edges = np.linspace(0.0, duration, num_focal_zones + 1)
         centers = 0.5 * (edges[:-1] + edges[1:])
         zone = np.minimum((t / duration * num_focal_zones).astype(int),
                           num_focal_zones - 1)
-        c = ch.geometry.speed_of_sound
-        for m, delta in enumerate(ch.geometry.offsets):
-            # one delay per zone, computed at the zone center's focal time
-            delays = focus_delay(centers / 2.0, alpha, delta, c)
-            acc += _sample_trace(ch.samples[m], ch.grid_step, t - delays[zone])
-    return BeamformedLine(samples=acc, grid_step=out_step, alpha=alpha,
-                          focus_mode=focus_mode)
+        focal = centers[zone] / 2.0
+    lag = t - 2.0 * focal  # zero in per-sample dynamic focus
+    acc = np.zeros(n)
+    c = ch.geometry.speed_of_sound
+    for trace, delta in zip(ch.samples, ch.geometry.offsets):
+        read = t
+        if focus_mode == "dynamic":
+            read = lag + arrival_time(focal, alpha, delta, c)
+        acc += _sample_trace(trace, ch.grid_step, read)
+    return BeamformedLine(samples=acc, grid_step=out_step)
 
 
 def envelope_detect(line: BeamformedLine) -> np.ndarray:

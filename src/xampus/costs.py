@@ -85,13 +85,18 @@ def standard_samples(depth_m: float = DEFAULT_DEPTH_M,
     if not samples <= _MAX_SAMPLES:
         raise InvariantViolation(f"a round trip to {depth_m!r} m takes "
                                  f"{samples:g} samples, above 2**53")
+    if round(samples) < 1:
+        raise InvariantViolation(f"a round trip to {depth_m!r} m takes "
+                                 f"{samples:g} samples, below one")
     return int(round(samples))
 
 
 def standard_ops(samples_per_line: int, num_elements: int) -> float:
     """Delay-and-sum adds plus two FFTs (Hilbert envelope) per line."""
-    if samples_per_line < 1 or num_elements < 1:
-        raise ValueError("counts must be >= 1")
+    for name, value in (("samples_per_line", samples_per_line),
+                        ("num_elements", num_elements)):
+        if value < 1:
+            raise ValueError(f"{name} {value!r} must be >= 1")
     adds = samples_per_line * (num_elements - 1)
     hilbert = 2.0 * samples_per_line * np.log2(samples_per_line)
     return adds + hilbert

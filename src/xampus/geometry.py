@@ -3,8 +3,10 @@
 All timing here is expressed on the image-line clock: the transmit pulse
 leaves the array center at t = 0, intersects the beam point parameterized by
 axial time ``t_n`` (depth ``c * t_n``), and the echo lands back on element m
-at ``arrival_time``.  The receive beamformer undoes the per-element spread
-with ``focus_delay`` / ``receive_warp``.
+at ``arrival_time``.  That is the one place the two-way travel time is
+written: the receive beamformer reads each element at the arrival time of its
+focal point (``t/2`` in dynamic focus), and ``tau_hat``, the kernel bank's
+integration bound, is the latest arrival of the echo from the window's end.
 """
 
 from __future__ import annotations
@@ -63,37 +65,12 @@ def arrival_time(t_n, alpha, delta_m, c):
     ) / c
 
 
-def focus_delay(t_n, alpha, delta_m, c):
-    """Receive-focus delay applied to element ``delta_m`` for focal time t_n.
-
-    Possibly negative; equals on-axis round trip minus the element's own
-    arrival, ``2 t_n - arrival_time``.
-    """
-    t_n = np.asarray(t_n, dtype=float)
-    d = delta_m / c
-    return t_n - np.sqrt(t_n**2 + d**2 - 2.0 * t_n * d * np.sin(alpha))
-
-
-def receive_warp(t, delta_m, c, alpha=0.0):
-    """Time warp mapping output time t to the element's own clock.
-
-    Dynamic focusing evaluates element traces at
-
-        0.5 * (t + sqrt(t^2 + 4 (delta/c) ((delta/c) - t sin(alpha))))
-
-    which reduces to ``0.5 (t + sqrt(t^2 + 4 (delta/c)^2))`` for a linear
-    scan (alpha = 0).  The radicand is a completed square, hence never
-    negative.
-    """
-    t = np.asarray(t, dtype=float)
-    d = delta_m / c
-    return 0.5 * (t + np.sqrt(t**2 + 4.0 * d * (d - t * np.sin(alpha))))
-
-
 def tau_hat(tau: float, geometry: ArrayGeometry) -> float:
     """Upper integration bound covering the longest warped arrival.
 
-    ``max_m 0.5 (tau + sqrt(tau^2 + 4 (delta_m/c)^2))``; always >= tau.
+    The latest arrival of the echo from the end of the window, focal time
+    tau/2, over all elements: ``max_m arrival_time(tau/2, 0, delta_m, c)``;
+    always >= tau.
     """
-    d = geometry.offsets / geometry.speed_of_sound
-    return float(np.max(0.5 * (tau + np.sqrt(tau**2 + 4.0 * d**2))))
+    c = geometry.speed_of_sound
+    return float(np.max(arrival_time(tau / 2.0, 0.0, geometry.offsets, c)))

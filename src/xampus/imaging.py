@@ -81,14 +81,27 @@ def write_pgm(path, image: ImageGrid) -> None:
 
 
 def read_pgm(path) -> np.ndarray:
-    """Read back a P5 image written by ``write_pgm``."""
+    """Read back a P5 image written by ``write_pgm``.
+
+    The header must be ``P5``, two positive decimal dimensions and maxval
+    255, one line each, and the body exactly width x height bytes; anything
+    else raises ``ParseError``.
+    """
     with open(path, "rb") as f:
         data = f.read()
     parts = data.split(b"\n", 3)
     if len(parts) < 4 or parts[0] != b"P5":
         raise ParseError(f"{path}: not a binary PGM")
-    w, h = (int(v) for v in parts[1].split())
-    pixels = np.frombuffer(parts[3][: w * h], dtype=np.uint8)
-    if pixels.size != w * h:
-        raise ParseError(f"{path}: truncated PGM body")
-    return pixels.reshape(h, w)
+    dims = [int(d) if d.isdigit() and len(d) < 19 else 0
+            for d in parts[1].split()]
+    if len(dims) != 2 or min(dims) < 1:
+        raise ParseError(f"{path}: PGM size {parts[1][:40]!r} is not two "
+                         "positive integers")
+    if parts[2] != b"255":
+        raise ParseError(f"{path}: PGM maxval {parts[2][:40]!r} is not 255")
+    w, h = dims
+    body = parts[3]
+    if len(body) != w * h:
+        raise ParseError(f"{path}: PGM body holds {len(body)} bytes, "
+                         f"{w}x{h} needs {w * h}")
+    return np.frombuffer(body, dtype=np.uint8).reshape(h, w)

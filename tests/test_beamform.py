@@ -7,10 +7,49 @@ import numpy as np
 import pytest
 
 import xampus
-from xampus import (BeamformedLine, Scatterer, Scene, beamform_line,
-                    distort_channel, envelope_detect)
+from xampus import (BeamformedLine, ChannelSet, Scatterer, Scene,
+                    add_interference, beamform_line, envelope_detect)
+from xampus.beamform import _sample_trace
 
-from util import SPEED, default_geometry, synthesize
+from util import PULSE, SPEED, default_geometry, synthesize
+
+
+def reference_beamform(ch, alpha, focus_mode, out_step, duration=None,
+                       num_focal_zones=None):
+    """The three-branch delay-and-sum the one-loop beamformer replaced, with
+    its own spellings of the receive warp and the focal-zone delay."""
+    if duration is None:
+        duration = ch.tau
+    n = int(np.floor(duration / out_step + 1e-9)) + 1
+    t = np.arange(n) * out_step
+    c = ch.geometry.speed_of_sound
+    acc = np.zeros(n)
+    if focus_mode == "infinity":
+        for m in range(ch.geometry.num_elements):
+            acc += _sample_trace(ch.samples[m], ch.grid_step, t)
+    elif num_focal_zones is None:
+        for m, delta in enumerate(ch.geometry.offsets):
+            d = delta / c
+            warped = 0.5 * (t + np.sqrt(t**2 + 4.0 * d * (d - t * np.sin(alpha))))
+            acc += _sample_trace(ch.samples[m], ch.grid_step, warped)
+    else:
+        edges = np.linspace(0.0, duration, num_focal_zones + 1)
+        centers = 0.5 * (edges[:-1] + edges[1:])
+        zone = np.minimum((t / duration * num_focal_zones).astype(int),
+                          num_focal_zones - 1)
+        t_n = centers / 2.0
+        for m, delta in enumerate(ch.geometry.offsets):
+            d = delta / c
+            delays = t_n - np.sqrt(t_n**2 + d**2 - 2.0 * t_n * d * np.sin(alpha))
+            acc += _sample_trace(ch.samples[m], ch.grid_step, t - delays[zone])
+    return acc
+
+
+def only_element(ch, m):
+    """The channel set with every element but ``m`` silenced."""
+    samples = np.zeros_like(ch.samples)
+    samples[m] = ch.samples[m]
+    return ChannelSet(ch.grid_step, samples, ch.geometry, ch.tau)
 
 
 def fig3_setup():
@@ -23,35 +62,68 @@ def fig3_setup():
 
 
 def test_distort_identity_on_axis():
+    # the on-axis element is read at its own time: dynamic focus passes it
     geom = default_geometry(num_elements=17)
     scene = Scene(scatterers=(Scatterer(8e-6, 1.0),), tau=51.2e-6)
     ch = synthesize(scene, geom)
-    t = ch.times[: ch.grid_len // 2]
     center = geom.num_elements // 2
-    np.testing.assert_allclose(distort_channel(ch, center, 0.0, t),
-                               ch.samples[center][: len(t)], atol=1e-15)
+    line = beamform_line(only_element(ch, center), out_step=ch.grid_step)
+    n = len(line.samples)
+    np.testing.assert_allclose(line.samples, ch.samples[center][:n],
+                               atol=1e-15)
 
 
 def test_distort_realigns_offset_element():
     # outer element at |delta|/c = 10 us sees the echo at 24.1421 us;
-    # after the warp the trace peaks back at the round-trip time 20 us
+    # dynamic focus puts it back at the round-trip time 20 us
     geom = default_geometry(num_elements=3, pitch=10e-6 * SPEED)
     scene = Scene(scatterers=(Scatterer(10e-6, 1.0),), tau=51.2e-6)
     ch = synthesize(scene, geom)
     raw_peak = np.argmax(np.abs(ch.samples[2])) * ch.grid_step
     assert raw_peak == pytest.approx(2.4142135623730952e-05, abs=ch.grid_step)
-    t = ch.times
-    warped = distort_channel(ch, 2, 0.0, t)
-    peak = np.argmax(np.abs(warped)) * ch.grid_step
+    line = beamform_line(only_element(ch, 2), out_step=ch.grid_step)
+    peak = np.argmax(np.abs(line.samples)) * ch.grid_step
     assert peak == pytest.approx(20e-6, abs=2 * ch.grid_step)
 
 
 def test_distort_outside_grid_is_zero():
     geom = default_geometry(num_elements=17)
     scene = Scene(scatterers=(Scatterer(8e-6, 1.0),), tau=51.2e-6)
-    ch = synthesize(scene, geom)
-    assert distort_channel(ch, 8, 0.0, np.array([-1e-6]))[0] == 0.0
-    assert distort_channel(ch, 0, 0.0, np.array([ch.duration + 1e-6]))[0] == 0.0
+    ch = add_interference(synthesize(scene, geom), 10.0, 5, seed=3,
+                          pulse=PULSE)
+    for focus_mode in ("dynamic", "infinity"):
+        line = beamform_line(ch, focus_mode=focus_mode, out_step=ch.grid_step,
+                             duration=ch.duration + 1e-6)
+        past = line.times > ch.duration
+        assert past.any() and not line.samples[past].any()
+        assert line.samples[~past].any()
+    assert _sample_trace(ch.samples[8], ch.grid_step, np.array([-1e-6]))[0] == 0.0
+
+
+def beamform_case(alpha, focus_mode, zones):
+    geom = default_geometry()
+    scene = Scene(scatterers=(Scatterer(3e-6, 1.0), Scatterer(10e-6, 0.7),
+                              Scatterer(17e-6, 1.3)),
+                  beam_angle=alpha, tau=51.2e-6)
+    ch = add_interference(synthesize(scene, geom), 25.0, 25, seed=11,
+                          pulse=PULSE, beam_angle=alpha)
+    new = beamform_line(ch, alpha, focus_mode, num_focal_zones=zones)
+    return new.samples, reference_beamform(ch, alpha, focus_mode,
+                                           50e-9, num_focal_zones=zones)
+
+
+@pytest.mark.parametrize("alpha, zones", [
+    (0.0, None), (0.3, None),
+    (0.0, 1), (0.0, 4), (0.0, 7), (0.3, 1), (0.3, 4), (0.3, 7),
+])
+def test_one_loop_matches_three_branch_reference(alpha, zones):
+    new, ref = beamform_case(alpha, "dynamic", zones)
+    assert np.max(np.abs(new - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_one_loop_infinity_focus_bitwise():
+    new, ref = beamform_case(0.3, "infinity", None)
+    np.testing.assert_array_equal(new, ref)
 
 
 def test_single_element_modes_coincide():
@@ -146,24 +218,21 @@ def test_envelope_recovers_gaussian_window():
     t = np.arange(0, 20e-6, step)
     window = np.exp(-((t - 10e-6) ** 2) / (2 * (1e-6) ** 2))
     burst = window * np.cos(2 * np.pi * 5e6 * t)
-    line = BeamformedLine(samples=burst, grid_step=step, alpha=0.0,
-                          focus_mode="dynamic")
+    line = BeamformedLine(samples=burst, grid_step=step)
     env = envelope_detect(line)
     core = window > 0.1
     assert np.max(np.abs(env[core] - window[core]) / window[core]) <= 0.05
 
 
 def test_envelope_zero_line():
-    line = BeamformedLine(samples=np.zeros(64), grid_step=50e-9, alpha=0.0,
-                          focus_mode="dynamic")
+    line = BeamformedLine(samples=np.zeros(64), grid_step=50e-9)
     np.testing.assert_array_equal(envelope_detect(line), np.zeros(64))
 
 
 def test_envelope_dominates_signal():
     rng = np.random.default_rng(8)
     sig = rng.standard_normal(512)
-    line = BeamformedLine(samples=sig, grid_step=50e-9, alpha=0.0,
-                          focus_mode="dynamic")
+    line = BeamformedLine(samples=sig, grid_step=50e-9)
     env = envelope_detect(line)
     assert np.all(env >= np.abs(sig) - 1e-9 * np.max(env))
 
@@ -172,8 +241,7 @@ def test_envelope_dominates_signal():
 def test_envelope_matches_scipy_hilbert(n):
     signal = pytest.importorskip("scipy.signal")
     sig = np.random.default_rng(n).standard_normal(n)
-    line = BeamformedLine(samples=sig, grid_step=50e-9, alpha=0.0,
-                          focus_mode="dynamic")
+    line = BeamformedLine(samples=sig, grid_step=50e-9)
     ref = np.abs(signal.hilbert(sig))
     env = envelope_detect(line)
     assert env.shape == ref.shape

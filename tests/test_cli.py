@@ -191,13 +191,25 @@ def test_cost_invalid_rho(tmp_path, capsys):
 
 
 def test_cost_invalid_depth(tmp_path, capsys):
-    for depth in ("inf", "nan", "0", "-1", "1e300"):
+    # 1e-9 cm is a round trip that rounds to no sample at all
+    for depth in ("inf", "nan", "0", "-1", "1e300", "1e-9"):
         rc = main(["cost", "--depth-cm", depth,
                    "--out", str(tmp_path / "c.csv")])
         assert rc != 0
         err = capsys.readouterr().err
         assert (err.startswith("error[InvariantViolation]:")
                 and err.count("\n") == 1)
+    assert not (tmp_path / "c.csv").exists()
+
+
+def test_cost_invalid_elements(tmp_path, capsys):
+    for elements in ("0", "-3"):
+        rc = main(["cost", "--elements", elements,
+                   "--out", str(tmp_path / "c.csv")])
+        assert rc != 0
+        err = capsys.readouterr().err
+        assert (err == f"error[ValueError]: num_elements {elements} must be "
+                ">= 1\n")
     assert not (tmp_path / "c.csv").exists()
 
 

@@ -55,6 +55,7 @@ def test_standard_samples_at_reference_depth():
     {"depth_m": -0.01}, {"sample_rate_hz": float("inf")},
     {"sample_rate_hz": 0.0}, {"c": float("nan")}, {"c": -1540.0},
     {"depth_m": 1e300},  # a finite depth whose count passes 2**53
+    {"depth_m": 1e-11},  # a round trip that rounds to no sample
 ])
 def test_standard_samples_rejects_bad_inputs(kwargs):
     with pytest.raises(InvariantViolation):
@@ -76,6 +77,8 @@ def test_standard_ops_single_element_is_fft_only():
 def test_standard_ops_validation():
     with pytest.raises(ValueError):
         standard_ops(0, 16)
+    with pytest.raises(ValueError, match="num_elements -3 must be >= 1"):
+        standard_ops(2048, -3)
 
 
 def test_cost_table_reductions():

@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
 
-from xampus import ArrayGeometry, arrival_time, focus_delay, receive_warp, tau_hat
+from xampus import ArrayGeometry, arrival_time, tau_hat
 
 C = 1540.0
+
+
+def focus_delay(t_n, alpha, delta_m, c):
+    """The delay a focal-zone beamformer takes from element ``delta_m``:
+    the on-axis round trip minus the element's own arrival."""
+    return 2.0 * t_n - arrival_time(t_n, alpha, delta_m, c)
 
 
 def test_on_axis_arrival_is_round_trip():
@@ -49,16 +55,6 @@ def test_focus_delay_frozen_value():
         -4.14213562373095e-06, rel=1e-12)
 
 
-def test_focus_delay_complements_arrival():
-    rng = np.random.default_rng(4)
-    for _ in range(100):
-        t_n = rng.uniform(1e-6, 60e-6)
-        alpha = rng.uniform(-1.0, 1.0)
-        delta = rng.uniform(-5e-3, 5e-3)
-        assert focus_delay(t_n, alpha, delta, C) == pytest.approx(
-            2 * t_n - arrival_time(t_n, alpha, delta, C), rel=1e-12, abs=1e-18)
-
-
 def test_focus_delay_even_in_offset():
     rng = np.random.default_rng(5)
     for _ in range(20):
@@ -68,16 +64,20 @@ def test_focus_delay_even_in_offset():
 
 
 def test_warp_reduces_to_identity_on_axis():
+    # dynamic focus reads element m at arrival_time(t/2): t on axis
     t = np.linspace(0, 1e-4, 11)
-    np.testing.assert_allclose(receive_warp(t, 0.0, C), t, atol=0)
+    np.testing.assert_allclose(arrival_time(t / 2, 0.0, 0.0, C), t, atol=0)
 
 
 def test_warp_radicand_never_negative():
-    # completed square: valid for any angle
+    # a sum of squares: finite for any angle
     t = np.linspace(0, 1e-4, 101)
     for alpha in (-1.2, 0.0, 0.9):
-        w = receive_warp(t, 4e-3, C, alpha)
+        w = arrival_time(t / 2, alpha, 4e-3, C)
         assert np.all(np.isfinite(w))
+    # and with the focal point on the element, where the radicand is zero
+    t_n = np.random.default_rng(7).uniform(1e-7, 60e-6, 20000)
+    assert np.all(np.isfinite(arrival_time(t_n, np.pi / 2, C * t_n, C)))
 
 
 def test_tau_hat_on_axis_equals_tau():

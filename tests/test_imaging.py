@@ -1,10 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from xampus import (AllZero, InvariantViolation, LineEstimate, assemble_image,
-                    read_pgm, render_line, write_pgm)
+from xampus import (AllZero, ImageGrid, InvariantViolation, LineEstimate,
+                    ParseError, assemble_image, read_pgm, render_line,
+                    write_pgm)
 
 from util import PULSE
+
+# deterministic, no example database; tmp_path is reused across examples
+FUZZ = settings(max_examples=60, deadline=None, derandomize=True,
+                database=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+pixels_st = st.tuples(st.integers(1, 9), st.integers(1, 9)).flatmap(
+    lambda shape: arrays(np.uint8, shape))
 
 
 def make_estimate(delays, amps):
@@ -106,3 +118,58 @@ def test_pgm_roundtrip(tmp_path):
     assert raw.startswith(b"P5\n5 9\n255\n")
     back = read_pgm(path)
     np.testing.assert_array_equal(back, img.pixels)
+
+
+def write_image(path, pixels):
+    write_pgm(path, ImageGrid(axial_step=50e-9, dynamic_range_db=50.0,
+                              pixels=pixels))
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("raw", [
+    pytest.param(b"P5\n2 2\n65535\n" + bytes(8), id="maxval-65535"),
+    pytest.param(b"P5\n2 2\n1\n" + bytes(4), id="maxval-1"),
+    pytest.param(b"P5\n2 2 2\n255\n" + bytes(8), id="three-dimensions"),
+    pytest.param(b"P5\n2\n255\n" + bytes(2), id="one-dimension"),
+    pytest.param(b"P5\n0 2\n255\n", id="zero-width"),
+    pytest.param(b"P5\n-1 2\n255\n" + bytes(2), id="negative-width"),
+    pytest.param(b"P5\n+2 2\n255\n" + bytes(4), id="signed-width"),
+    pytest.param(b"P5\n2 x\n255\n" + bytes(4), id="non-digit-height"),
+    pytest.param(b"P5\n" + b"9" * 5000 + b" 1\n255\n", id="5000-digit-width"),
+    pytest.param(b"P2\n2 2\n255\n" + bytes(4), id="ascii-magic"),
+    pytest.param(b"P5 2 2 255 " + bytes(4), id="one-line-header"),
+])
+def test_pgm_rejects_bad_header(tmp_path, raw):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(raw)
+    with pytest.raises(ParseError, match="bad.pgm: "):
+        read_pgm(path)
+
+
+@FUZZ
+@given(pixels=pixels_st)
+def test_fuzz_pgm_roundtrip_bitwise(tmp_path, pixels):
+    path = tmp_path / "f.pgm"
+    write_image(path, pixels)
+    back = read_pgm(path)
+    assert back.dtype == np.uint8
+    np.testing.assert_array_equal(back, pixels)
+
+
+@FUZZ
+@given(pixels=pixels_st, data=st.data())
+def test_fuzz_pgm_every_truncation_fails(tmp_path, pixels, data):
+    path = tmp_path / "f.pgm"
+    raw = write_image(path, pixels)
+    path.write_bytes(raw[:data.draw(st.integers(0, len(raw) - 1))])
+    with pytest.raises(ParseError):
+        read_pgm(path)
+
+
+@FUZZ
+@given(pixels=pixels_st, extra=st.binary(min_size=1, max_size=16))
+def test_fuzz_pgm_extra_bytes_fail(tmp_path, pixels, extra):
+    path = tmp_path / "f.pgm"
+    path.write_bytes(write_image(path, pixels) + extra)
+    with pytest.raises(ParseError):
+        read_pgm(path)

@@ -327,7 +327,7 @@ def test_oracle_orthogonality_single_harmonic():
     t = np.arange(n + 1) * step
     line = BeamformedLine(
         samples=np.cos(2 * np.pi * cfg.kappa_pos[0] * t / cfg.tau),
-        grid_step=step, alpha=0.0, focus_mode="dynamic")
+        grid_step=step)
     c = xample_beamformed_oracle(line, cfg, S)
     assert c[0] == pytest.approx(0.5, abs=1e-9)
     np.testing.assert_allclose(c[1:], 0.0, atol=1e-9)
@@ -337,8 +337,7 @@ def test_oracle_zero_line():
     cfg = make_config(L=1, rho=1)
     step = 3.125e-9
     n = int(round(cfg.tau / step)) + 1
-    line = BeamformedLine(samples=np.zeros(n), grid_step=step, alpha=0.0,
-                          focus_mode="dynamic")
+    line = BeamformedLine(samples=np.zeros(n), grid_step=step)
     np.testing.assert_array_equal(
         xample_beamformed_oracle(line, cfg, build_S(cfg.p)), np.zeros(cfg.p))
 
