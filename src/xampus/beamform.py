@@ -75,6 +75,8 @@ def beamform_line(
     """
     if focus_mode not in ("dynamic", "infinity"):
         raise ValueError(f"unknown focus_mode {focus_mode!r}")
+    if num_focal_zones is not None and num_focal_zones < 1:
+        raise ValueError("num_focal_zones must be >= 1")
     if out_step < ch.grid_step * (1 - 1e-12):
         raise ValueError("out_step must be >= the simulation grid step")
     if duration is None:
@@ -84,8 +86,6 @@ def beamform_line(
 
     focal = t / 2.0
     if focus_mode == "dynamic" and num_focal_zones is not None:
-        if num_focal_zones < 1:
-            raise ValueError("num_focal_zones must be >= 1")
         edges = np.linspace(0.0, duration, num_focal_zones + 1)
         centers = 0.5 * (edges[:-1] + edges[1:])
         zone = np.minimum((t / duration * num_focal_zones).astype(int),

@@ -98,13 +98,17 @@ def cmd_simulate(args) -> int:
 def cmd_beamform(args) -> int:
     scene = load_scene(args.scene)
     paths = _line_paths(Path(args.channels), args.lines)
+    if len(paths) > len(scene.lines):
+        raise InvariantViolation(
+            f"{len(paths)} channel files for {len(scene.lines)} scene lines")
     n_axial = _axial_samples(scene.tau)
 
     traces = []
-    for path in paths:
+    for path, scene_line in zip(paths, scene.lines):
         ch = urf.read_channels(path, scene.geometry)
         with _naming(path):
-            line = beamform_line(ch, alpha=0.0, focus_mode=args.focus,
+            line = beamform_line(ch, alpha=scene_line.beam_angle,
+                                 focus_mode=args.focus,
                                  out_step=AXIAL_STEP, duration=scene.tau,
                                  num_focal_zones=args.focal_zones)
         traces.append(envelope_detect(line)[:n_axial])

@@ -89,11 +89,6 @@ def recover_fourier(c, S: MixingMatrix, H, kappa, tau: float) -> FourierCoeffs:
     return FourierCoeffs(y=phi / H[:K], kappa_pos=kappa[:K], tau=tau, phi=phi)
 
 
-def _hankel(u: np.ndarray, eta: int) -> np.ndarray:
-    n = len(u)
-    return np.array([u[i:i + eta + 1] for i in range(n - eta)])
-
-
 def _delays_from_poles(z: np.ndarray, tau: float) -> np.ndarray:
     frac = (-np.angle(z) / (2.0 * np.pi)) % 1.0
     return np.sort(frac * tau)
@@ -119,14 +114,22 @@ def estimate_order(y, L_max: int, eta: int | None = None,
     """Model order: the count of Hankel singular values whose ratio to the
     largest exceeds ``sv_threshold`` (0 for all-zero data).
 
+    The SVD is taken of the Hankel's triangular factor R (Chan's R-SVD):
+    H = QR with Q orthonormal, so R has the singular values and right
+    singular vectors of H, and the left factor of H, which no caller reads,
+    is never formed.
+
     Returns (order, singular values, right singular vectors).  Raises
     ``OrderOverflow`` if the order exceeds ``L_max`` and
     ``ConditioningFailure`` if the SVD does not converge.
     """
     u = np.asarray(y, dtype=complex)
     eta = pencil_split(len(u), L_max, eta)
+    # the (K - eta) x (eta + 1) Hankel matrix, rows u[i:i+eta+1], as a view
+    hankel = np.lib.stride_tricks.sliding_window_view(u, eta + 1)
     try:
-        _, s, Vh = np.linalg.svd(_hankel(u, eta), full_matrices=False)
+        R = np.linalg.qr(hankel, mode="r")
+        _, s, Vh = np.linalg.svd(R, full_matrices=False)
     except np.linalg.LinAlgError as e:
         raise ConditioningFailure(f"SVD did not converge: {e}") from e
     order = int(np.sum(s / s[0] > sv_threshold)) if s[0] > 0.0 else 0
@@ -193,22 +196,27 @@ def annihilating_filter(coeffs: FourierCoeffs, L_est: int) -> np.ndarray:
     return _delays_from_poles(z, coeffs.tau)
 
 
-def least_squares_amplitudes(coeffs: FourierCoeffs, delays) -> np.ndarray:
+def least_squares_amplitudes(coeffs: FourierCoeffs,
+                             delays) -> tuple[np.ndarray, float]:
     """Amplitudes fitting y = V(t) a for the given delays, in y units.
 
     V has entries exp(-2j pi k t_l / tau) over the actual harmonic indices.
-    Returns the real parts; a warning is emitted when the imaginary residue
-    exceeds 1e-3 of the real scale (a symptom of mismatched delays).
+    Returns (a, residual): the real parts of the fit and |y - V a| / |y|,
+    0 when y is zero (with no delays, 1 for any nonzero y).  A warning is
+    emitted when the imaginary residue exceeds 1e-3 of the real scale (a
+    symptom of mismatched delays).
     """
     delays = np.asarray(delays, dtype=float)
+    y = np.asarray(coeffs.y)
+    norm = np.linalg.norm(y)
     if delays.size == 0:
-        return np.zeros(0)
+        return np.zeros(0), 0.0 if norm == 0 else 1.0
     if len(set(delays.tolist())) != delays.size:
         raise ValueError("delays must be distinct")
-    if delays.size > len(coeffs.y):
+    if delays.size > len(y):
         raise ValueError("more delays than coefficients")
     V = np.exp((-2j * np.pi / coeffs.tau) * np.outer(coeffs.kappa_pos, delays))
-    a, _, _, sv = np.linalg.lstsq(V, coeffs.y, rcond=None)
+    a, _, _, sv = np.linalg.lstsq(V, y, rcond=None)
     if sv[0] > _COND_LIMIT * sv[-1]:  # 2-norm condition number of V
         raise IllConditioned(
             f"amplitude system condition exceeds {_COND_LIMIT:g} "
@@ -218,7 +226,9 @@ def least_squares_amplitudes(coeffs: FourierCoeffs, delays) -> np.ndarray:
     if np.max(np.abs(a.imag)) / real_scale > 1e-3:
         warnings.warn("amplitude solution has significant imaginary residue",
                       RuntimeWarning, stacklevel=2)
-    return a.real
+    if norm == 0:
+        return a.real, 0.0
+    return a.real, float(np.linalg.norm(y - V @ a.real) / norm)
 
 
 def recover_line(c, cfg: XampleConfig, pulse: PulseModel,
@@ -247,17 +257,7 @@ def recover_line(c, cfg: XampleConfig, pulse: PulseModel,
         delays = (annihilating_filter(coeffs, order) if order > 0
                   else np.zeros(0))
 
-    if delays.size == 0:
-        norm = np.linalg.norm(coeffs.y)
-        residual = 0.0 if norm == 0 else 1.0
-        return LineEstimate(delays=np.zeros(0), amplitudes=np.zeros(0),
-                            model_order=0, singular_values=sv,
-                            residual=residual)
-
-    amps = least_squares_amplitudes(coeffs, delays)
-    V = np.exp((-2j * np.pi / cfg.tau) * np.outer(coeffs.kappa_pos, delays))
-    residual = float(np.linalg.norm(coeffs.y - V @ amps)
-                     / np.linalg.norm(coeffs.y))
+    amps, residual = least_squares_amplitudes(coeffs, delays)
     return LineEstimate(delays=delays, amplitudes=amps * cfg.tau,
                         model_order=delays.size, singular_values=sv,
                         residual=residual)

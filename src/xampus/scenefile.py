@@ -53,12 +53,16 @@ def _integer(obj, where, key):
 def load_scene(path) -> SceneFile:
     """Parse and validate a scene file.
 
-    Raises ``ParseError`` for syntax problems or unknown/missing keys (JSON
-    errors carry line/column), ``InvariantViolation`` for values that break a
-    documented physical invariant.
+    Raises ``ParseError`` for text that is not UTF-8, syntax problems or
+    unknown/missing keys (JSON errors carry line/column),
+    ``InvariantViolation`` for values that break a documented physical
+    invariant.
     """
-    with open(path, "r", encoding="utf-8") as f:
-        text = f.read()
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            text = f.read()
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not UTF-8 text ({e.reason})") from e
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:

@@ -323,12 +323,52 @@ def test_failing_beamform_line_is_named(scene_path, tmp_path, capsys):
     assert main(["simulate", "--scene", str(scene_path), "--out",
                  str(ch_dir)]) == 0
     capsys.readouterr()
+    # the zone count is checked in infinity focus too, where it is unused
+    for focus in ("dynamic", "infinity"):
+        rc = main(["beamform", "--channels", str(ch_dir), "--scene",
+                   str(scene_path), "--out", str(tmp_path / focus),
+                   "--focus", focus, "--focal-zones", "0"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "error[ValueError]: line_000.urf: num_focal_zones must be >= 1")
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / focus).exists()
+
+
+def test_beamform_steers_each_line_by_its_angle(scene_path, tmp_path):
+    # one scatterer at t_n = 10 us on a line steered to 0.5 rad: read at
+    # alpha = 0 its 16 echoes miss the focus (peak 0.58 at 19.25 us)
+    doc = json.loads(scene_path.read_text())
+    doc["lines"] = [{"alpha_rad": 0.5, "scatterers": [
+        {"t_n_s": 10e-6, "reflectivity": 1.0}]}]
+    scene = tmp_path / "steered.json"
+    scene.write_text(json.dumps(doc))
+    ch_dir = tmp_path / "ch"
+    assert main(["simulate", "--scene", str(scene), "--out", str(ch_dir)]) == 0
+    out = tmp_path / "ref"
+    assert main(["beamform", "--channels", str(ch_dir), "--scene", str(scene),
+                 "--out", str(out)]) == 0
+    [row] = read_rows(out / "reference_lines.csv")
+    assert float(row["peak_time_s"]) == pytest.approx(20e-6, abs=1e-12)
+    assert float(row["peak_value"]) == pytest.approx(16.0, rel=1e-2)
+
+
+def test_beamform_rejects_more_channel_files_than_scene_lines(
+        scene_path, tmp_path, capsys):
+    ch_dir = tmp_path / "ch"
+    assert main(["simulate", "--scene", str(scene_path), "--out",
+                 str(ch_dir)]) == 0
+    doc = json.loads(scene_path.read_text())
+    doc["lines"] = doc["lines"][:1]
+    one_line = tmp_path / "one.json"
+    one_line.write_text(json.dumps(doc))
+    capsys.readouterr()
     rc = main(["beamform", "--channels", str(ch_dir), "--scene",
-               str(scene_path), "--out", str(tmp_path / "ref"),
-               "--focal-zones", "0"])
+               str(one_line), "--out", str(tmp_path / "ref")])
     assert rc == 1
-    assert capsys.readouterr().err.startswith(
-        "error[ValueError]: line_000.urf: num_focal_zones must be >= 1")
+    assert capsys.readouterr().err == (
+        "error[InvariantViolation]: 2 channel files for 1 scene lines\n")
 
 
 def test_seed_env_override(scene_path, tmp_path, monkeypatch):

@@ -230,23 +230,42 @@ def test_annihilating_needs_enough_coefficients():
 
 def test_amplitude_forward_construction():
     fc = make_coeffs([11e-6], [2.5], K=8)
-    amps = least_squares_amplitudes(fc, [11e-6])
+    amps, residual = least_squares_amplitudes(fc, [11e-6])
     assert amps[0] == pytest.approx(2.5, abs=1e-9)
+    assert residual < 1e-12
 
 
 def test_amplitude_zero_coefficients():
     fc = make_coeffs([11e-6], [0.0], K=8)
-    np.testing.assert_allclose(least_squares_amplitudes(fc, [11e-6]),
-                               [0.0], atol=1e-12)
+    amps, residual = least_squares_amplitudes(fc, [11e-6])
+    np.testing.assert_allclose(amps, [0.0], atol=1e-12)
+    assert residual == 0.0
 
 
 def test_amplitude_permutation_covariance():
     delays = [5e-6, 12e-6, 19e-6]
     amps_true = [1.0, -0.5, 2.0]
     fc = make_coeffs(delays, amps_true, K=12)
-    a = least_squares_amplitudes(fc, delays)
-    b = least_squares_amplitudes(fc, delays[::-1])
+    a, _ = least_squares_amplitudes(fc, delays)
+    b, _ = least_squares_amplitudes(fc, delays[::-1])
     np.testing.assert_allclose(b, a[::-1], atol=1e-9)
+
+
+def test_amplitude_residual_is_the_relative_misfit():
+    # a misfit orthogonal to the columns of V leaves the amplitudes real
+    delays = [5e-6, 12e-6]
+    fc = make_coeffs(delays, [1.0, -0.5], K=12)
+    V = np.exp((-2j * np.pi / fc.tau) * np.outer(fc.kappa_pos, delays))
+    n = np.random.default_rng(29).standard_normal(12)
+    misfit = 0.05 * (n - V @ np.linalg.lstsq(V, n, rcond=None)[0])
+    fc.y = fc.y + misfit
+    amps, residual = least_squares_amplitudes(fc, delays)
+    np.testing.assert_allclose(amps, [1.0, -0.5], atol=1e-12)
+    assert residual == pytest.approx(
+        np.linalg.norm(misfit) / np.linalg.norm(fc.y), rel=1e-9)
+    assert residual > 1e-3
+    amps, residual = least_squares_amplitudes(fc, [])
+    assert amps.size == 0 and residual == 1.0
 
 
 def test_amplitude_ill_conditioned_delays():
@@ -336,8 +355,8 @@ def test_scale_equivariance():
     d1, _ = matrix_pencil(fc, sv_threshold=SV_THRESHOLD_EXACT, L_max=5)
     d2, _ = matrix_pencil(fc2, sv_threshold=SV_THRESHOLD_EXACT, L_max=5)
     np.testing.assert_allclose(d2, d1, atol=1e-9 * TAU)
-    a1 = least_squares_amplitudes(fc, d1)
-    a2 = least_squares_amplitudes(fc2, d2)
+    a1, _ = least_squares_amplitudes(fc, d1)
+    a2, _ = least_squares_amplitudes(fc2, d2)
     np.testing.assert_allclose(a2, gamma * a1, rtol=1e-9)
 
 
@@ -398,6 +417,37 @@ def test_estimate_order_counts_and_zero_data():
     assert np.sum(s / s[0] > SV_THRESHOLD_EXACT) == 3
     order, s, _ = estimate_order(np.zeros(12, dtype=complex), 4)
     assert order == 0
+
+
+@pytest.mark.parametrize("split", ["tall", "square", "wide"])
+def test_estimate_order_matches_the_dense_hankel_svd(split):
+    # the SVD of the Hankel's R factor against the SVD of the Hankel itself;
+    # K = 25 and L_max = 6 give 17 x 9 (default), 13 x 13 and 6 x 20 Hankels
+    K, L_max = 25, 6
+    eta = {"tall": None, "square": 12, "wide": K - L_max}[split]
+    rng = np.random.default_rng(30)
+    kpos = round(5.142e6 * TAU) + np.arange(K)
+    noise = rng.standard_normal(K) + 1j * rng.standard_normal(K)
+    y = cisoid_coeffs(kpos, TAU, [6e-6, 13e-6, 20e-6], [1.0, 0.7, 1.2]) \
+        + 1e-3 * noise
+    order, s, Vh = estimate_order(y, L_max, eta)
+
+    e = pencil_split(K, L_max, eta)
+    dense = y[np.arange(K - e)[:, None] + np.arange(e + 1)]
+    _, s_ref, Vh_ref = np.linalg.svd(dense, full_matrices=False)
+    assert order == 3 == np.sum(s_ref / s_ref[0] > 1e-2)
+    assert s.shape == s_ref.shape and Vh.shape == Vh_ref.shape
+    np.testing.assert_allclose(s, s_ref, rtol=0, atol=1e-12 * s_ref[0])
+
+    def projector(v):
+        return v[:order].conj().T @ v[:order]
+
+    np.testing.assert_allclose(projector(Vh), projector(Vh_ref),
+                               rtol=0, atol=1e-10)
+    zero_order, zero_s, _ = estimate_order(np.zeros(K, dtype=complex),
+                                           L_max, eta)
+    assert zero_order == 0
+    assert not np.any(zero_s)
 
 
 def test_pencil_and_annihilating_share_the_order_estimate():

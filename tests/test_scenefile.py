@@ -1,8 +1,12 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from xampus import InvariantViolation, ParseError, load_scene
+from xampus import (ArrayGeometry, InvariantViolation, NoiseSpec, ParseError,
+                    PulseModel, Scatterer, Scene, SceneFile, XampusError,
+                    load_scene)
 
 
 def base_doc():
@@ -122,3 +126,104 @@ def test_non_finite_numbers_rejected(tmp_path, literal, field):
     path.write_text(json.dumps(doc).replace("12345.5", literal))
     with pytest.raises(ParseError, match=field[-1]):
         load_scene(path)
+
+
+# --- fuzz ---------------------------------------------------------------------
+
+# deterministic, no example database; tmp_path is reused across examples
+FUZZ = settings(max_examples=60, deadline=None, derandomize=True,
+                database=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+positive = st.floats(0.0, exclude_min=True, allow_infinity=False)
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def scene_files(draw):
+    tau = draw(st.floats(1e-9, 1.0))
+    snr = draw(st.none() | st.floats(-200.0, 200.0))
+    noise = draw(st.none() | st.builds(
+        NoiseSpec, snr_db=st.just(snr),
+        speckle_count=st.integers(0, 0 if snr is None else 100),
+        seed=st.integers(0, 2**64)))
+    times = st.lists(st.floats(0.0, tau / 2, exclude_min=True,
+                               exclude_max=True), unique=True, max_size=4)
+    lines = draw(st.lists(st.builds(
+        lambda ts, gains, alpha: Scene(
+            scatterers=tuple(map(Scatterer, ts, gains)), beam_angle=alpha,
+            tau=tau, noise=noise),
+        times, st.lists(finite, min_size=4, max_size=4), finite),
+        min_size=1, max_size=3))
+    return SceneFile(
+        pulse=PulseModel(draw(positive), draw(positive), draw(finite)),
+        geometry=ArrayGeometry(draw(st.integers(1, 64)), draw(positive),
+                               draw(positive)),
+        tau=tau, noise=noise, lines=lines)
+
+
+def scene_doc(sf):
+    """The JSON document of a SceneFile, every optional key written."""
+    doc = {
+        "speed_of_sound_m_s": sf.geometry.speed_of_sound,
+        "tau_s": sf.tau,
+        "pulse": {"carrier_hz": sf.pulse.carrier_hz,
+                  "sigma_s": sf.pulse.envelope_sigma,
+                  "amplitude": sf.pulse.amplitude},
+        "array": {"num_elements": sf.geometry.num_elements,
+                  "pitch_m": sf.geometry.pitch},
+        "lines": [{"alpha_rad": line.beam_angle,
+                   "scatterers": [{"t_n_s": s.axial_time,
+                                   "reflectivity": s.reflectivity}
+                                  for s in line.scatterers]}
+                  for line in sf.lines],
+    }
+    if sf.noise is not None:
+        doc["noise"] = {"snr_db": sf.noise.snr_db,
+                        "speckle_count": sf.noise.speckle_count,
+                        "seed": sf.noise.seed}
+    return doc
+
+
+# bytes no scene file can hold anywhere: C0 controls other than JSON's
+# whitespace (rejected inside strings too) and bytes that cannot stand
+# alone in UTF-8 text
+NEVER_VALID = [b for b in range(256) if b >= 0x80
+               or (b < 0x20 and b not in b"\t\n\r")]
+
+
+@FUZZ
+@given(sf=scene_files())
+def test_fuzz_scene_roundtrip(tmp_path, sf):
+    path = write(tmp_path, scene_doc(sf), "f.json")
+    assert load_scene(path) == sf
+
+
+@FUZZ
+@given(sf=scene_files(), data=st.data())
+def test_fuzz_scene_every_truncation_fails(tmp_path, sf, data):
+    raw = json.dumps(scene_doc(sf)).encode()
+    path = tmp_path / "f.json"
+    path.write_bytes(raw[:data.draw(st.integers(0, len(raw) - 1))])
+    with pytest.raises(ParseError, match="f.json: "):
+        load_scene(path)
+
+
+@FUZZ
+@given(sf=scene_files(), data=st.data())
+def test_fuzz_scene_garbled_byte_fails_typed(tmp_path, sf, data):
+    raw = bytearray(json.dumps(scene_doc(sf)).encode())
+    at = data.draw(st.integers(0, len(raw) - 1))
+    raw[at] = data.draw(st.integers(0, 255))
+    path = tmp_path / "f.json"
+    path.write_bytes(bytes(raw))
+    if raw[at] in NEVER_VALID:
+        with pytest.raises(ParseError, match="f.json: "):
+            load_scene(path)
+    else:
+        # a garbled document may still be a valid scene; anything it is
+        # refused for must be typed
+        try:
+            load_scene(path)
+        except XampusError:
+            pass
