@@ -10,14 +10,13 @@ Subcommands::
 
 Every failure prints a single ``error[<Kind>]: message`` line on stderr and
 exits nonzero; a failure on one line names that line's file first.
-``XAMPUS_SEED`` overrides the noise seed.
+``simulate --seed`` overrides the scene's noise seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -26,10 +25,10 @@ import numpy as np
 
 from . import costs, urf
 from .beamform import beamform_line, envelope_detect
-from .errors import InvariantViolation, XampusError
+from .errors import InvariantViolation, ParseError, XampusError
 from .imaging import (DEFAULT_DYNAMIC_RANGE_DB, assemble_image, read_pgm,
                       render_line, write_pgm)
-from .recover import SV_THRESHOLD_DEFAULT, pencil_split, recover_line
+from .recover import SV_THRESHOLD_DEFAULT, recover_line
 from .scenefile import load_scene
 from .sim import add_interference, simulation_grid_step, synthesize_channels
 from .xample import XampleConfig, build_S, xample_channels
@@ -76,17 +75,14 @@ def cmd_simulate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     step = simulation_grid_step(args.oversample)
-    env_seed = os.environ.get("XAMPUS_SEED")
-    seed_override = int(env_seed) if env_seed is not None else args.seed
-
+    noise = scene.noise
     lines = _first(scene.lines, args.lines)
     for idx, line in enumerate(lines):
         path = out / f"line_{idx:03d}.urf"
         with _naming(path):
             ch = synthesize_channels(line, scene.geometry, scene.pulse, step)
-            noise = line.noise
             if noise is not None:
-                seed = noise.seed if seed_override is None else seed_override
+                seed = noise.seed if args.seed is None else args.seed
                 ch = add_interference(ch, noise.snr_db, noise.speckle_count,
                                       seed + idx, pulse=scene.pulse,
                                       beam_angle=line.beam_angle)
@@ -112,9 +108,9 @@ def cmd_beamform(args) -> int:
                                  out_step=AXIAL_STEP, duration=scene.tau,
                                  num_focal_zones=args.focal_zones)
         traces.append(envelope_detect(line)[:n_axial])
+    image = assemble_image(traces, args.dynamic_range_db, AXIAL_STEP)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    image = assemble_image(traces, args.dynamic_range_db, AXIAL_STEP)
     write_pgm(out / "reference.pgm", image)
     with open(out / "reference_lines.csv", "w", newline="") as f:
         w = csv.writer(f)
@@ -128,9 +124,7 @@ def cmd_beamform(args) -> int:
 
 def cmd_xample(args) -> int:
     # configuration guards come before any input is touched
-    K, _ = costs.sample_counts(args.L, args.rho)
-    if args.eta is not None:
-        pencil_split(K, args.L, args.eta)
+    costs.sample_counts(args.L, args.rho)
     scene = load_scene(args.scene)
     paths = _line_paths(Path(args.channels), args.lines)
     for line in scene.lines:
@@ -151,9 +145,12 @@ def cmd_xample(args) -> int:
         with _naming(path):
             out_samples = xample_channels(ch, cfg, S)
             est = recover_line(out_samples.c, cfg, scene.pulse,
-                               method=args.method, eta=args.eta,
+                               method=args.method,
                                sv_threshold=args.sv_threshold, S=S)
         results.append((out_samples, est))
+    traces = [render_line(est, scene.pulse, axial_grid)
+              for _, est in results]
+    image = assemble_image(traces, args.dynamic_range_db, AXIAL_STEP)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -163,10 +160,6 @@ def cmd_xample(args) -> int:
         for i, (_, est) in enumerate(results):
             for t_l, b_l in zip(est.delays, est.amplitudes):
                 w.writerow([i, _fmt(t_l), _fmt(b_l), _fmt(est.residual)])
-
-    traces = [render_line(est, scene.pulse, axial_grid)
-              for _, est in results]
-    image = assemble_image(traces, args.dynamic_range_db, AXIAL_STEP)
     write_pgm(out / "xampled.pgm", image)
 
     if args.dump_samples:
@@ -207,12 +200,29 @@ def cmd_cost(args) -> int:
 
 
 def _read_estimates(path) -> dict[int, list[tuple[float, float]]]:
+    """(t_l, b_l) pairs by line index.  A missing column, a line index that
+    is not a non-negative integer or a delay or amplitude that is not finite
+    raises ``ParseError`` naming the file and the row (the header is row 1).
+    """
     table: dict[int, list[tuple[float, float]]] = {}
     with open(path, "r", newline="") as f:
         reader = csv.DictReader(f)
+        missing = {"line_index", "t_l_s", "b_l"} - set(reader.fieldnames or ())
+        if missing:
+            raise ParseError(
+                f"{path}: row 1: missing column(s) {sorted(missing)}")
         for row in reader:
-            table.setdefault(int(row["line_index"]), []).append(
-                (float(row["t_l_s"]), float(row["b_l"])))
+            index, t_l, b_l = row["line_index"], row["t_l_s"], row["b_l"]
+            try:
+                t, b = float(t_l), float(b_l)
+            except (TypeError, ValueError):
+                t = b = np.nan
+            if not ((index or "").isdecimal() and np.isfinite([t, b]).all()):
+                raise ParseError(
+                    f"{path}: row {reader.line_num}: line_index {index!r} "
+                    f"must be a non-negative integer, t_l_s {t_l!r} and "
+                    f"b_l {b_l!r} finite numbers")
+            table.setdefault(int(index), []).append((t, b))
     return table
 
 
@@ -315,8 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
                     default="dynamic")
     xa.add_argument("--method", choices=["pencil", "annihilating"],
                     default="pencil")
-    xa.add_argument("--eta", type=int, default=None,
-                    help="pencil parameter (default K//3)")
     xa.add_argument("--sv-threshold", type=float,
                     default=SV_THRESHOLD_DEFAULT)
     xa.add_argument("--dump-samples", action="store_true",

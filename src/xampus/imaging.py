@@ -50,8 +50,12 @@ def assemble_image(lines, dynamic_range_db: float = DEFAULT_DYNAMIC_RANGE_DB,
 
     pixel = clamp(255 * (1 + 20 log10(v / v_max) / DR), 0, 255), with zeros
     mapping to zero.  Normalization is by the global maximum, so scaling all
-    traces together leaves the image bit-identical.
+    traces together leaves the image bit-identical.  ``dynamic_range_db``
+    must be finite and > 0.
     """
+    if not (np.isfinite(dynamic_range_db) and dynamic_range_db > 0):
+        raise InvariantViolation(
+            f"dynamic range {dynamic_range_db!r} dB must be finite and > 0")
     try:
         traces = np.asarray(lines, dtype=float)
     except ValueError as e:

@@ -94,25 +94,19 @@ def _delays_from_poles(z: np.ndarray, tau: float) -> np.ndarray:
     return np.sort(frac * tau)
 
 
-def pencil_split(K: int, L_max: int, eta: int | None = None) -> int:
-    """Hankel split ``eta`` of K coefficients, checked to lie in [L_max, K - L_max].
-
-    The default K//3 balances the split, clamped into that interval (a single
-    point at the minimal K = 2*L_max).
-    """
-    if eta is None:
-        eta = min(max(K // 3, L_max), K - L_max)
-    if not (L_max <= eta <= K - L_max):
-        raise ValueError(
-            f"pencil parameter eta={eta} outside [{L_max}, {K - L_max}]"
-        )
-    return eta
+def pencil_split(K: int, L_max: int) -> int:
+    """Hankel split ``eta`` of K coefficients: K//3 clamped into [L_max,
+    K - L_max], a single point at K = 2*L_max; ``ValueError`` below that."""
+    if K < 2 * L_max:
+        raise ValueError(f"K={K} coefficients leave no pencil split for "
+                         f"L_max={L_max}; need K >= {2 * L_max}")
+    return min(max(K // 3, L_max), K - L_max)
 
 
-def estimate_order(y, L_max: int, eta: int | None = None,
-                   sv_threshold: float = SV_THRESHOLD_DEFAULT):
-    """Model order: the count of Hankel singular values whose ratio to the
-    largest exceeds ``sv_threshold`` (0 for all-zero data).
+def estimate_order(y, L_max: int, sv_threshold: float = SV_THRESHOLD_DEFAULT):
+    """Model order: the count of singular values of the Hankel split at
+    ``pencil_split`` whose ratio to the largest exceeds ``sv_threshold``
+    (0 for all-zero data).
 
     The SVD is taken of the Hankel's triangular factor R (Chan's R-SVD):
     H = QR with Q orthonormal, so R has the singular values and right
@@ -124,7 +118,7 @@ def estimate_order(y, L_max: int, eta: int | None = None,
     ``ConditioningFailure`` if the SVD does not converge.
     """
     u = np.asarray(y, dtype=complex)
-    eta = pencil_split(len(u), L_max, eta)
+    eta = pencil_split(len(u), L_max)
     # the (K - eta) x (eta + 1) Hankel matrix, rows u[i:i+eta+1], as a view
     hankel = np.lib.stride_tricks.sliding_window_view(u, eta + 1)
     try:
@@ -141,7 +135,7 @@ def estimate_order(y, L_max: int, eta: int | None = None,
     return order, s, Vh
 
 
-def matrix_pencil(coeffs: FourierCoeffs, eta: int | None = None,
+def matrix_pencil(coeffs: FourierCoeffs,
                   sv_threshold: float = SV_THRESHOLD_DEFAULT,
                   L_max: int | None = None):
     """Delay estimation via the shifted-pencil eigenproblem.
@@ -157,7 +151,7 @@ def matrix_pencil(coeffs: FourierCoeffs, eta: int | None = None,
     """
     if L_max is None:
         L_max = len(coeffs.y) // 2
-    order, s, Vh = estimate_order(coeffs.y, L_max, eta, sv_threshold)
+    order, s, Vh = estimate_order(coeffs.y, L_max, sv_threshold)
     if order == 0:
         return np.zeros(0), s
 
@@ -232,7 +226,7 @@ def least_squares_amplitudes(coeffs: FourierCoeffs,
 
 
 def recover_line(c, cfg: XampleConfig, pulse: PulseModel,
-                 method: str = "pencil", eta: int | None = None,
+                 method: str = "pencil",
                  sv_threshold: float = SV_THRESHOLD_DEFAULT,
                  S: MixingMatrix | None = None) -> LineEstimate:
     """Full per-line chain: unmix, estimate delays, fit amplitudes.
@@ -249,11 +243,11 @@ def recover_line(c, cfg: XampleConfig, pulse: PulseModel,
     coeffs = recover_fourier(c, S, H, cfg.kappa, cfg.tau)
 
     if method == "pencil":
-        delays, sv = matrix_pencil(coeffs, eta=eta, sv_threshold=sv_threshold,
+        delays, sv = matrix_pencil(coeffs, sv_threshold=sv_threshold,
                                    L_max=cfg.L)
     else:
         # the pencil's order estimate, handed to the annihilating filter
-        order, sv, _ = estimate_order(coeffs.y, cfg.L, eta, sv_threshold)
+        order, sv, _ = estimate_order(coeffs.y, cfg.L, sv_threshold)
         delays = (annihilating_filter(coeffs, order) if order > 0
                   else np.zeros(0))
 

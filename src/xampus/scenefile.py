@@ -143,6 +143,6 @@ def load_scene(path) -> SceneFile:
                 reflectivity=_number(sd, sw, "reflectivity"),
             ))
         lines.append(Scene(scatterers=tuple(scatterers), beam_angle=alpha,
-                           tau=tau, noise=noise))
+                           tau=tau))
     return SceneFile(pulse=pulse, geometry=geometry, tau=tau, noise=noise,
                      lines=lines)

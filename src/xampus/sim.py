@@ -83,7 +83,6 @@ class Scene:
     scatterers: tuple[Scatterer, ...]
     beam_angle: float = 0.0
     tau: float = 102.4e-6
-    noise: NoiseSpec | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "scatterers", tuple(self.scatterers))

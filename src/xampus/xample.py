@@ -30,7 +30,7 @@ half because the traces are real.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,19 +39,6 @@ from .errors import GridTooShort, InvariantViolation, OffBand, SingularHarmonic
 from .geometry import ArrayGeometry, tau_hat
 from .pulse import PulseModel, build_H
 from .sim import MAX_GRID_STEP, ChannelSet
-
-
-def _half_count(L: int, rho: float) -> int:
-    """K = 2 rho L, checked to be an even integer for finite L >= 1, rho >= 1."""
-    if L < 1:
-        raise InvariantViolation("L must be >= 1")
-    if not (np.isfinite(rho) and rho >= 1):
-        raise InvariantViolation("rho must be finite and >= 1")
-    k_float = 2.0 * rho * L
-    K = int(round(k_float))
-    if abs(K - k_float) > 1e-9 or K % 2 != 0:
-        raise InvariantViolation("2*rho*L must be an even integer")
-    return K
 
 
 def select_kappa(L: int, rho: float, tau: float, carrier_hz: float,
@@ -63,10 +50,19 @@ def select_kappa(L: int, rho: float, tau: float, carrier_hz: float,
     of the positive half in matching order (column i + K pairs with column i),
     which is what keeps the mixed kernels real.
 
-    Raises ``OffBand`` if a pulse model is supplied and any selected harmonic
-    falls below ``pulse.SPECTRUM_FLOOR`` of its spectrum peak.
+    Raises ``InvariantViolation`` unless L >= 1, rho is finite and >= 1 and
+    K is an even integer, and ``OffBand`` if a pulse model is supplied and any
+    selected harmonic falls below ``pulse.SPECTRUM_FLOOR`` of its spectrum
+    peak.
     """
-    K = _half_count(L, rho)
+    if L < 1:
+        raise InvariantViolation("L must be >= 1")
+    if not (np.isfinite(rho) and rho >= 1):
+        raise InvariantViolation("rho must be finite and >= 1")
+    k_float = 2.0 * rho * L
+    K = int(round(k_float))
+    if abs(K - k_float) > 1e-9 or K % 2 != 0:
+        raise InvariantViolation("2*rho*L must be an even integer")
     k_c = int(round(carrier_hz * tau))
     # checked on scalars, before a huge K could allocate its index range
     if k_c - K // 2 + 1 < 1:
@@ -86,30 +82,23 @@ def select_kappa(L: int, rho: float, tau: float, carrier_hz: float,
 class XampleConfig:
     """Everything that fixes the kernel bank and recovery problem sizes.
 
-    Compares and hashes by identity (its fields hold arrays).
+    ``kappa`` is derived, ``select_kappa(L, rho, tau, carrier_hz)``, and
+    read-only: the kernel bank caches tables built from it.  Compares and
+    hashes by identity (its fields hold arrays).
     """
 
     L: int
     rho: float
     tau: float
     carrier_hz: float
-    kappa: np.ndarray
     focus_mode: str
     geometry: ArrayGeometry
+    kappa: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        # a read-only copy: the kernel bank caches tables built from it
-        kappa = np.array(self.kappa, dtype=int)
+        kappa = select_kappa(self.L, self.rho, self.tau, self.carrier_hz)
         kappa.flags.writeable = False
         object.__setattr__(self, "kappa", kappa)
-        K = len(kappa) // 2
-        if len(kappa) != 2 * K or K != _half_count(self.L, self.rho):
-            raise InvariantViolation("|kappa| must equal 4*rho*L")
-        pos = kappa[:K]
-        if np.any(np.diff(pos) != 1):
-            raise InvariantViolation("positive half of kappa must be consecutive")
-        if np.any(kappa[K:] != -pos):
-            raise InvariantViolation("negative half must mirror the positive half")
         if self.focus_mode not in ("dynamic", "infinity"):
             raise InvariantViolation(f"unknown focus_mode {self.focus_mode!r}")
 
@@ -117,9 +106,10 @@ class XampleConfig:
     def create(cls, L: int, rho: float, tau: float, pulse: PulseModel,
                geometry: ArrayGeometry,
                focus_mode: str = "dynamic") -> "XampleConfig":
-        kappa = select_kappa(L, rho, tau, pulse.carrier_hz, pulse=pulse)
+        """Raises ``OffBand`` if a harmonic falls outside the pulse band."""
+        select_kappa(L, rho, tau, pulse.carrier_hz, pulse=pulse)
         return cls(L=L, rho=rho, tau=tau, carrier_hz=pulse.carrier_hz,
-                   kappa=kappa, focus_mode=focus_mode, geometry=geometry)
+                   focus_mode=focus_mode, geometry=geometry)
 
     @property
     def K(self) -> int:

@@ -147,12 +147,14 @@ def test_xample_outputs(scene_path, tmp_path):
 
 
 def test_xample_eta_guard_before_compute(scene_path, tmp_path, capsys):
-    rc = main(["xample", "--channels", str(tmp_path / "missing"),
-               "--scene", str(scene_path), "--out", str(tmp_path / "o"),
-               "--L", "5", "--rho", "2", "--eta", "2"])
-    assert rc != 0
-    # eta < L rejected before the channels directory is even touched
-    assert capsys.readouterr().err.startswith("error[ValueError]:")
+    # the pencil split is fixed at K//3: --eta is no option, refused as usage
+    with pytest.raises(SystemExit) as exc:
+        main(["xample", "--channels", str(tmp_path / "missing"),
+              "--scene", str(scene_path), "--out", str(tmp_path / "o"),
+              "--L", "5", "--rho", "2", "--eta", "4"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err == "error[Usage]: unrecognized arguments: --eta 4\n"
 
 
 def test_xample_rejects_steered_lines(scene_path, tmp_path, capsys):
@@ -371,19 +373,81 @@ def test_beamform_rejects_more_channel_files_than_scene_lines(
         "error[InvariantViolation]: 2 channel files for 1 scene lines\n")
 
 
-def test_seed_env_override(scene_path, tmp_path, monkeypatch):
+def test_seed_flag(scene_path, tmp_path):
     doc = json.loads(scene_path.read_text())
     doc["noise"] = {"snr_db": 20.0, "speckle_count": 0, "seed": 1}
     noisy = tmp_path / "noisy.json"
     noisy.write_text(json.dumps(doc))
-    out1 = tmp_path / "a"
-    main(["simulate", "--scene", str(noisy), "--out", str(out1)])
-    monkeypatch.setenv("XAMPUS_SEED", "999")
-    out2 = tmp_path / "b"
-    main(["simulate", "--scene", str(noisy), "--out", str(out2)])
-    monkeypatch.delenv("XAMPUS_SEED")
-    out3 = tmp_path / "c"
-    main(["simulate", "--scene", str(noisy), "--out", str(out3)])
-    f = "line_000.urf"
-    assert (out1 / f).read_bytes() != (out2 / f).read_bytes()
-    assert (out1 / f).read_bytes() == (out3 / f).read_bytes()
+
+    def simulate(name, *flags):
+        out = tmp_path / name
+        assert main(["simulate", "--scene", str(noisy), "--out", str(out),
+                     *flags]) == 0
+        return [(out / f"line_{i:03d}.urf").read_bytes() for i in range(2)]
+
+    scene_seed = simulate("none")
+    assert simulate("seed1", "--seed", "1") == scene_seed
+    other = simulate("seed999", "--seed", "999")
+    assert simulate("seed999_again", "--seed", "999") == other
+    assert all(a != b for a, b in zip(other, scene_seed))
+
+
+@pytest.mark.parametrize("command", ["beamform", "xample"])
+@pytest.mark.parametrize("db", ["0", "-10", "nan", "inf"])
+def test_bad_dynamic_range_is_refused(scene_path, tmp_path, capsys, db,
+                                      command):
+    ch_dir = tmp_path / "ch"
+    assert main(["simulate", "--scene", str(scene_path), "--out",
+                 str(ch_dir)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    rc = main([command, "--channels", str(ch_dir), "--scene",
+               str(scene_path), "--out", str(out), "--dynamic-range-db", db]
+              + (["--L", "5"] if command == "xample" else []))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error[InvariantViolation]: dynamic range ")
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+def _compare_with(scene_path, tmp_path, estimates_text):
+    est = tmp_path / "est.csv"
+    est.write_text(estimates_text)
+    img = tmp_path / "same.pgm"
+    img.write_bytes(b"P5\n2 4\n255\n" + bytes([0, 0, 255, 10, 1, 255, 0, 0]))
+    out = tmp_path / "metrics.csv"
+    rc = main(["compare", "--reference", str(img), "--xampled", str(img),
+               "--estimates", str(est), "--scene", str(scene_path),
+               "--out", str(out)])
+    return rc, est, out
+
+
+HEADER = "line_index,t_l_s,b_l,residual\n"
+
+
+def _bad_row(row, line_index, t_l_s, b_l):
+    return (f"row {row}: line_index {line_index!r} must be a non-negative "
+            f"integer, t_l_s {t_l_s!r} and b_l {b_l!r} finite numbers")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("line_index,b_l,residual\n0,16.0,0.0\n",
+     "row 1: missing column(s) ['t_l_s']"),
+    ("t_l_s,b_l\n", "row 1: missing column(s) ['line_index']"),
+    ("", "row 1: missing column(s) ['b_l', 'line_index', 't_l_s']"),
+    (HEADER + "0,1.3e-05,16.0,0.0\n-1,1e-05,16.0,0.0\n",
+     _bad_row(3, "-1", "1e-05", "16.0")),
+    (HEADER + "1.0,1e-05,16.0,0.0\n", _bad_row(2, "1.0", "1e-05", "16.0")),
+    (HEADER + ",1e-05,16.0,0.0\n", _bad_row(2, "", "1e-05", "16.0")),
+    (HEADER + "0,nan,16.0,0.0\n", _bad_row(2, "0", "nan", "16.0")),
+    (HEADER + "0,1e-05,-inf,0.0\n", _bad_row(2, "0", "1e-05", "-inf")),
+    (HEADER + "0,1e-05,x,0.0\n", _bad_row(2, "0", "1e-05", "x")),
+    (HEADER + "0,1e-05\n", _bad_row(2, "0", "1e-05", None)),
+])
+def test_compare_rejects_malformed_estimates(scene_path, tmp_path, capsys,
+                                             text, message):
+    rc, est, out = _compare_with(scene_path, tmp_path, text)
+    assert rc == 1
+    assert capsys.readouterr().err == f"error[ParseError]: {est}: {message}\n"
+    assert not out.exists()

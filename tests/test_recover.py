@@ -154,8 +154,7 @@ def test_mixing_matrix_and_config_compare_by_identity():
 def test_pencil_single_cisoid():
     t1 = 13e-6
     fc = make_coeffs([t1], [1.0], K=8, tau=102.4e-6)
-    delays, sv = matrix_pencil(fc, eta=3, sv_threshold=SV_THRESHOLD_EXACT,
-                               L_max=2)
+    delays, sv = matrix_pencil(fc, sv_threshold=SV_THRESHOLD_EXACT, L_max=2)
     assert len(delays) == 1
     assert abs(delays[0] - t1) <= 1e-12 * 102.4e-6
     assert np.sum(sv / sv[0] > SV_THRESHOLD_EXACT) == 1
@@ -171,10 +170,8 @@ def test_pencil_three_delays_exact():
 
 def test_pencil_parameter_guard():
     fc = make_coeffs([10e-6], [1.0], K=8)
-    with pytest.raises(ValueError):
-        matrix_pencil(fc, eta=1, L_max=2)      # eta < L_max
-    with pytest.raises(ValueError):
-        matrix_pencil(fc, eta=7, L_max=2)      # eta > K - L_max
+    with pytest.raises(ValueError, match="no pencil split"):
+        matrix_pencil(fc, L_max=5)             # K < 2 L_max
 
 
 def test_pencil_order_overflow():
@@ -201,8 +198,7 @@ def test_pencil_default_eta_is_third():
 def test_annihilating_matches_pencil_single():
     t1 = 13e-6
     fc = make_coeffs([t1], [1.0], K=8, tau=102.4e-6)
-    d_pencil, _ = matrix_pencil(fc, eta=3, sv_threshold=SV_THRESHOLD_EXACT,
-                                L_max=2)
+    d_pencil, _ = matrix_pencil(fc, sv_threshold=SV_THRESHOLD_EXACT, L_max=2)
     d_ann = annihilating_filter(fc, 1)
     assert abs(d_ann[0] - d_pencil[0]) <= 1e-9 * 102.4e-6
 
@@ -401,11 +397,8 @@ def test_pencil_split_default_and_guard():
     assert pencil_split(12, 4) == 4            # K//3
     assert pencil_split(12, 2) == 4
     assert pencil_split(10, 5) == 5            # K = 2 L_max: one feasible eta
-    assert pencil_split(12, 2, eta=7) == 7
-    with pytest.raises(ValueError):
-        pencil_split(12, 2, eta=11)            # eta > K - L_max
-    with pytest.raises(ValueError):
-        pencil_split(12, 2, eta=1)             # eta < L_max
+    assert pencil_split(25, 12) == 12          # clamped up to L_max
+    assert pencil_split(24, 12) == 12          # and down to K - L_max
     with pytest.raises(ValueError):
         pencil_split(6, 4)                     # K < 2 L_max: no feasible eta
 
@@ -419,20 +412,20 @@ def test_estimate_order_counts_and_zero_data():
     assert order == 0
 
 
-@pytest.mark.parametrize("split", ["tall", "square", "wide"])
-def test_estimate_order_matches_the_dense_hankel_svd(split):
+@pytest.mark.parametrize("K, L_max", [(25, 6), (25, 12), (24, 12)],
+                         ids=["tall", "square", "wide"])
+def test_estimate_order_matches_the_dense_hankel_svd(K, L_max):
     # the SVD of the Hankel's R factor against the SVD of the Hankel itself;
-    # K = 25 and L_max = 6 give 17 x 9 (default), 13 x 13 and 6 x 20 Hankels
-    K, L_max = 25, 6
-    eta = {"tall": None, "square": 12, "wide": K - L_max}[split]
+    # the split K//3 clamped into [L_max, K - L_max] gives a 17 x 9, a 13 x 13
+    # and a 12 x 13 Hankel (R trapezoidal), the only wide shape it can make
     rng = np.random.default_rng(30)
     kpos = round(5.142e6 * TAU) + np.arange(K)
     noise = rng.standard_normal(K) + 1j * rng.standard_normal(K)
     y = cisoid_coeffs(kpos, TAU, [6e-6, 13e-6, 20e-6], [1.0, 0.7, 1.2]) \
         + 1e-3 * noise
-    order, s, Vh = estimate_order(y, L_max, eta)
+    order, s, Vh = estimate_order(y, L_max)
 
-    e = pencil_split(K, L_max, eta)
+    e = pencil_split(K, L_max)
     dense = y[np.arange(K - e)[:, None] + np.arange(e + 1)]
     _, s_ref, Vh_ref = np.linalg.svd(dense, full_matrices=False)
     assert order == 3 == np.sum(s_ref / s_ref[0] > 1e-2)
@@ -444,8 +437,7 @@ def test_estimate_order_matches_the_dense_hankel_svd(split):
 
     np.testing.assert_allclose(projector(Vh), projector(Vh_ref),
                                rtol=0, atol=1e-10)
-    zero_order, zero_s, _ = estimate_order(np.zeros(K, dtype=complex),
-                                           L_max, eta)
+    zero_order, zero_s, _ = estimate_order(np.zeros(K, dtype=complex), L_max)
     assert zero_order == 0
     assert not np.any(zero_s)
 

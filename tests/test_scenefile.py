@@ -152,7 +152,7 @@ def scene_files(draw):
     lines = draw(st.lists(st.builds(
         lambda ts, gains, alpha: Scene(
             scatterers=tuple(map(Scatterer, ts, gains)), beam_angle=alpha,
-            tau=tau, noise=noise),
+            tau=tau),
         times, st.lists(finite, min_size=4, max_size=4), finite),
         min_size=1, max_size=3))
     return SceneFile(

@@ -74,16 +74,19 @@ def test_config_invariants():
     assert cfg.K == 20
     assert cfg.p == 40
     assert len(cfg.kappa) == 40
-    bad = cfg.kappa.copy()
-    bad[-1] += 1
-    with pytest.raises(InvariantViolation):
-        XampleConfig(L=5, rho=2, tau=cfg.tau, carrier_hz=cfg.carrier_hz,
-                     kappa=bad, focus_mode="dynamic", geometry=cfg.geometry)
     for rho in (np.inf, np.nan):
         with pytest.raises(InvariantViolation):
             XampleConfig(L=5, rho=rho, tau=cfg.tau,
-                         carrier_hz=cfg.carrier_hz, kappa=cfg.kappa,
-                         focus_mode="dynamic", geometry=cfg.geometry)
+                         carrier_hz=cfg.carrier_hz, focus_mode="dynamic",
+                         geometry=cfg.geometry)
+    with pytest.raises(InvariantViolation, match="focus_mode"):
+        XampleConfig(L=5, rho=2, tau=cfg.tau, carrier_hz=cfg.carrier_hz,
+                     focus_mode="sideways", geometry=cfg.geometry)
+    # kappa is derived from (L, rho, tau, carrier_hz), never passed in
+    with pytest.raises(TypeError):
+        XampleConfig(L=5, rho=2, tau=cfg.tau, carrier_hz=cfg.carrier_hz,
+                     kappa=cfg.kappa, focus_mode="dynamic",
+                     geometry=cfg.geometry)
 
 
 # --- mixing matrix ----------------------------------------------------------
@@ -444,14 +447,13 @@ def test_cached_tables_are_read_only():
     assert not cfg.kappa.flags.writeable
 
 
-def test_config_copies_kappa():
-    kappa = select_kappa(5, 2, 25.6e-6, PULSE.carrier_hz)
+def test_config_derives_kappa():
     cfg = XampleConfig(L=5, rho=2, tau=25.6e-6, carrier_hz=PULSE.carrier_hz,
-                       kappa=kappa, focus_mode="dynamic",
-                       geometry=default_geometry())
-    kappa[0] += 1
-    assert kappa.flags.writeable
-    assert cfg.kappa[0] == kappa[0] - 1
+                       focus_mode="dynamic", geometry=default_geometry())
+    kappa = select_kappa(5, 2, 25.6e-6, PULSE.carrier_hz)
+    np.testing.assert_array_equal(cfg.kappa, kappa)
+    assert cfg.kappa.dtype == kappa.dtype
+    assert not cfg.kappa.flags.writeable and kappa.flags.writeable
 
 
 # the infinity-focus run of this scene warns of an imaginary residue
