@@ -123,9 +123,10 @@ def cmd_beamform(args) -> int:
 
 
 def cmd_xample(args) -> int:
-    # configuration guards come before any input is touched
-    costs.sample_counts(args.L, args.rho)
     scene = load_scene(args.scene)
+    # the configuration is checked before any channel file is touched
+    cfg = XampleConfig.create(args.L, args.rho, scene.tau, scene.pulse,
+                              scene.geometry, focus_mode=args.focus)
     paths = _line_paths(Path(args.channels), args.lines)
     for line in scene.lines:
         if line.beam_angle != 0.0:
@@ -133,8 +134,6 @@ def cmd_xample(args) -> int:
                 "low-rate acquisition is defined for linear scan only "
                 "(alpha_rad must be 0)"
             )
-    cfg = XampleConfig.create(args.L, args.rho, scene.tau, scene.pulse,
-                              scene.geometry, focus_mode=args.focus)
     S = build_S(cfg.p)
     n_axial = _axial_samples(scene.tau)
     axial_grid = np.arange(n_axial) * AXIAL_STEP

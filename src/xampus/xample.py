@@ -51,14 +51,17 @@ def select_kappa(L: int, rho: float, tau: float, carrier_hz: float,
     which is what keeps the mixed kernels real.
 
     Raises ``InvariantViolation`` unless L >= 1, rho is finite and >= 1 and
-    K is an even integer, and ``OffBand`` if a pulse model is supplied and any
-    selected harmonic falls below ``pulse.SPECTRUM_FLOOR`` of its spectrum
-    peak.
+    K is an even integer of at most 2**53, and ``OffBand`` if a pulse model
+    is supplied and any selected harmonic falls below
+    ``pulse.SPECTRUM_FLOOR`` of its spectrum peak.
     """
     if L < 1:
         raise InvariantViolation("L must be >= 1")
     if not (np.isfinite(rho) and rho >= 1):
         raise InvariantViolation("rho must be finite and >= 1")
+    # compared before the product, which overflows for a huge L
+    if L > 2**53 / (2 * rho):
+        raise InvariantViolation("2*rho*L must be <= 2**53")
     k_float = 2.0 * rho * L
     K = int(round(k_float))
     if abs(K - k_float) > 1e-9 or K % 2 != 0:
@@ -106,7 +109,8 @@ class XampleConfig:
     def create(cls, L: int, rho: float, tau: float, pulse: PulseModel,
                geometry: ArrayGeometry,
                focus_mode: str = "dynamic") -> "XampleConfig":
-        """Raises ``OffBand`` if a harmonic falls outside the pulse band."""
+        """Raises ``InvariantViolation`` for an L or rho that ``select_kappa``
+        refuses and ``OffBand`` if a harmonic falls outside the pulse band."""
         select_kappa(L, rho, tau, pulse.carrier_hz, pulse=pulse)
         return cls(L=L, rho=rho, tau=tau, carrier_hz=pulse.carrier_hz,
                    focus_mode=focus_mode, geometry=geometry)

@@ -216,17 +216,19 @@ def test_cost_invalid_elements(tmp_path, capsys):
 
 
 def test_xample_rejects_hostile_rho(scene_path, tmp_path, capsys):
-    # the configuration is checked before any channel file is read
+    # the configuration is checked before any channel file is read; the
+    # library's select_kappa is the one owner of the (L, rho) check
     (tmp_path / "ch").mkdir()
     (tmp_path / "ch" / "line_000.urf").write_bytes(b"")
-    for rho, kind in (("inf", "ValueError"), ("nan", "ValueError"),
-                      ("1e300", "ValueError"), ("1e6", "InvariantViolation")):
+    for L, rho in (("5", "inf"), ("5", "nan"), ("5", "1e300"), ("5", "1e6"),
+                   ("0", "2"), ("1" + "0" * 400, "2")):
         rc = main(["xample", "--channels", str(tmp_path / "ch"),
                    "--scene", str(scene_path), "--out", str(tmp_path / "o"),
-                   "--L", "5", "--rho", rho])
+                   "--L", L, "--rho", rho])
         assert rc != 0
         err = capsys.readouterr().err
-        assert err.startswith(f"error[{kind}]:") and err.count("\n") == 1
+        assert (err.startswith("error[InvariantViolation]:")
+                and err.count("\n") == 1)
 
 
 def test_compare_pipeline(scene_path, tmp_path):
@@ -390,6 +392,27 @@ def test_seed_flag(scene_path, tmp_path):
     other = simulate("seed999", "--seed", "999")
     assert simulate("seed999_again", "--seed", "999") == other
     assert all(a != b for a, b in zip(other, scene_seed))
+
+
+def test_simulate_over_an_earlier_run(scene_path, tmp_path):
+    # a second run into the same directory leaves exactly what a run into
+    # a fresh one writes
+    doc = json.loads(scene_path.read_text())
+    doc["noise"] = {"snr_db": 20.0, "speckle_count": 5, "seed": 1}
+    noisy = tmp_path / "noisy.json"
+    noisy.write_text(json.dumps(doc))
+
+    def simulate(name, seed):
+        out = tmp_path / name
+        assert main(["simulate", "--scene", str(noisy), "--out", str(out),
+                     "--seed", seed]) == 0
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    first = simulate("reused", "3")
+    again = simulate("reused", "4")
+    assert again == simulate("fresh", "4")
+    assert sorted(again) == ["line_000.urf", "line_001.urf"]
+    assert all(again[name] != first[name] for name in first)
 
 
 @pytest.mark.parametrize("command", ["beamform", "xample"])

@@ -8,9 +8,10 @@ from xampus import (AllZero, ImageGrid, InvariantViolation, LineEstimate,
                     ParseError, assemble_image, read_pgm, render_line,
                     write_pgm)
 
-from util import PULSE
+from util import PULSE, fresh_dir
 
-# deterministic, no example database; tmp_path is reused across examples
+# deterministic, no example database; each example writes into its own
+# fresh_dir(tmp_path)
 FUZZ = settings(max_examples=60, deadline=None, derandomize=True,
                 database=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -149,7 +150,7 @@ def test_pgm_rejects_bad_header(tmp_path, raw):
 @FUZZ
 @given(pixels=pixels_st)
 def test_fuzz_pgm_roundtrip_bitwise(tmp_path, pixels):
-    path = tmp_path / "f.pgm"
+    path = fresh_dir(tmp_path) / "f.pgm"
     write_image(path, pixels)
     back = read_pgm(path)
     assert back.dtype == np.uint8
@@ -159,8 +160,9 @@ def test_fuzz_pgm_roundtrip_bitwise(tmp_path, pixels):
 @FUZZ
 @given(pixels=pixels_st, data=st.data())
 def test_fuzz_pgm_every_truncation_fails(tmp_path, pixels, data):
-    path = tmp_path / "f.pgm"
-    raw = write_image(path, pixels)
+    full = fresh_dir(tmp_path) / "full.pgm"
+    raw = write_image(full, pixels)
+    path = full.with_name("f.pgm")
     path.write_bytes(raw[:data.draw(st.integers(0, len(raw) - 1))])
     with pytest.raises(ParseError):
         read_pgm(path)
@@ -169,7 +171,8 @@ def test_fuzz_pgm_every_truncation_fails(tmp_path, pixels, data):
 @FUZZ
 @given(pixels=pixels_st, extra=st.binary(min_size=1, max_size=16))
 def test_fuzz_pgm_extra_bytes_fail(tmp_path, pixels, extra):
-    path = tmp_path / "f.pgm"
-    path.write_bytes(write_image(path, pixels) + extra)
+    full = fresh_dir(tmp_path) / "full.pgm"
+    path = full.with_name("f.pgm")
+    path.write_bytes(write_image(full, pixels) + extra)
     with pytest.raises(ParseError):
         read_pgm(path)

@@ -8,6 +8,8 @@ from xampus import (ArrayGeometry, InvariantViolation, NoiseSpec, ParseError,
                     PulseModel, Scatterer, Scene, SceneFile, XampusError,
                     load_scene)
 
+from util import fresh_dir
+
 
 def base_doc():
     return {
@@ -130,7 +132,8 @@ def test_non_finite_numbers_rejected(tmp_path, literal, field):
 
 # --- fuzz ---------------------------------------------------------------------
 
-# deterministic, no example database; tmp_path is reused across examples
+# deterministic, no example database; each example writes into its own
+# fresh_dir(tmp_path)
 FUZZ = settings(max_examples=60, deadline=None, derandomize=True,
                 database=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -195,7 +198,7 @@ NEVER_VALID = [b for b in range(256) if b >= 0x80
 @FUZZ
 @given(sf=scene_files())
 def test_fuzz_scene_roundtrip(tmp_path, sf):
-    path = write(tmp_path, scene_doc(sf), "f.json")
+    path = write(fresh_dir(tmp_path), scene_doc(sf), "f.json")
     assert load_scene(path) == sf
 
 
@@ -203,7 +206,7 @@ def test_fuzz_scene_roundtrip(tmp_path, sf):
 @given(sf=scene_files(), data=st.data())
 def test_fuzz_scene_every_truncation_fails(tmp_path, sf, data):
     raw = json.dumps(scene_doc(sf)).encode()
-    path = tmp_path / "f.json"
+    path = fresh_dir(tmp_path) / "f.json"
     path.write_bytes(raw[:data.draw(st.integers(0, len(raw) - 1))])
     with pytest.raises(ParseError, match="f.json: "):
         load_scene(path)
@@ -215,7 +218,7 @@ def test_fuzz_scene_garbled_byte_fails_typed(tmp_path, sf, data):
     raw = bytearray(json.dumps(scene_doc(sf)).encode())
     at = data.draw(st.integers(0, len(raw) - 1))
     raw[at] = data.draw(st.integers(0, 255))
-    path = tmp_path / "f.json"
+    path = fresh_dir(tmp_path) / "f.json"
     path.write_bytes(bytes(raw))
     if raw[at] in NEVER_VALID:
         with pytest.raises(ParseError, match="f.json: "):

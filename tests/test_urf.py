@@ -10,9 +10,10 @@ from xampus import (ChannelSet, ParseError, Scatterer, Scene, read_channels,
                     write_channels)
 from xampus.sim import MAX_GRID_STEP
 
-from util import default_geometry, synthesize
+from util import default_geometry, fresh_dir, synthesize
 
-# deterministic, no example database; tmp_path is reused across examples
+# deterministic, no example database; each example writes into its own
+# fresh_dir(tmp_path)
 FUZZ = settings(max_examples=60, deadline=None, derandomize=True,
                 database=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -73,6 +74,51 @@ def test_element_count_mismatch(tmp_path):
         read_channels(path, default_geometry(num_elements=5))
 
 
+def test_rewrite_leaves_an_open_handle_on_the_old_samples(tmp_path):
+    # the old file is replaced, not truncated under a reader
+    geom = default_geometry(num_elements=3)
+    old = synthesize(Scene(scatterers=(Scatterer(6e-6, 0.8),), tau=25.6e-6),
+                     geom)
+    new = synthesize(Scene(scatterers=(Scatterer(9e-6, 1.2),), tau=25.6e-6),
+                     geom)
+    path = tmp_path / "line_000.urf"
+    write_channels(path, old)
+    old_bytes = path.read_bytes()
+    with open(path, "rb") as f:
+        write_channels(path, new)
+        assert f.read() == old_bytes
+    np.testing.assert_array_equal(read_channels(path, geom).samples,
+                                  new.samples)
+
+
+def test_rewrite_with_fewer_channels_leaves_only_the_new_file(tmp_path):
+    big = synthesize(Scene(scatterers=(Scatterer(6e-6, 0.8),), tau=51.2e-6),
+                     default_geometry(num_elements=5))
+    geom = default_geometry(num_elements=2)
+    small = synthesize(Scene(scatterers=(), tau=25.6e-6), geom)
+    path = tmp_path / "line_000.urf"
+    write_channels(path, big)
+    write_channels(path, small)
+    write_channels(tmp_path / "fresh.urf", small)
+    assert path.read_bytes() == (tmp_path / "fresh.urf").read_bytes()
+    np.testing.assert_array_equal(read_channels(path, geom).samples,
+                                  small.samples)
+
+
+def test_rewrite_replaces_a_symlink_instead_of_following_it(tmp_path):
+    geom = default_geometry(num_elements=3)
+    ch = synthesize(Scene(scatterers=(), tau=25.6e-6), geom)
+    target = tmp_path / "target.bin"
+    target.write_bytes(b"keep")
+    path = tmp_path / "line_000.urf"
+    path.symlink_to(target)
+    write_channels(path, ch)
+    assert not path.is_symlink()
+    assert target.read_bytes() == b"keep"
+    np.testing.assert_array_equal(read_channels(path, geom).samples,
+                                  ch.samples)
+
+
 @pytest.mark.parametrize("field, value", [
     ("grid_step", float("nan")), ("grid_step", float("inf")),
     ("grid_step", 0.0), ("grid_step", -3.125e-9),
@@ -97,7 +143,7 @@ def test_header_rejects_bad_step_or_tau(tmp_path, field, value):
          grid_step=MAX_GRID_STEP, tau=25.6e-6)
 def test_fuzz_roundtrip_bitwise(tmp_path, samples, grid_step, tau):
     geom = default_geometry(num_elements=samples.shape[0])
-    path = tmp_path / "f.urf"
+    path = fresh_dir(tmp_path) / "f.urf"
     write_channels(path, ChannelSet(grid_step, samples, geom, tau))
     back = read_channels(path, geom)
     np.testing.assert_array_equal(back.samples.view(np.uint64),
@@ -109,10 +155,11 @@ def test_fuzz_roundtrip_bitwise(tmp_path, samples, grid_step, tau):
 @given(samples=samples_st, data=st.data())
 def test_fuzz_every_truncation_fails(tmp_path, samples, data):
     geom = default_geometry(num_elements=samples.shape[0])
-    path = tmp_path / "f.urf"
-    write_channels(path, ChannelSet(MAX_GRID_STEP, samples, geom, 25.6e-6))
-    raw = path.read_bytes()
+    full = fresh_dir(tmp_path) / "full.urf"
+    write_channels(full, ChannelSet(MAX_GRID_STEP, samples, geom, 25.6e-6))
+    raw = full.read_bytes()
     cut = data.draw(st.integers(0, len(raw) - 1))
+    path = full.with_name("f.urf")
     path.write_bytes(raw[:cut])
     with pytest.raises(ParseError):
         read_channels(path, geom)
@@ -124,7 +171,7 @@ def test_fuzz_every_truncation_fails(tmp_path, samples, data):
 def test_fuzz_huge_grid_len_fails(tmp_path, num_elements, grid_len, body):
     # the header asks for more samples than the file holds (the body is
     # shorter than one row); the reader must refuse before allocating them
-    path = tmp_path / "f.urf"
+    path = fresh_dir(tmp_path) / "f.urf"
     path.write_bytes(struct.pack("<4sIIdd", b"URF1", num_elements, grid_len,
                                  MAX_GRID_STEP, 25.6e-6) + body)
     with pytest.raises(ParseError):

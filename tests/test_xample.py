@@ -58,6 +58,10 @@ def test_select_kappa_validation():
     for rho in (np.inf, np.nan, 1e300):
         with pytest.raises(InvariantViolation):
             select_kappa(5, rho, 102.4e-6, 5.142e6)
+    # checked before 2*rho*L is formed, which overflows a float here
+    for L, rho in ((10**400, 1), (10**9, 1e300)):
+        with pytest.raises(InvariantViolation, match="2\\*\\*53"):
+            select_kappa(L, rho, 102.4e-6, 5.142e6)
     # K = 1e7 reaches below k = 1: refused before its index range is built
     tracemalloc.start()
     try:

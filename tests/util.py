@@ -1,5 +1,8 @@
 """Shared builders and independent oracles for the test suite."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 
 from xampus import (ArrayGeometry, PulseModel, Scatterer, Scene,
@@ -12,6 +15,16 @@ SPEED = 1540.0
 def default_geometry(num_elements=16, pitch=0.3e-3):
     return ArrayGeometry(num_elements=num_elements, pitch=pitch,
                          speed_of_sound=SPEED)
+
+
+def fresh_dir(tmp_path):
+    """A new empty directory under ``tmp_path``.
+
+    Hypothesis runs every example of a test in the same ``tmp_path``; an
+    example that truncated a file written by the one before would wait, on
+    ext4, for that file's data to reach the disk first.
+    """
+    return Path(tempfile.mkdtemp(dir=tmp_path))
 
 
 def random_scene(rng, l_true, tau, margin=4e-6, min_sep=2e-6,
