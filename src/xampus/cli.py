@@ -28,6 +28,7 @@ from .beamform import beamform_line, envelope_detect
 from .errors import InvariantViolation, ParseError, XampusError
 from .imaging import (DEFAULT_DYNAMIC_RANGE_DB, assemble_image, read_pgm,
                       render_line, write_pgm)
+from .outfile import open_new
 from .recover import SV_THRESHOLD_DEFAULT, recover_line
 from .scenefile import load_scene
 from .sim import add_interference, simulation_grid_step, synthesize_channels
@@ -40,6 +41,13 @@ def _fmt(x: float) -> str:
     return f"{x:.12e}"
 
 
+def _write_csv(path, header, rows) -> None:
+    with open_new(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        w.writerows(rows)
+
+
 @contextmanager
 def _naming(path: Path):
     """Prefix an error raised while working on one line with its file name."""
@@ -50,11 +58,16 @@ def _naming(path: Path):
         raise
 
 
-def _line_paths(channel_dir: Path, limit=None) -> list[Path]:
+def _line_paths(channel_dir: Path, scene, limit=None) -> list[Path]:
+    """The channel files to image, one per scene line, in line order."""
     paths = sorted(Path(channel_dir).glob("line_*.urf"))
     if not paths:
         raise InvariantViolation(f"no line_*.urf files in {channel_dir}")
-    return _first(paths, limit)
+    paths = _first(paths, limit)
+    if len(paths) > len(scene.lines):
+        raise InvariantViolation(
+            f"{len(paths)} channel files for {len(scene.lines)} scene lines")
+    return paths
 
 
 def _first(items, limit):
@@ -77,8 +90,11 @@ def cmd_simulate(args) -> int:
     step = simulation_grid_step(args.oversample)
     noise = scene.noise
     lines = _first(scene.lines, args.lines)
-    for idx, line in enumerate(lines):
-        path = out / f"line_{idx:03d}.urf"
+    paths = [out / f"line_{idx:03d}.urf" for idx in range(len(lines))]
+    # a file left by an earlier, longer run would be imaged as a line
+    for stale in set(out.glob("line_*.urf")) - set(paths):
+        stale.unlink()
+    for idx, (line, path) in enumerate(zip(lines, paths)):
         with _naming(path):
             ch = synthesize_channels(line, scene.geometry, scene.pulse, step)
             if noise is not None:
@@ -93,10 +109,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_beamform(args) -> int:
     scene = load_scene(args.scene)
-    paths = _line_paths(Path(args.channels), args.lines)
-    if len(paths) > len(scene.lines):
-        raise InvariantViolation(
-            f"{len(paths)} channel files for {len(scene.lines)} scene lines")
+    paths = _line_paths(Path(args.channels), scene, args.lines)
     n_axial = _axial_samples(scene.tau)
 
     traces = []
@@ -112,12 +125,11 @@ def cmd_beamform(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_pgm(out / "reference.pgm", image)
-    with open(out / "reference_lines.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["line_index", "peak_time_s", "peak_value"])
-        for i, tr in enumerate(traces):
-            peak = int(np.argmax(tr))
-            w.writerow([i, _fmt(peak * AXIAL_STEP), _fmt(float(tr[peak]))])
+    peaks = [int(np.argmax(tr)) for tr in traces]
+    _write_csv(out / "reference_lines.csv",
+               ["line_index", "peak_time_s", "peak_value"],
+               ([i, _fmt(peak * AXIAL_STEP), _fmt(float(tr[peak]))]
+                for i, (peak, tr) in enumerate(zip(peaks, traces))))
     print(f"wrote {out / 'reference.pgm'} and {out / 'reference_lines.csv'}")
     return 0
 
@@ -127,7 +139,7 @@ def cmd_xample(args) -> int:
     # the configuration is checked before any channel file is touched
     cfg = XampleConfig.create(args.L, args.rho, scene.tau, scene.pulse,
                               scene.geometry, focus_mode=args.focus)
-    paths = _line_paths(Path(args.channels), args.lines)
+    paths = _line_paths(Path(args.channels), scene, args.lines)
     for line in scene.lines:
         if line.beam_angle != 0.0:
             raise InvariantViolation(
@@ -153,28 +165,20 @@ def cmd_xample(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    with open(out / "estimates.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["line_index", "t_l_s", "b_l", "residual"])
-        for i, (_, est) in enumerate(results):
-            for t_l, b_l in zip(est.delays, est.amplitudes):
-                w.writerow([i, _fmt(t_l), _fmt(b_l), _fmt(est.residual)])
+    _write_csv(out / "estimates.csv",
+               ["line_index", "t_l_s", "b_l", "residual"],
+               ([i, _fmt(t_l), _fmt(b_l), _fmt(est.residual)]
+                for i, (_, est) in enumerate(results)
+                for t_l, b_l in zip(est.delays, est.amplitudes)))
     write_pgm(out / "xampled.pgm", image)
 
     if args.dump_samples:
-        with open(out / "samples_c.csv", "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["line_index", "q", "value"])
-            for i, (xo, _) in enumerate(results):
-                for q, v in enumerate(xo.c):
-                    w.writerow([i, q, _fmt(v)])
-        with open(out / "samples_cqm.csv", "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["line_index", "q", "m", "value"])
-            for i, (xo, _) in enumerate(results):
-                for q in range(xo.c_qm.shape[0]):
-                    for m in range(xo.c_qm.shape[1]):
-                        w.writerow([i, q, m, _fmt(xo.c_qm[q, m])])
+        _write_csv(out / "samples_c.csv", ["line_index", "q", "value"],
+                   ([i, q, _fmt(v)] for i, (xo, _) in enumerate(results)
+                    for q, v in enumerate(xo.c)))
+        _write_csv(out / "samples_cqm.csv", ["line_index", "q", "m", "value"],
+                   ([i, q, m, _fmt(v)] for i, (xo, _) in enumerate(results)
+                    for (q, m), v in np.ndenumerate(xo.c_qm)))
     print(f"wrote {out / 'estimates.csv'} and {out / 'xampled.pgm'}")
     return 0
 
@@ -184,16 +188,12 @@ def cmd_cost(args) -> int:
                             depth_m=args.depth_cm / 100.0)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["L", "rho", "K", "samples_per_element_per_line",
-                    "xampled_mops", "reduction_factor", "standard_samples",
-                    "standard_mops"])
-        for r in rows:
-            w.writerow([r.L, f"{r.rho:g}", r.K,
-                        r.samples_per_element_per_line,
-                        _fmt(r.xampled_mops), _fmt(r.reduction_factor),
-                        r.standard_samples, _fmt(r.standard_mops)])
+    _write_csv(out, ["L", "rho", "K", "samples_per_element_per_line",
+                     "xampled_mops", "reduction_factor", "standard_samples",
+                     "standard_mops"],
+               ([r.L, f"{r.rho:g}", r.K, r.samples_per_element_per_line,
+                 _fmt(r.xampled_mops), _fmt(r.reduction_factor),
+                 r.standard_samples, _fmt(r.standard_mops)] for r in rows))
     print(f"wrote {out}")
     return 0
 
@@ -240,39 +240,38 @@ def cmd_compare(args) -> int:
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["line_index", "delay_rmse_s", "amp_rel_err",
-                    "detections", "true_count", "peak_row_delta"])
-        for i, line in enumerate(scene.lines):
-            truths = sorted((2.0 * s.axial_time, s.reflectivity)
-                            for s in line.scatterers)
-            ests = estimates.get(i, [])
-            if truths and ests:
-                d_est = np.array([t for t, _ in ests])
-                b_est = np.array([b for _, b in ests])
-                sq = 0.0
-                rel = 0.0
-                for t_true, b_true in truths:
-                    j = int(np.argmin(np.abs(d_est - t_true)))
-                    sq += (d_est[j] - t_true) ** 2
-                    rel += abs(b_est[j] / n_elem - b_true) / abs(b_true)
-                rmse = float(np.sqrt(sq / len(truths)))
-                amp_err = rel / len(truths)
-            elif truths:
-                rmse = float("inf")
-                amp_err = float("inf")
-            else:
-                rmse = 0.0
-                amp_err = 0.0
-            r_col = ref_img[:, i]
-            x_col = xam_img[:, i]
-            if r_col.max() > 0 and x_col.max() > 0:
-                peak_delta = abs(int(np.argmax(r_col)) - int(np.argmax(x_col)))
-            else:
-                peak_delta = 0
-            w.writerow([i, _fmt(rmse), _fmt(amp_err), len(ests), len(truths),
-                        peak_delta])
+    rows = []
+    for i, line in enumerate(scene.lines):
+        truths = sorted((2.0 * s.axial_time, s.reflectivity)
+                        for s in line.scatterers)
+        ests = estimates.get(i, [])
+        if truths and ests:
+            d_est = np.array([t for t, _ in ests])
+            b_est = np.array([b for _, b in ests])
+            sq = 0.0
+            rel = 0.0
+            for t_true, b_true in truths:
+                j = int(np.argmin(np.abs(d_est - t_true)))
+                sq += (d_est[j] - t_true) ** 2
+                rel += abs(b_est[j] / n_elem - b_true) / abs(b_true)
+            rmse = float(np.sqrt(sq / len(truths)))
+            amp_err = rel / len(truths)
+        elif truths:
+            rmse = float("inf")
+            amp_err = float("inf")
+        else:
+            rmse = 0.0
+            amp_err = 0.0
+        r_col = ref_img[:, i]
+        x_col = xam_img[:, i]
+        if r_col.max() > 0 and x_col.max() > 0:
+            peak_delta = abs(int(np.argmax(r_col)) - int(np.argmax(x_col)))
+        else:
+            peak_delta = 0
+        rows.append([i, _fmt(rmse), _fmt(amp_err), len(ests), len(truths),
+                     peak_delta])
+    _write_csv(out, ["line_index", "delay_rmse_s", "amp_rel_err",
+                     "detections", "true_count", "peak_row_delta"], rows)
     print(f"wrote {out}")
     return 0
 

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllZero, InvariantViolation, ParseError
+from .outfile import open_new
 from .pulse import PulseModel
 from .recover import LineEstimate
 
@@ -77,9 +78,11 @@ def assemble_image(lines, dynamic_range_db: float = DEFAULT_DYNAMIC_RANGE_DB,
 
 
 def write_pgm(path, image: ImageGrid) -> None:
-    """Binary PGM (P5), width = lines, height = axial samples."""
+    """Binary PGM (P5), width = lines, height = axial samples, written as a
+    new file that replaces any file at ``path`` (``outfile.open_new``: an
+    open handle keeps the old image, a symlink is replaced, not followed)."""
     h, w = image.pixels.shape
-    with open(path, "wb") as f:
+    with open_new(path) as f:
         f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
         f.write(image.pixels.tobytes())
 

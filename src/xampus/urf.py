@@ -11,12 +11,12 @@ from __future__ import annotations
 import math
 import os
 import struct
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ParseError
 from .geometry import ArrayGeometry
+from .outfile import open_new
 from .sim import ChannelSet
 
 MAGIC = b"URF1"
@@ -24,19 +24,12 @@ _HEADER = struct.Struct("<4sIIdd")
 
 
 def write_channels(path, ch: ChannelSet) -> None:
-    """Write ``ch`` to ``path`` as a new file, replacing any file there.
-
-    The old file is unlinked before the new one is created rather than
-    truncated in place: on ext4, truncating a file whose data has not yet
-    reached the disk first waits for that data to be written back, 40 to
-    180 ms per rewrite on a virtual disk.  A handle still open on the old
-    file keeps reading the old samples.  A symlink at ``path`` is replaced,
-    not followed.  Durability is unchanged: there is no fsync.
-    """
+    """Write ``ch`` to ``path`` as a new file, replacing any file there
+    (``outfile.open_new``: an open handle keeps the old samples, a symlink
+    is replaced, not followed)."""
     header = _HEADER.pack(MAGIC, ch.samples.shape[0], ch.samples.shape[1],
                           ch.grid_step, ch.tau)
-    Path(path).unlink(missing_ok=True)
-    with open(path, "wb") as f:
+    with open_new(path) as f:
         f.write(header)
         f.write(np.ascontiguousarray(ch.samples, dtype="<f8"))
 

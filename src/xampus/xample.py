@@ -211,12 +211,12 @@ def _harmonic_table(kappa_pos, tau, ts, a):
     return z0, step
 
 
-def _harmonics(z0, step, weighted, n):
-    """g[i] = sum_t z0 * step^i * weighted for i < n: the windowed harmonic
-    integrals of one real weighted trace, the per-element branch integrals
-    before the S mixing is applied (mixing commutes with the time
-    integral); the -k half is their conjugate."""
-    z = z0 * weighted
+def _harmonics(z, step, n):
+    """g[i] = sum_t z * step^i for i < n, with ``z = z0 * weighted``: the
+    windowed harmonic integrals of one real weighted trace, the per-element
+    branch integrals before the S mixing is applied (mixing commutes with
+    the time integral); the -k half is their conjugate.  Advances ``z`` in
+    place."""
     g = np.empty(n, dtype=complex)
     for i in range(n):
         g[i] = z.sum()
@@ -279,7 +279,8 @@ def xample_channels(ch: ChannelSet, cfg: XampleConfig,
     Elements with the same warp have the same kernel (the offset enters only
     as delta^2 and |delta|), so their traces are summed and take one
     harmonic pass: pairs +/-m in dynamic focus, the whole aperture in
-    infinity focus.  The passes' exponentials come from ``_bank_tables``.
+    infinity focus.  The passes' exponentials come from ``_bank_tables``;
+    every pass writes into the same two grid-length buffers.
     """
     bound = tau_hat(cfg.tau, ch.geometry)
     if ch.duration < bound * (1 - 1e-12):
@@ -291,11 +292,29 @@ def xample_channels(ch: ChannelSet, cfg: XampleConfig,
     t = ch.times
     w = _trapezoid_weights(ch.grid_len, ch.grid_step)
     c_qm = np.zeros((S.num_branches, ch.geometry.num_elements))
+    trace_buf = np.empty(ch.grid_len)
+    z_buf = np.empty(ch.grid_len, dtype=complex)
     for grp in _bank_tables(cfg, ch.geometry, ch.grid_len, ch.grid_step):
-        trace = ch.samples[grp.members].sum(axis=0)
         sup = grp.support
-        weighted = w[sup] * _bracket(t[sup], grp.a) * trace[sup]
-        g = _harmonics(grp.z0, grp.step, weighted, cfg.K)
+        # the member sum, then the weighted trace w * bracket * sum
+        trace = trace_buf[sup]
+        first, *rest = grp.members
+        np.copyto(trace, ch.samples[first, sup])
+        for m in rest:
+            np.add(trace, ch.samples[m, sup], out=trace)
+        z = z_buf[sup]
+        if grp.a:
+            # the bracket 1 + (a/t)^2 borrows z's memory until z is written
+            bracket = z.view(float)[: len(trace)]
+            np.divide(grp.a, t[sup], out=bracket)
+            np.multiply(bracket, bracket, out=bracket)
+            np.add(1.0, bracket, out=bracket)
+            np.multiply(w[sup], bracket, out=bracket)
+            np.multiply(bracket, trace, out=trace)
+        else:
+            np.multiply(w[sup], trace, out=trace)
+        np.multiply(grp.z0, trace, out=z)
+        g = _harmonics(z, grp.step, cfg.K)
         c_qm[:, grp.column] = np.concatenate([g.real, g.imag]) / cfg.tau
     return XampleOutput(c_qm=c_qm, c=c_qm.sum(axis=1))
 
@@ -315,7 +334,7 @@ def xample_beamformed_oracle(line: BeamformedLine, cfg: XampleConfig,
         raise InvariantViolation("mixing matrix branches must match |kappa|")
     w = _trapezoid_weights(len(line.samples), line.grid_step)
     z0, step = _harmonic_table(cfg.kappa_pos, cfg.tau, line.times, 0.0)
-    g = _harmonics(z0, step, w * line.samples, cfg.K)
+    g = _harmonics(z0 * (w * line.samples), step, cfg.K)
     return np.concatenate([g.real, g.imag]) / cfg.tau
 
 

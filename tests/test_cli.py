@@ -375,6 +375,58 @@ def test_beamform_rejects_more_channel_files_than_scene_lines(
         "error[InvariantViolation]: 2 channel files for 1 scene lines\n")
 
 
+def test_xample_rejects_more_channel_files_than_scene_lines(
+        scene_path, tmp_path, capsys):
+    ch_dir = tmp_path / "ch"
+    doc = json.loads(scene_path.read_text())
+    doc["lines"] *= 2
+    four_lines = tmp_path / "four.json"
+    four_lines.write_text(json.dumps(doc))
+    assert main(["simulate", "--scene", str(four_lines), "--out",
+                 str(ch_dir)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "xa"
+    rc = main(["xample", "--channels", str(ch_dir), "--scene",
+               str(scene_path), "--out", str(out), "--L", "5"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error[InvariantViolation]: 4 channel files for 2 scene lines\n")
+    assert not out.exists()
+
+
+def test_rerun_into_the_same_paths_matches_a_fresh_run(scene_path, tmp_path):
+    # every output file is replaced: a rerun over an earlier run's files,
+    # here written with other settings, leaves exactly what a fresh run does
+    ch_dir = tmp_path / "ch"
+    assert main(["simulate", "--scene", str(scene_path), "--out",
+                 str(ch_dir)]) == 0
+
+    def run(root, db, rhos):
+        ref, xa = root / "ref", root / "xa"
+        common = ["--channels", str(ch_dir), "--scene", str(scene_path),
+                  "--dynamic-range-db", db]
+        for argv in (
+                ["beamform", "--out", str(ref), *common],
+                ["xample", "--out", str(xa), "--L", "5", "--dump-samples",
+                 *common],
+                ["cost", "--L", "5", "--rho", *rhos,
+                 "--out", str(root / "cost.csv")],
+                ["compare", "--reference", str(ref / "reference.pgm"),
+                 "--xampled", str(xa / "xampled.pgm"),
+                 "--estimates", str(xa / "estimates.csv"),
+                 "--scene", str(scene_path),
+                 "--out", str(root / "metrics.csv")]):
+            assert main(argv) == 0, argv
+        return {p.relative_to(root): p.read_bytes()
+                for p in sorted(root.rglob("*")) if p.is_file()}
+
+    first = run(tmp_path / "reused", "30", ["1", "2", "3", "4"])
+    again = run(tmp_path / "reused", "50", ["2"])
+    assert again == run(tmp_path / "fresh", "50", ["2"])
+    assert len(again) == 8
+    assert again != first
+
+
 def test_seed_flag(scene_path, tmp_path):
     doc = json.loads(scene_path.read_text())
     doc["noise"] = {"snr_db": 20.0, "speckle_count": 0, "seed": 1}
@@ -402,10 +454,10 @@ def test_simulate_over_an_earlier_run(scene_path, tmp_path):
     noisy = tmp_path / "noisy.json"
     noisy.write_text(json.dumps(doc))
 
-    def simulate(name, seed):
+    def simulate(name, seed, *flags):
         out = tmp_path / name
         assert main(["simulate", "--scene", str(noisy), "--out", str(out),
-                     "--seed", seed]) == 0
+                     "--seed", seed, *flags]) == 0
         return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
 
     first = simulate("reused", "3")
@@ -413,6 +465,12 @@ def test_simulate_over_an_earlier_run(scene_path, tmp_path):
     assert again == simulate("fresh", "4")
     assert sorted(again) == ["line_000.urf", "line_001.urf"]
     assert all(again[name] != first[name] for name in first)
+    # a shorter rerun removes the channel files it did not write, and only
+    # those: other files in the directory stay
+    (tmp_path / "reused" / "notes.txt").write_text("keep")
+    fewer = simulate("reused", "5", "--lines", "1")
+    assert fewer == {**simulate("fresh_one", "5", "--lines", "1"),
+                     "notes.txt": b"keep"}
 
 
 @pytest.mark.parametrize("command", ["beamform", "xample"])

@@ -127,6 +127,38 @@ def write_image(path, pixels):
     return path.read_bytes()
 
 
+def test_rewrite_leaves_an_open_handle_on_the_old_image(tmp_path):
+    # the old file is replaced, not truncated under a reader
+    path = tmp_path / "image.pgm"
+    old_bytes = write_image(path, np.full((3, 4), 7, dtype=np.uint8))
+    new = np.arange(12, dtype=np.uint8).reshape(3, 4)
+    with open(path, "rb") as f:
+        write_image(path, new)
+        assert f.read() == old_bytes
+    np.testing.assert_array_equal(read_pgm(path), new)
+
+
+def test_rewrite_replaces_a_symlink_instead_of_following_it(tmp_path):
+    target = tmp_path / "target.bin"
+    target.write_bytes(b"keep")
+    path = tmp_path / "image.pgm"
+    path.symlink_to(target)
+    pixels = np.arange(6, dtype=np.uint8).reshape(2, 3)
+    write_image(path, pixels)
+    assert not path.is_symlink()
+    assert target.read_bytes() == b"keep"
+    np.testing.assert_array_equal(read_pgm(path), pixels)
+
+
+def test_smaller_rewrite_leaves_only_the_new_image(tmp_path):
+    path = tmp_path / "image.pgm"
+    write_image(path, np.full((40, 16), 200, dtype=np.uint8))
+    small = np.arange(6, dtype=np.uint8).reshape(3, 2)
+    assert write_image(path, small) == write_image(tmp_path / "fresh.pgm",
+                                                   small)
+    np.testing.assert_array_equal(read_pgm(path), small)
+
+
 @pytest.mark.parametrize("raw", [
     pytest.param(b"P5\n2 2\n65535\n" + bytes(8), id="maxval-65535"),
     pytest.param(b"P5\n2 2\n1\n" + bytes(4), id="maxval-1"),
