@@ -1,0 +1,38 @@
+"""The package's one worker thread, which shares a call's work with its caller.
+
+The simulator's interference and the kernel bank each split one call in two:
+the calling thread takes one share, the worker the other, and both are numpy
+fills and ufuncs over arrays long enough that numpy releases the interpreter
+lock, so on two cores the shares run at once.  Each share writes only its own
+rows or columns and does the same arithmetic in the same order as one thread
+would, so results are bitwise those of a serial run.
+
+There is one worker and no setting.  Shares from several calling threads
+queue on it; a share never waits for another share, so none can deadlock.
+The thread starts on the first call, not on import.
+"""
+
+from __future__ import annotations
+
+from concurrent import futures
+from contextlib import contextmanager
+
+_WORKER = futures.ThreadPoolExecutor(max_workers=1,
+                                     thread_name_prefix="xampus-worker")
+
+
+@contextmanager
+def alongside(fn, *args):
+    """Run ``fn(*args)`` on the worker while the ``with`` block runs here.
+
+    Yields the future of ``fn``.  The block is left only after ``fn`` has
+    ended, whether the block finished or raised, so nothing the block owns is
+    still in use when the call returns.  An error raised by ``fn`` reaches
+    the caller with its type unchanged, unless the block raised first.
+    """
+    share = _WORKER.submit(fn, *args)
+    try:
+        yield share
+    finally:
+        futures.wait((share,))
+    share.result()

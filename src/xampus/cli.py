@@ -276,6 +276,19 @@ def cmd_compare(args) -> int:
     return 0
 
 
+def _count(text: str) -> int:
+    """argparse type of a count: an integer >= 1, so that any other value
+    is a usage error, reported before any file is read."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         print(f"error[Usage]: {message}", file=sys.stderr)
@@ -304,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     bf.add_argument("--out", required=True, help="output directory")
     bf.add_argument("--focus", choices=["dynamic", "infinity"],
                     default="dynamic")
-    bf.add_argument("--focal-zones", type=int, default=None,
+    bf.add_argument("--focal-zones", type=_count, default=None,
                     help="staircase focus with this many zones")
     bf.add_argument("--dynamic-range-db", type=float,
                     default=DEFAULT_DYNAMIC_RANGE_DB)

@@ -24,7 +24,11 @@ first harmonic and the step between consecutive harmonics); they depend on
 no echo, so they are built once per (configuration, grid) and kept, two
 complex arrays per pass.  Each line then takes K = 2 rho L complex
 multiply-adds per sample and pass; the -k half is the conjugate of the +k
-half because the traces are real.
+half because the traces are real.  The passes are independent, so the
+package's worker thread takes every second one while the caller takes the
+rest, each with its own buffers.  A pass writes only its own column of
+``c_qm`` and does the same arithmetic on either thread, so the outputs are
+bitwise those of one thread.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._worker import alongside
 from .beamform import BeamformedLine
 from .errors import GridTooShort, InvariantViolation, OffBand, SingularHarmonic
 from .geometry import ArrayGeometry, tau_hat
@@ -272,36 +277,19 @@ def _bank_tables(cfg: XampleConfig, geometry: ArrayGeometry, grid_len: int,
     return tuple(groups)
 
 
-def xample_channels(ch: ChannelSet, cfg: XampleConfig,
-                    S: MixingMatrix) -> XampleOutput:
-    """Run the kernel bank over every element and fold the outputs.
-
-    Elements with the same warp have the same kernel (the offset enters only
-    as delta^2 and |delta|), so their traces are summed and take one
-    harmonic pass: pairs +/-m in dynamic focus, the whole aperture in
-    infinity focus.  The passes' exponentials come from ``_bank_tables``;
-    every pass writes into the same two grid-length buffers.
-    """
-    bound = tau_hat(cfg.tau, ch.geometry)
-    if ch.duration < bound * (1 - 1e-12):
-        raise GridTooShort(
-            f"channel grid ends at {ch.duration:g} s, needs {bound:g} s"
-        )
-    if S.num_branches != len(cfg.kappa):
-        raise InvariantViolation("mixing matrix branches must match |kappa|")
-    t = ch.times
-    w = _trapezoid_weights(ch.grid_len, ch.grid_step)
-    c_qm = np.zeros((S.num_branches, ch.geometry.num_elements))
-    trace_buf = np.empty(ch.grid_len)
-    z_buf = np.empty(ch.grid_len, dtype=complex)
-    for grp in _bank_tables(cfg, ch.geometry, ch.grid_len, ch.grid_step):
+def _bank_passes(groups, samples, t, w, cfg: XampleConfig, c_qm: np.ndarray,
+                 trace_buf: np.ndarray, z_buf: np.ndarray) -> None:
+    """One harmonic pass per warp group over the grid ``t`` with quadrature
+    weights ``w``, each into its own ``c_qm`` column; every pass reuses the
+    grid-length buffers ``trace_buf`` and ``z_buf``."""
+    for grp in groups:
         sup = grp.support
         # the member sum, then the weighted trace w * bracket * sum
         trace = trace_buf[sup]
         first, *rest = grp.members
-        np.copyto(trace, ch.samples[first, sup])
+        np.copyto(trace, samples[first, sup])
         for m in rest:
-            np.add(trace, ch.samples[m, sup], out=trace)
+            np.add(trace, samples[m, sup], out=trace)
         z = z_buf[sup]
         if grp.a:
             # the bracket 1 + (a/t)^2 borrows z's memory until z is written
@@ -316,6 +304,38 @@ def xample_channels(ch: ChannelSet, cfg: XampleConfig,
         np.multiply(grp.z0, trace, out=z)
         g = _harmonics(z, grp.step, cfg.K)
         c_qm[:, grp.column] = np.concatenate([g.real, g.imag]) / cfg.tau
+
+
+def xample_channels(ch: ChannelSet, cfg: XampleConfig,
+                    S: MixingMatrix) -> XampleOutput:
+    """Run the kernel bank over every element and fold the outputs.
+
+    Elements with the same warp have the same kernel (the offset enters only
+    as delta^2 and |delta|), so their traces are summed and take one
+    harmonic pass: pairs +/-m in dynamic focus, the whole aperture in
+    infinity focus.  The passes' exponentials come from ``_bank_tables``.
+    The package's worker thread takes every second group while this thread
+    takes the rest; each side has its own two grid-length buffers and each
+    group writes only its own column, so ``c_qm`` is bitwise that of one
+    thread taking every group.
+    """
+    bound = tau_hat(cfg.tau, ch.geometry)
+    if ch.duration < bound * (1 - 1e-12):
+        raise GridTooShort(
+            f"channel grid ends at {ch.duration:g} s, needs {bound:g} s"
+        )
+    if S.num_branches != len(cfg.kappa):
+        raise InvariantViolation("mixing matrix branches must match |kappa|")
+    groups = _bank_tables(cfg, ch.geometry, ch.grid_len, ch.grid_step)
+    t = ch.times
+    w = _trapezoid_weights(ch.grid_len, ch.grid_step)
+    c_qm = np.zeros((S.num_branches, ch.geometry.num_elements))
+    trace_bufs = np.empty((2, ch.grid_len))
+    z_bufs = np.empty((2, ch.grid_len), dtype=complex)
+    with alongside(_bank_passes, groups[1::2], ch.samples, t, w, cfg, c_qm,
+                   trace_bufs[1], z_bufs[1]):
+        _bank_passes(groups[0::2], ch.samples, t, w, cfg, c_qm,
+                     trace_bufs[0], z_bufs[0])
     return XampleOutput(c_qm=c_qm, c=c_qm.sum(axis=1))
 
 

@@ -322,20 +322,19 @@ def test_failing_line_is_named(scene_path, tmp_path, capsys):
     assert "above threshold 0.01, bound is 2" in err
 
 
-def test_failing_beamform_line_is_named(scene_path, tmp_path, capsys):
-    ch_dir = tmp_path / "ch"
-    assert main(["simulate", "--scene", str(scene_path), "--out",
-                 str(ch_dir)]) == 0
-    capsys.readouterr()
-    # the zone count is checked in infinity focus too, where it is unused
+@pytest.mark.parametrize("zones", ["0", "-2", "two"])
+def test_beamform_refuses_a_bad_zone_count_as_usage(scene_path, tmp_path,
+                                                    capsys, zones):
+    # refused by the parser, in either focus, before a channel file is read:
+    # the channel directory does not exist
     for focus in ("dynamic", "infinity"):
-        rc = main(["beamform", "--channels", str(ch_dir), "--scene",
-                   str(scene_path), "--out", str(tmp_path / focus),
-                   "--focus", focus, "--focal-zones", "0"])
-        assert rc == 1
+        with pytest.raises(SystemExit) as exc:
+            main(["beamform", "--channels", str(tmp_path / "missing"),
+                  "--scene", str(scene_path), "--out", str(tmp_path / focus),
+                  "--focus", focus, "--focal-zones", zones])
+        assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert err.startswith(
-            "error[ValueError]: line_000.urf: num_focal_zones must be >= 1")
+        assert err.startswith("error[Usage]: argument --focal-zones: ")
         assert len(err.strip().splitlines()) == 1
         assert not (tmp_path / focus).exists()
 

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,11 @@ def dense_echoes(t0, gains, dt, grid_len, pulse):
             idx = np.arange(lo, hi + 1)
             row[idx] += gain * eval_pulse(pulse, idx * dt - t)
     return rows
+
+
+def echo_rows(t0, gains, dt, grid_len, pulse):
+    """``_echoes``' rows stacked into one array."""
+    return np.stack(list(_echoes(t0, gains, dt, grid_len, pulse)))
 
 
 def assert_rows_close(got, want, rel=1e-12):
@@ -129,7 +136,7 @@ def _interference_reference(ch, snr_db, speckle_count, seed, beam_angle):
         gains = rng.standard_normal(speckle_count)
         t0 = arrival_time(positions, beam_angle, ch.geometry.offsets[:, None],
                           SPEED)
-        speckle = _echoes(t0, gains, ch.grid_step, ch.grid_len, PULSE)
+        speckle = echo_rows(t0, gains, ch.grid_step, ch.grid_len, PULSE)
         speckle *= np.sqrt(frac * target / _row_power(speckle))[:, None]
         out += speckle
     white = rng.standard_normal(ch.samples.shape)
@@ -140,8 +147,10 @@ def _interference_reference(ch, snr_db, speckle_count, seed, beam_angle):
 
 @pytest.mark.parametrize("speckle", [0, 25])
 def test_interference_matches_full_array_reference(speckle):
+    # rows of over 16384 samples: einsum sums such a row in another order
+    # when it comes alone than as one row of a larger array
     scene = Scene(scatterers=(Scatterer(5e-6, 1.0), Scatterer(9e-6, -1.5)),
-                  beam_angle=0.1, tau=TAU)
+                  beam_angle=0.1, tau=2 * TAU)
     ch = synthesize(scene, default_geometry(num_elements=5))
     before = ch.samples.copy()
     out = add_interference(ch, 20.0, speckle, seed=11, pulse=PULSE,
@@ -286,7 +295,7 @@ def test_echoes_match_dense_reference_at_any_arrival():
                    [0.5 * dt, 777.25 * dt, 1500.5 * dt, 0.25 * dt,
                     (grid_len + 100) * dt]])
     gains = np.array([1.0, -2.5, 0.3, 1.7, -0.9])
-    assert_rows_close(_echoes(t0, gains, dt, grid_len, PULSE),
+    assert_rows_close(echo_rows(t0, gains, dt, grid_len, PULSE),
                       dense_echoes(t0, gains, dt, grid_len, PULSE))
 
 
@@ -296,7 +305,7 @@ def test_each_echo_covers_exactly_its_window():
     dt, grid_len = simulation_grid_step(16), 2000
     t0 = (np.array([0.0, 10.5, 300.0, 300.25, 300.5, 300.75, 1999.0, 2100.0])
           * dt)[:, None]
-    got = _echoes(t0, [1.0], dt, grid_len, PULSE)
+    got = echo_rows(t0, [1.0], dt, grid_len, PULSE)
     want = dense_echoes(t0, [1.0], dt, grid_len, PULSE)
     for g, w in zip(got, want):
         np.testing.assert_array_equal(np.flatnonzero(g), np.flatnonzero(w))
@@ -307,6 +316,29 @@ def test_echoes_reject_a_pulse_the_grid_cannot_resolve():
     scene = Scene(scatterers=(Scatterer(6e-6, 1.0),), tau=TAU)
     with pytest.raises(GridTooCoarse):
         synthesize(scene, default_geometry(), pulse=narrow)
+
+
+def test_speckle_error_on_the_worker_reaches_the_caller():
+    # the speckle rows are synthesized on the package's worker thread while
+    # the caller draws the noise; the worker's error must release the
+    # caller with its type unchanged.  A helper thread turns a hang into a
+    # failure instead of a stalled suite.
+    ch = synthesize(Scene(scatterers=(Scatterer(6e-6, 1.0),), tau=TAU),
+                    default_geometry(num_elements=5))
+    narrow = PulseModel(carrier_hz=5e6, envelope_sigma=1e-9)
+    raised = []
+
+    def call():
+        try:
+            add_interference(ch, 20.0, 5, 3, pulse=narrow)
+        except GridTooCoarse as e:
+            raised.append(e)
+
+    caller = threading.Thread(target=call, daemon=True)
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive(), "add_interference hung"
+    assert len(raised) == 1
 
 
 @pytest.mark.parametrize("kwargs", [

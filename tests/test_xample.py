@@ -1,4 +1,7 @@
 import json
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -10,6 +13,7 @@ from xampus import (BeamformedLine, ChannelSet, GridTooShort,
                     kernel_value, select_kappa, xample_beamformed_oracle,
                     xample_channels)
 from xampus.cli import main
+from xampus import xample
 from xampus.xample import _bank_tables
 
 from util import PULSE, SPEED, default_geometry, random_scene, synthesize
@@ -277,23 +281,101 @@ def _noisy_channels(cfg, seed):
 @pytest.mark.parametrize("focus", ["dynamic", "infinity"])
 @pytest.mark.parametrize("L,rho", [(5, 2), (30, 4)])
 def test_kernel_bank_matches_dense_reference(L, rho, focus):
-    geom = default_geometry(num_elements=3, pitch=1e-3)
-    cfg = make_config(L=L, rho=rho, tau=51.2e-6, geometry=geom, focus=focus)
+    # 1, 3 and 5 elements make 1, 2 and 3 warp groups in dynamic focus: the
+    # worker's share of the groups is empty, one group, or the smaller half
+    for num_elements in (1, 3, 5):
+        geom = default_geometry(num_elements=num_elements, pitch=1e-3)
+        cfg = make_config(L=L, rho=rho, tau=51.2e-6, geometry=geom,
+                          focus=focus)
+        S = build_S(cfg.p)
+        ch = _noisy_channels(cfg, seed=15)
+        ref = _dense_c_qm(ch, cfg, S)
+        out = xample_channels(ch, cfg, S)
+        assert _rel(out.c, ref.sum(axis=1)) <= 1e-12
+        # dynamic focus: mirrored elements m and N-1-m share column
+        # min(m, N-1-m); infinity focus: the whole aperture fills column 0
+        want = np.zeros_like(ref)
+        for m in range(num_elements):
+            col = min(m, num_elements - 1 - m) if focus == "dynamic" else 0
+            want[:, col] += ref[:, m]
+        for got_col, want_col in zip(out.c_qm.T, want.T):
+            if np.any(want_col):
+                assert _rel(got_col, want_col) <= 1e-12
+            else:
+                assert not np.any(got_col)
+
+
+def test_concurrent_callers_match_serial_results():
+    # two calling threads share the package's one worker: each call's
+    # interference and kernel bank must equal the same call made alone
+    geom = default_geometry(num_elements=5, pitch=1e-3)
+    cfg = make_config(L=5, rho=2, tau=51.2e-6, geometry=geom)
     S = build_S(cfg.p)
-    ch = _noisy_channels(cfg, seed=15)
-    ref = _dense_c_qm(ch, cfg, S)
-    out = xample_channels(ch, cfg, S)
-    assert _rel(out.c, ref.sum(axis=1)) <= 1e-12
-    if focus == "dynamic":
-        # the mirrored pair lands in column 0, the on-axis element in
-        # column 1, and column 2 stays empty
-        assert _rel(out.c_qm[:, 0], ref[:, 0] + ref[:, 2]) <= 1e-12
-        assert _rel(out.c_qm[:, 1], ref[:, 1]) <= 1e-12
-        assert not np.any(out.c_qm[:, 2])
-    else:
-        # every warp is the identity: one pass over the whole aperture
-        assert _rel(out.c_qm[:, 0], ref.sum(axis=1)) <= 1e-12
-        assert not np.any(out.c_qm[:, 1:])
+    chans = [synthesize(random_scene(np.random.default_rng(k), 3, cfg.tau)[0],
+                        geom) for k in range(2)]
+
+    def run(k, i):
+        noisy = add_interference(chans[k], 20.0, 25, 100 * k + i,
+                                 pulse=PULSE)
+        return noisy.samples, xample_channels(noisy, cfg, S).c_qm
+
+    serial = [[run(k, i) for i in range(20)] for k in range(2)]
+    mismatches = []
+
+    def caller(k):
+        for i in range(20):
+            for got, want in zip(run(k, i), serial[k][i]):
+                if not np.array_equal(got, want):
+                    mismatches.append((k, i))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=caller, args=(k,), daemon=True)
+                   for k in range(2)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads), "a caller hung"
+    assert not mismatches
+
+
+def test_kernel_bank_waits_for_the_worker_share(monkeypatch):
+    # the worker's share ends before the call returns or raises, and its
+    # error reaches the caller with its type unchanged
+    geom = default_geometry(num_elements=5, pitch=1e-3)
+    cfg = make_config(L=5, rho=2, tau=51.2e-6, geometry=geom)
+    ch = _noisy_channels(cfg, seed=17)
+    caller = threading.current_thread()
+    passes = xample._bank_passes
+    worker_done = []
+
+    class WorkerFailed(Exception):
+        pass
+
+    def caller_fails(groups, *args):
+        if threading.current_thread() is caller:
+            raise InvariantViolation("caller share")
+        time.sleep(0.2)
+        passes(groups, *args)
+        worker_done.append(True)
+
+    monkeypatch.setattr(xample, "_bank_passes", caller_fails)
+    with pytest.raises(InvariantViolation, match="caller share"):
+        xample_channels(ch, cfg, build_S(cfg.p))
+    assert worker_done == [True]
+
+    def worker_fails(groups, *args):
+        if threading.current_thread() is not caller:
+            raise WorkerFailed
+        passes(groups, *args)
+
+    monkeypatch.setattr(xample, "_bank_passes", worker_fails)
+    with pytest.raises(WorkerFailed):
+        xample_channels(ch, cfg, build_S(cfg.p))
 
 
 def test_kernel_value_integrates_to_c_qm_column():
