@@ -3,9 +3,13 @@
 The simulator's interference and the kernel bank each split one call in two:
 the calling thread takes one share, the worker the other, and both are numpy
 fills and ufuncs over arrays long enough that numpy releases the interpreter
-lock, so on two cores the shares run at once.  Each share writes only its own
-rows or columns and does the same arithmetic in the same order as one thread
-would, so results are bitwise those of a serial run.
+lock, so on two cores the shares run at once.  ``add_interference`` hands
+the worker one share per call: the worker builds clean plus speckle as one
+array while the caller draws all the seeded white noise, and the caller adds
+the two once the worker is done.  The kernel bank gives the worker every
+second warp group, each writing only its own columns.  Each share does the
+same arithmetic in the same order as one thread would, so results are
+bitwise those of a serial run.
 
 There is one worker and no setting.  Shares from several calling threads
 queue on it; a share never waits for another share, so none can deadlock.

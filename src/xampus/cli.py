@@ -60,22 +60,13 @@ def _naming(path: Path):
 
 def _line_paths(channel_dir: Path, scene, limit=None) -> list[Path]:
     """The channel files to image, one per scene line, in line order."""
-    paths = sorted(Path(channel_dir).glob("line_*.urf"))
+    paths = sorted(Path(channel_dir).glob("line_*.urf"))[:limit]
     if not paths:
         raise InvariantViolation(f"no line_*.urf files in {channel_dir}")
-    paths = _first(paths, limit)
     if len(paths) > len(scene.lines):
         raise InvariantViolation(
             f"{len(paths)} channel files for {len(scene.lines)} scene lines")
     return paths
-
-
-def _first(items, limit):
-    if limit is None:
-        return list(items)
-    if limit < 1:
-        raise InvariantViolation("--lines must be >= 1")
-    return list(items)[:limit]
 
 
 def _axial_samples(tau: float) -> int:
@@ -89,7 +80,7 @@ def cmd_simulate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     step = simulation_grid_step(args.oversample)
     noise = scene.noise
-    lines = _first(scene.lines, args.lines)
+    lines = scene.lines[:args.lines]
     paths = [out / f"line_{idx:03d}.urf" for idx in range(len(lines))]
     # a file left by an earlier, longer run would be imaged as a line
     for stale in set(out.glob("line_*.urf")) - set(paths):
@@ -307,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="simulation grid factor over the 20 MHz rate")
     sim.add_argument("--seed", type=int, default=None,
                      help="override the scene noise seed")
-    sim.add_argument("--lines", type=int, default=None,
+    sim.add_argument("--lines", type=_count, default=None,
                      help="process only the first N lines")
     sim.set_defaults(fn=cmd_simulate)
 
@@ -321,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="staircase focus with this many zones")
     bf.add_argument("--dynamic-range-db", type=float,
                     default=DEFAULT_DYNAMIC_RANGE_DB)
-    bf.add_argument("--lines", type=int, default=None,
+    bf.add_argument("--lines", type=_count, default=None,
                     help="process only the first N lines")
     bf.set_defaults(fn=cmd_beamform)
 
@@ -342,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="also write the branch sample CSVs")
     xa.add_argument("--dynamic-range-db", type=float,
                     default=DEFAULT_DYNAMIC_RANGE_DB)
-    xa.add_argument("--lines", type=int, default=None,
+    xa.add_argument("--lines", type=_count, default=None,
                     help="process only the first N lines")
     xa.set_defaults(fn=cmd_xample)
 

@@ -72,7 +72,7 @@ def recover_fourier(c, S: MixingMatrix, H, kappa, tau: float) -> FourierCoeffs:
     c = np.asarray(c, dtype=complex)
     H = np.asarray(H)
     kappa = np.asarray(kappa)
-    p = S.num_branches
+    p = S.p
     if p != len(kappa):
         raise InvariantViolation(
             f"mixing matrix columns {p} != |kappa| {len(kappa)}")

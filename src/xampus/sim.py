@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,9 +161,8 @@ def _echoes(t0, gains, grid_step, grid_len, pulse):
     ``T[k] = exp(-(k dt)^2 / 2 sigma^2 + j w_c k dt)`` is shared by every
     echo, and ``z = exp(dt phi / sigma^2)`` and
     ``w = gain * exp(-phi^2 / 2 sigma^2 - j w_c phi)`` are per-echo scalars.
-    Yields the rows one at a time, so the temporaries hold one row's echoes
-    and a caller can use each row as soon as it is made.  Checks that the
-    grid resolves the pulse on the first row asked for.
+    Rows are evaluated one at a time to keep the temporaries to one row's
+    echoes.
     """
     sig = pulse.envelope_sigma
     if grid_step > sig:
@@ -196,6 +194,7 @@ def _echoes(t0, gains, grid_step, grid_len, pulse):
     # every window inside, and the padding drops the part off the grid
     anchor = anchor.astype(np.intp)
     offsets = np.arange(2 * reach + 1)
+    rows = np.empty((t0.shape[0], grid_len))
     for m in range(t0.shape[0]):
         vals = coef[m] @ table
         vals *= np.exp(np.multiply.outer(log_z[m], k))
@@ -204,7 +203,8 @@ def _echoes(t0, gains, grid_step, grid_len, pulse):
         bins = anchor[m, :, None] + offsets
         padded = np.bincount(bins.ravel(), weights=vals.ravel(),
                              minlength=grid_len + 2 * reach)
-        yield padded[reach:reach + grid_len]
+        rows[m] = padded[reach:reach + grid_len]
+    return rows
 
 
 def _row_power(x):
@@ -233,11 +233,8 @@ def synthesize_channels(
     t0 = arrival_time([sc.axial_time for sc in scene.scatterers],
                       scene.beam_angle, geometry.offsets[:, None],
                       geometry.speed_of_sound)
-    samples = np.empty((geometry.num_elements, grid_len))
-    for row, echoes in zip(samples, _echoes(
-            t0, [sc.reflectivity for sc in scene.scatterers], grid_step,
-            grid_len, pulse)):
-        row[:] = echoes
+    samples = _echoes(t0, [sc.reflectivity for sc in scene.scatterers],
+                      grid_step, grid_len, pulse)
     return ChannelSet(grid_step=grid_step, samples=samples,
                       geometry=geometry, tau=scene.tau)
 
@@ -271,7 +268,7 @@ def add_interference(
     rng = np.random.default_rng(seed)
     target = _row_power(ch.samples) * 10.0 ** (-snr_db / 10.0)
     speckle_frac = 0.5 if speckle_count > 0 else 0.0
-    speckle = None
+    t0 = gains = None
     if speckle_count > 0:
         # Weak reflectors spread over the usable depth span, synthesized like
         # real scatterers and rescaled per channel to hit their power share.
@@ -281,44 +278,27 @@ def add_interference(
         gains = rng.standard_normal(speckle_count)
         t0 = arrival_time(positions, beam_angle, ch.geometry.offsets[:, None],
                           ch.geometry.speed_of_sound)
-        speckle = _echoes(t0, gains, ch.grid_step, ch.grid_len, pulse)
-    out = np.empty_like(ch.samples)
-    rows_ready = threading.Semaphore(0)
 
-    def fill_rows():
-        """out[m] = scaled speckle row m + clean row m, released row by row."""
-        for m, (dst, clean) in enumerate(zip(out, ch.samples)):
-            if speckle is None:
-                np.copyto(dst, clean)
-            else:
-                row = next(speckle)
-                # einsum sums a long row in another order when it comes
-                # alone than as a row of a larger array: a view with as many
-                # rows as the full array (at most two copies of this row)
-                # gets the power a full-array synthesis would, bitwise
-                shown = np.broadcast_to(row, (min(len(out), 2), len(row)))
-                power = _row_power(shown)[0]
-                scale = 0.0
-                if power > 0 and target[m] > 0:
-                    scale = np.sqrt(speckle_frac * target[m] / power)
-                np.multiply(row, scale, out=dst)
-                dst += clean
-            rows_ready.release()
+    def clean_plus_speckle():
+        if t0 is None:
+            return ch.samples.copy()
+        # the speckle buffer becomes the output: one full-size array fewer
+        out = _echoes(t0, gains, ch.grid_step, ch.grid_len, pulse)
+        sp_power = _row_power(out)
+        scale = np.zeros_like(sp_power)
+        ok = (sp_power > 0) & (target > 0)
+        scale[ok] = np.sqrt(speckle_frac * target[ok] / sp_power[ok])
+        out *= scale[:, None]
+        out += ch.samples
+        return out
 
-    # The worker builds each row's clean-plus-speckle part while this thread
-    # draws the white noise one row at a time, in the order a full-array draw
-    # would take; each noise row is added only once its row is ready, so the
-    # draws and the sums match a serial full-array computation bitwise.
-    white_scale = np.sqrt((1.0 - speckle_frac) * target)
-    noise = np.empty(ch.grid_len)
-    with alongside(fill_rows) as filling:
-        # a worker that stops early releases once more, when it ends
-        filling.add_done_callback(lambda _: rows_ready.release())
-        for m in range(len(out)):
-            rng.standard_normal(out=noise)
-            noise *= white_scale[m]
-            rows_ready.acquire()
-            if filling.done():
-                filling.result()  # raises the worker's error, if any
-            out[m] += noise
+    # One handoff: the worker builds clean plus speckle while this thread
+    # draws all the white noise, after the speckle draws as a serial run
+    # would; the sums are the serial ones, so the output is bitwise the same.
+    noise = np.empty_like(ch.samples)
+    with alongside(clean_plus_speckle) as share:
+        rng.standard_normal(out=noise)
+        noise *= np.sqrt((1.0 - speckle_frac) * target)[:, None]
+    out = share.result()
+    out += noise
     return ChannelSet(ch.grid_step, out, ch.geometry, ch.tau)

@@ -14,7 +14,7 @@ import struct
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParseError, XampusError
 from .geometry import ArrayGeometry
 from .outfile import open_new
 from .sim import ChannelSet
@@ -64,5 +64,9 @@ def read_channels(path, geometry: ArrayGeometry) -> ChannelSet:
         samples = np.empty((num_elements, grid_len), dtype="<f8")
         if f.readinto(samples) != body_size:
             raise ParseError(f"{path}: truncated URF1 body")
-    return ChannelSet(grid_step=grid_step, samples=samples,
-                      geometry=geometry, tau=tau)
+    try:
+        return ChannelSet(grid_step=grid_step, samples=samples,
+                          geometry=geometry, tau=tau)
+    except XampusError as e:
+        e.args = (f"{path}: {e}",)
+        raise

@@ -159,10 +159,6 @@ class MixingMatrix:
             raise InvariantViolation(
                 f"mixing matrix needs an even branch count >= 2, got {self.p!r}")
 
-    @property
-    def num_branches(self) -> int:
-        return self.p
-
     @functools.cached_property
     def entries(self) -> np.ndarray:
         eye = np.eye(self.p // 2)
@@ -324,12 +320,12 @@ def xample_channels(ch: ChannelSet, cfg: XampleConfig,
         raise GridTooShort(
             f"channel grid ends at {ch.duration:g} s, needs {bound:g} s"
         )
-    if S.num_branches != len(cfg.kappa):
+    if S.p != len(cfg.kappa):
         raise InvariantViolation("mixing matrix branches must match |kappa|")
     groups = _bank_tables(cfg, ch.geometry, ch.grid_len, ch.grid_step)
     t = ch.times
     w = _trapezoid_weights(ch.grid_len, ch.grid_step)
-    c_qm = np.zeros((S.num_branches, ch.geometry.num_elements))
+    c_qm = np.zeros((S.p, ch.geometry.num_elements))
     trace_bufs = np.empty((2, ch.grid_len))
     z_bufs = np.empty((2, ch.grid_len), dtype=complex)
     with alongside(_bank_passes, groups[1::2], ch.samples, t, w, cfg, c_qm,
@@ -350,7 +346,7 @@ def xample_beamformed_oracle(line: BeamformedLine, cfg: XampleConfig,
         raise InvariantViolation("oracle line must be at simulation resolution")
     if line.grid_step * (len(line.samples) - 1) < cfg.tau * (1 - 1e-9):
         raise GridTooShort("oracle line does not span [0, tau]")
-    if S.num_branches != len(cfg.kappa):
+    if S.p != len(cfg.kappa):
         raise InvariantViolation("mixing matrix branches must match |kappa|")
     w = _trapezoid_weights(len(line.samples), line.grid_step)
     z0, step = _harmonic_table(cfg.kappa_pos, cfg.tau, line.times, 0.0)
@@ -367,8 +363,8 @@ def kernel_value(cfg: XampleConfig, S: MixingMatrix, q: int, elem: int, t):
     ``|offset|/c``.  The +/-k pairing makes the sum real; the real part is
     returned.
     """
-    if not 0 <= q < S.num_branches:
-        raise IndexError(f"branch {q} outside 0..{S.num_branches - 1}")
+    if not 0 <= q < S.p:
+        raise IndexError(f"branch {q} outside 0..{S.p - 1}")
     n_elem = cfg.geometry.num_elements
     if not 0 <= elem < n_elem:
         raise IndexError(f"element {elem} outside 0..{n_elem - 1}")

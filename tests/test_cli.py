@@ -1,5 +1,6 @@
 import csv
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -320,6 +321,28 @@ def test_failing_line_is_named(scene_path, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error[OrderOverflow]: line_001.urf: ")
     assert "above threshold 0.01, bound is 2" in err
+
+
+def test_channel_file_errors_name_the_file(scene_path, tmp_path, capsys):
+    # a header whose grid step is too coarse for the simulation grid parses,
+    # and the ChannelSet it builds refuses it: the error still names the file
+    ch_dir = tmp_path / "ch"
+    assert main(["simulate", "--scene", str(scene_path), "--out",
+                 str(ch_dir)]) == 0
+    path = ch_dir / "line_001.urf"
+    raw = bytearray(path.read_bytes())
+    raw[12:20] = struct.pack("<d", 1e-7)
+    path.write_bytes(bytes(raw))
+    capsys.readouterr()
+    for argv in (["beamform"], ["xample", "--L", "5"]):
+        out = tmp_path / argv[0]
+        rc = main([*argv, "--channels", str(ch_dir), "--scene",
+                   str(scene_path), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error[GridTooCoarse]: {path}: grid_step 1e-07")
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("zones", ["0", "-2", "two"])

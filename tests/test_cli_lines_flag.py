@@ -33,7 +33,28 @@ def test_lines_flag_limits_processing(scene_path, tmp_path):
 
 
 def test_lines_flag_validated(scene_path, tmp_path, capsys):
-    rc = main(["simulate", "--scene", str(scene_path),
-               "--out", str(tmp_path / "ch"), "--lines", "0"])
-    assert rc != 0
-    assert capsys.readouterr().err.startswith("error[InvariantViolation]:")
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--scene", str(scene_path),
+              "--out", str(tmp_path / "ch"), "--lines", "0"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("error[Usage]:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate"],
+    ["beamform", "--channels", "missing"],
+    ["xample", "--channels", "missing", "--L", "5"],
+], ids=["simulate", "beamform", "xample"])
+@pytest.mark.parametrize("count", ["0", "-1", "two"])
+def test_lines_flag_is_a_usage_error_before_any_file_is_read(
+        tmp_path, capsys, argv, count):
+    # neither the scene nor the channel directory exists
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--scene", str(tmp_path / "missing.json"),
+              "--out", str(out), "--lines", count])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error[Usage]: argument --lines: ")
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()

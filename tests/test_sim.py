@@ -25,11 +25,6 @@ def dense_echoes(t0, gains, dt, grid_len, pulse):
     return rows
 
 
-def echo_rows(t0, gains, dt, grid_len, pulse):
-    """``_echoes``' rows stacked into one array."""
-    return np.stack(list(_echoes(t0, gains, dt, grid_len, pulse)))
-
-
 def assert_rows_close(got, want, rel=1e-12):
     """Each row within rel times its peak; all-zero rows must be exact."""
     peak = np.max(np.abs(want), axis=1, keepdims=True)
@@ -136,7 +131,7 @@ def _interference_reference(ch, snr_db, speckle_count, seed, beam_angle):
         gains = rng.standard_normal(speckle_count)
         t0 = arrival_time(positions, beam_angle, ch.geometry.offsets[:, None],
                           SPEED)
-        speckle = echo_rows(t0, gains, ch.grid_step, ch.grid_len, PULSE)
+        speckle = _echoes(t0, gains, ch.grid_step, ch.grid_len, PULSE)
         speckle *= np.sqrt(frac * target / _row_power(speckle))[:, None]
         out += speckle
     white = rng.standard_normal(ch.samples.shape)
@@ -295,7 +290,7 @@ def test_echoes_match_dense_reference_at_any_arrival():
                    [0.5 * dt, 777.25 * dt, 1500.5 * dt, 0.25 * dt,
                     (grid_len + 100) * dt]])
     gains = np.array([1.0, -2.5, 0.3, 1.7, -0.9])
-    assert_rows_close(echo_rows(t0, gains, dt, grid_len, PULSE),
+    assert_rows_close(_echoes(t0, gains, dt, grid_len, PULSE),
                       dense_echoes(t0, gains, dt, grid_len, PULSE))
 
 
@@ -305,7 +300,7 @@ def test_each_echo_covers_exactly_its_window():
     dt, grid_len = simulation_grid_step(16), 2000
     t0 = (np.array([0.0, 10.5, 300.0, 300.25, 300.5, 300.75, 1999.0, 2100.0])
           * dt)[:, None]
-    got = echo_rows(t0, [1.0], dt, grid_len, PULSE)
+    got = _echoes(t0, [1.0], dt, grid_len, PULSE)
     want = dense_echoes(t0, [1.0], dt, grid_len, PULSE)
     for g, w in zip(got, want):
         np.testing.assert_array_equal(np.flatnonzero(g), np.flatnonzero(w))

@@ -249,7 +249,7 @@ def _dense_c_qm(ch, cfg, S):
     t = ch.times
     w = _trapezoid(ch)
     dynamic = cfg.focus_mode == "dynamic"
-    out = np.zeros((S.num_branches, ch.geometry.num_elements))
+    out = np.zeros((S.p, ch.geometry.num_elements))
     for m, a in enumerate(ch.geometry.offset_times):
         keep = t >= a if dynamic else np.ones(t.shape, bool)
         ts = t[keep]
