@@ -21,29 +21,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantViolation
+from .xample import harmonic_count
 
 DEFAULT_DEPTH_M = 0.0788
 DEFAULT_SAMPLE_RATE_HZ = 20e6
 DEFAULT_SPEED_OF_SOUND = 1540.0
 DEFAULT_NUM_ELEMENTS = 16
-_MAX_K = 1e100
 _MAX_SAMPLES = 2.0**53
 
 
 def sample_counts(L: int, rho: float) -> tuple[int, int]:
     """(K, samples per element per line) for a reflector bound and oversampling.
 
-    K = 2 rho L positive-half coefficients; doubling for the mirrored
-    harmonics makes the per-element sample count 2K = 4 rho L.
+    K = 2 rho L positive-half coefficients (``xample.harmonic_count``, which
+    raises ``InvariantViolation`` for an L or rho the kernel bank refuses);
+    doubling for the mirrored harmonics makes the per-element sample count
+    2K = 4 rho L.
     """
-    if L < 1:
-        raise ValueError("L must be >= 1")
-    if not (np.isfinite(rho) and rho >= 1):
-        raise ValueError("rho must be finite and >= 1")
-    # the K^3 op count stays a finite float; dividing keeps a huge L exact
-    if L > _MAX_K / (2 * rho):
-        raise ValueError(f"2*rho*L must be <= {_MAX_K:g}")
-    K = int(round(2 * rho * L))
+    K = harmonic_count(L, rho)
     return K, 2 * K
 
 

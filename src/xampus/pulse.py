@@ -88,7 +88,7 @@ def spectrum_peak(model: PulseModel) -> float:
     return float(pulse_spectrum(model, 2.0 * np.pi * model.carrier_hz))
 
 
-def build_H(model: PulseModel, kappa, tau: float, floor: float = SPECTRUM_FLOOR):
+def build_H(model: PulseModel, kappa, tau: float):
     """Diagonal of the pulse-spectrum matrix over the harmonic set ``kappa``.
 
     Entry i is H(2 pi kappa[i] / tau).  The matrix is diagonal, so it is
@@ -98,16 +98,17 @@ def build_H(model: PulseModel, kappa, tau: float, floor: float = SPECTRUM_FLOOR)
     Raises
     ------
     SingularHarmonic
-        If any entry has magnitude <= ``floor`` times the spectrum peak,
-        which would make the deconvolution step blow up.
+        If any entry has magnitude <= ``SPECTRUM_FLOOR`` times the spectrum
+        peak, which would make the deconvolution step blow up.
     """
     kappa = np.asarray(kappa)
     diag = pulse_spectrum(model, 2.0 * np.pi * kappa / tau)
-    limit = floor * spectrum_peak(model)
+    limit = SPECTRUM_FLOOR * spectrum_peak(model)
     bad = np.abs(diag) <= limit
     if np.any(bad):
         k_bad = kappa[bad]
         raise SingularHarmonic(
-            f"harmonics {k_bad.tolist()} fall below {floor:g} of the spectrum peak"
+            f"harmonics {k_bad.tolist()} fall below {SPECTRUM_FLOOR:g} of the "
+            "spectrum peak"
         )
     return diag

@@ -135,22 +135,19 @@ def estimate_order(y, L_max: int, sv_threshold: float = SV_THRESHOLD_DEFAULT):
     return order, s, Vh
 
 
-def matrix_pencil(coeffs: FourierCoeffs,
-                  sv_threshold: float = SV_THRESHOLD_DEFAULT,
-                  L_max: int | None = None):
+def matrix_pencil(coeffs: FourierCoeffs, L_max: int,
+                  sv_threshold: float = SV_THRESHOLD_DEFAULT):
     """Delay estimation via the shifted-pencil eigenproblem.
 
     Estimates the model order from the singular-value profile of the
-    coefficient Hankel matrix (``estimate_order``; ``L_max`` defaults to
-    K//2) and reads delays off the signal-subspace shift eigenvalues.
+    coefficient Hankel matrix (``estimate_order``) and reads delays off the
+    signal-subspace shift eigenvalues.
 
     Returns (delays ascending, full singular-value list).
 
     Raises ``OrderOverflow`` if more than ``L_max`` singular values clear the
     threshold, and ``ConditioningFailure`` if the eigen-solve fails.
     """
-    if L_max is None:
-        L_max = len(coeffs.y) // 2
     order, s, Vh = estimate_order(coeffs.y, L_max, sv_threshold)
     if order == 0:
         return np.zeros(0), s

@@ -19,10 +19,11 @@ package's central consistency check.
 
 Cost: elements with the same warp share one kernel, so the bank takes one
 harmonic pass per warp, ceil(N/2) for N elements in dynamic focus and one in
-infinity focus.  A pass needs two complex exponentials per grid sample (the
-first harmonic and the step between consecutive harmonics); they depend on
-no echo, so they are built once per (configuration, grid) and kept, two
-complex arrays per pass.  Each line then takes K = 2 rho L complex
+infinity focus.  A pass needs two tables per grid sample: the first harmonic
+times the quadrature weight and the warp bracket, and the step between
+consecutive harmonics.  They depend on no echo, so they are built once per
+(configuration, grid) and kept, two complex arrays per pass.  Each line then
+takes the member sum, one multiply by the first table and K = 2 rho L complex
 multiply-adds per sample and pass; the -k half is the conjugate of the +k
 half because the traces are real.  The passes are independent, so the
 package's worker thread takes every second one while the caller takes the
@@ -46,19 +47,11 @@ from .pulse import PulseModel, build_H
 from .sim import MAX_GRID_STEP, ChannelSet
 
 
-def select_kappa(L: int, rho: float, tau: float, carrier_hz: float,
-                 pulse: PulseModel | None = None) -> np.ndarray:
-    """Harmonic index set for ``K = 2 rho L`` coefficients near the carrier.
-
-    The positive half is the K consecutive integers centered on
-    ``k_c = round(carrier_hz * tau)``; the returned set appends the negation
-    of the positive half in matching order (column i + K pairs with column i),
-    which is what keeps the mixed kernels real.
+def harmonic_count(L: int, rho: float) -> int:
+    """Positive-half harmonic count ``K = 2 rho L``.
 
     Raises ``InvariantViolation`` unless L >= 1, rho is finite and >= 1 and
-    K is an even integer of at most 2**53, and ``OffBand`` if a pulse model
-    is supplied and any selected harmonic falls below
-    ``pulse.SPECTRUM_FLOOR`` of its spectrum peak.
+    K is an even integer of at most 2**53.
     """
     if L < 1:
         raise InvariantViolation("L must be >= 1")
@@ -71,19 +64,29 @@ def select_kappa(L: int, rho: float, tau: float, carrier_hz: float,
     K = int(round(k_float))
     if abs(K - k_float) > 1e-9 or K % 2 != 0:
         raise InvariantViolation("2*rho*L must be an even integer")
+    return K
+
+
+def select_kappa(L: int, rho: float, tau: float,
+                 carrier_hz: float) -> np.ndarray:
+    """Harmonic index set for ``K = 2 rho L`` coefficients near the carrier.
+
+    The positive half is the K consecutive integers centered on
+    ``k_c = round(carrier_hz * tau)``; the returned set appends the negation
+    of the positive half in matching order (column i + K pairs with column i),
+    which is what keeps the mixed kernels real.
+
+    Raises ``InvariantViolation`` for an (L, rho) that ``harmonic_count``
+    refuses or a set that reaches k < 1.
+    """
+    K = harmonic_count(L, rho)
     k_c = int(round(carrier_hz * tau))
     # checked on scalars, before a huge K could allocate its index range
     if k_c - K // 2 + 1 < 1:
         raise InvariantViolation("harmonic set reaches k < 1; tau too short "
                                  "for this carrier")
     pos = np.arange(k_c - K // 2 + 1, k_c + K // 2 + 1)
-    kappa = np.concatenate([pos, -pos])
-    if pulse is not None:
-        try:
-            build_H(pulse, kappa, tau)
-        except SingularHarmonic as e:
-            raise OffBand(str(e)) from e
-    return kappa
+    return np.concatenate([pos, -pos])
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,9 +119,13 @@ class XampleConfig:
                focus_mode: str = "dynamic") -> "XampleConfig":
         """Raises ``InvariantViolation`` for an L or rho that ``select_kappa``
         refuses and ``OffBand`` if a harmonic falls outside the pulse band."""
-        select_kappa(L, rho, tau, pulse.carrier_hz, pulse=pulse)
-        return cls(L=L, rho=rho, tau=tau, carrier_hz=pulse.carrier_hz,
-                   focus_mode=focus_mode, geometry=geometry)
+        cfg = cls(L=L, rho=rho, tau=tau, carrier_hz=pulse.carrier_hz,
+                  focus_mode=focus_mode, geometry=geometry)
+        try:
+            build_H(pulse, cfg.kappa, tau)
+        except SingularHarmonic as e:
+            raise OffBand(str(e)) from e
+        return cfg
 
     @property
     def K(self) -> int:
@@ -199,13 +206,15 @@ def _bracket(ts, a):
     return 1.0 + (a / ts) ** 2 if a else 1.0
 
 
-def _harmonic_table(kappa_pos, tau, ts, a):
+def _harmonic_table(kappa_pos, tau, ts, a, weights):
     """``(z0, step)`` for the harmonic recurrence on support points ``ts``:
-    ``z0 = exp(-2j pi kappa_pos[0] phase / tau)`` and ``step`` the factor
-    between consecutive harmonics, both read-only.  ``kappa_pos`` must be
-    consecutive."""
+    the first weighted, warped kernel
+    ``z0 = weights * bracket * exp(-2j pi kappa_pos[0] phase / tau)`` and
+    ``step`` the factor between consecutive harmonics, both read-only.
+    ``kappa_pos`` must be consecutive."""
     w = (-2j * np.pi / tau) * _phase(ts, a)
     z0 = np.exp(kappa_pos[0] * w)
+    z0 *= weights * _bracket(ts, a)
     step = np.exp(w)
     z0.flags.writeable = False
     step.flags.writeable = False
@@ -213,11 +222,10 @@ def _harmonic_table(kappa_pos, tau, ts, a):
 
 
 def _harmonics(z, step, n):
-    """g[i] = sum_t z * step^i for i < n, with ``z = z0 * weighted``: the
-    windowed harmonic integrals of one real weighted trace, the per-element
-    branch integrals before the S mixing is applied (mixing commutes with
-    the time integral); the -k half is their conjugate.  Advances ``z`` in
-    place."""
+    """g[i] = sum_t z * step^i for i < n, with ``z = z0 * trace``: the
+    windowed harmonic integrals of one real trace, the per-element branch
+    integrals before the S mixing is applied (mixing commutes with the time
+    integral); the -k half is their conjugate.  Advances ``z`` in place."""
     g = np.empty(n, dtype=complex)
     for i in range(n):
         g[i] = z.sum()
@@ -234,12 +242,11 @@ def _trapezoid_weights(n: int, step: float) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class _WarpGroup:
-    """Elements sharing one warp ``a``: their rows, the ``c_qm`` column they
-    fill and their harmonic tables on the support ``t >= a`` of the grid."""
+    """Elements sharing one warp a: their rows, the ``c_qm`` column they fill
+    and their ``_harmonic_table`` on the support ``t >= a`` of the grid."""
 
     members: np.ndarray
     column: int
-    a: float
     support: slice
     z0: np.ndarray
     step: np.ndarray
@@ -250,12 +257,14 @@ def _bank_tables(cfg: XampleConfig, geometry: ArrayGeometry, grid_len: int,
                  grid_step: float) -> tuple[_WarpGroup, ...]:
     """The kernel bank's warp groups for one configuration, array and grid.
 
-    The exponentials depend on no echo, so they are built once and reused
-    on every line.  ``cfg`` hashes by identity and ``geometry`` by value;
-    the cache holds its key, so no id is reused while the entry lives.  One
-    entry fits the traffic: a run uses one configuration and one grid.
+    The weighted, warped kernels depend on no echo, so they are built once
+    and reused on every line.  ``cfg`` hashes by identity and ``geometry``
+    by value; the cache holds its key, so no id is reused while the entry
+    lives.  One entry fits the traffic: a run uses one configuration and one
+    grid.
     """
     t = np.arange(grid_len) * grid_step
+    weights = _trapezoid_weights(grid_len, grid_step)
     a = geometry.offset_times
     if cfg.focus_mode != "dynamic":
         a = np.zeros_like(a)
@@ -264,39 +273,27 @@ def _bank_tables(cfg: XampleConfig, geometry: ArrayGeometry, grid_len: int,
     for k, (a_k, m) in enumerate(zip(warps, first)):
         # t is ascending, so the support t >= a is a suffix of the grid
         support = slice(int(np.searchsorted(t, a_k)), None)
-        z0, step = _harmonic_table(cfg.kappa_pos, cfg.tau, t[support], a_k)
+        z0, step = _harmonic_table(cfg.kappa_pos, cfg.tau, t[support], a_k,
+                                   weights[support])
         members = np.flatnonzero(group == k)
         members.flags.writeable = False
         groups.append(_WarpGroup(members=members, column=int(m),
-                                 a=float(a_k), support=support, z0=z0,
-                                 step=step))
+                                 support=support, z0=z0, step=step))
     return tuple(groups)
 
 
-def _bank_passes(groups, samples, t, w, cfg: XampleConfig, c_qm: np.ndarray,
+def _bank_passes(groups, samples, cfg: XampleConfig, c_qm: np.ndarray,
                  trace_buf: np.ndarray, z_buf: np.ndarray) -> None:
-    """One harmonic pass per warp group over the grid ``t`` with quadrature
-    weights ``w``, each into its own ``c_qm`` column; every pass reuses the
-    grid-length buffers ``trace_buf`` and ``z_buf``."""
+    """One harmonic pass per warp group, each into its own ``c_qm`` column;
+    every pass reuses the grid-length buffers ``trace_buf`` and ``z_buf``."""
     for grp in groups:
         sup = grp.support
-        # the member sum, then the weighted trace w * bracket * sum
         trace = trace_buf[sup]
         first, *rest = grp.members
         np.copyto(trace, samples[first, sup])
         for m in rest:
             np.add(trace, samples[m, sup], out=trace)
         z = z_buf[sup]
-        if grp.a:
-            # the bracket 1 + (a/t)^2 borrows z's memory until z is written
-            bracket = z.view(float)[: len(trace)]
-            np.divide(grp.a, t[sup], out=bracket)
-            np.multiply(bracket, bracket, out=bracket)
-            np.add(1.0, bracket, out=bracket)
-            np.multiply(w[sup], bracket, out=bracket)
-            np.multiply(bracket, trace, out=trace)
-        else:
-            np.multiply(w[sup], trace, out=trace)
         np.multiply(grp.z0, trace, out=z)
         g = _harmonics(z, grp.step, cfg.K)
         c_qm[:, grp.column] = np.concatenate([g.real, g.imag]) / cfg.tau
@@ -309,7 +306,8 @@ def xample_channels(ch: ChannelSet, cfg: XampleConfig,
     Elements with the same warp have the same kernel (the offset enters only
     as delta^2 and |delta|), so their traces are summed and take one
     harmonic pass: pairs +/-m in dynamic focus, the whole aperture in
-    infinity focus.  The passes' exponentials come from ``_bank_tables``.
+    infinity focus.  The passes' weighted, warped kernels come from
+    ``_bank_tables``.
     The package's worker thread takes every second group while this thread
     takes the rest; each side has its own two grid-length buffers and each
     group writes only its own column, so ``c_qm`` is bitwise that of one
@@ -323,15 +321,13 @@ def xample_channels(ch: ChannelSet, cfg: XampleConfig,
     if S.p != len(cfg.kappa):
         raise InvariantViolation("mixing matrix branches must match |kappa|")
     groups = _bank_tables(cfg, ch.geometry, ch.grid_len, ch.grid_step)
-    t = ch.times
-    w = _trapezoid_weights(ch.grid_len, ch.grid_step)
     c_qm = np.zeros((S.p, ch.geometry.num_elements))
     trace_bufs = np.empty((2, ch.grid_len))
     z_bufs = np.empty((2, ch.grid_len), dtype=complex)
-    with alongside(_bank_passes, groups[1::2], ch.samples, t, w, cfg, c_qm,
+    with alongside(_bank_passes, groups[1::2], ch.samples, cfg, c_qm,
                    trace_bufs[1], z_bufs[1]):
-        _bank_passes(groups[0::2], ch.samples, t, w, cfg, c_qm,
-                     trace_bufs[0], z_bufs[0])
+        _bank_passes(groups[0::2], ch.samples, cfg, c_qm, trace_bufs[0],
+                     z_bufs[0])
     return XampleOutput(c_qm=c_qm, c=c_qm.sum(axis=1))
 
 
@@ -349,8 +345,8 @@ def xample_beamformed_oracle(line: BeamformedLine, cfg: XampleConfig,
     if S.p != len(cfg.kappa):
         raise InvariantViolation("mixing matrix branches must match |kappa|")
     w = _trapezoid_weights(len(line.samples), line.grid_step)
-    z0, step = _harmonic_table(cfg.kappa_pos, cfg.tau, line.times, 0.0)
-    g = _harmonics(z0 * (w * line.samples), step, cfg.K)
+    z0, step = _harmonic_table(cfg.kappa_pos, cfg.tau, line.times, 0.0, w)
+    g = _harmonics(z0 * line.samples, step, cfg.K)
     return np.concatenate([g.real, g.imag]) / cfg.tau
 
 

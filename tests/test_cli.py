@@ -186,11 +186,17 @@ def test_cost_single_rho(tmp_path):
 
 
 def test_cost_invalid_rho(tmp_path, capsys):
-    for rho in ("0", "inf", "nan", "1e300"):
-        rc = main(["cost", "--rho", rho, "--out", str(tmp_path / "c.csv")])
+    # the kernel bank's own (L, rho) check: at L=5, 2*rho*L = 15 is odd and
+    # 10.5 is no integer, so cost refuses both as xample does
+    for L, rho in (("30", "0"), ("30", "inf"), ("30", "nan"), ("30", "1e300"),
+                   ("5", "1.5"), ("5", "1.05")):
+        rc = main(["cost", "--L", L, "--rho", rho,
+                   "--out", str(tmp_path / "c.csv")])
         assert rc != 0
         err = capsys.readouterr().err
-        assert err.startswith("error[ValueError]:") and err.count("\n") == 1
+        assert (err.startswith("error[InvariantViolation]:")
+                and err.count("\n") == 1)
+    assert not (tmp_path / "c.csv").exists()
 
 
 def test_cost_invalid_depth(tmp_path, capsys):

@@ -14,15 +14,19 @@ def test_sample_counts_table_rows():
 
 
 def test_sample_counts_validation():
-    with pytest.raises(ValueError):
+    # the kernel bank's own (L, rho) check, so cost refuses what xample does
+    with pytest.raises(InvariantViolation):
         sample_counts(0, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvariantViolation):
         sample_counts(30, 0.5)
     for rho in (float("inf"), float("nan"), 1e300):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvariantViolation):
             sample_counts(30, rho)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvariantViolation):
         sample_counts(10**400, 1)  # too large for a float
+    for rho in (1.5, 1.05):  # 2*rho*L = 15 (odd) and 10.5
+        with pytest.raises(InvariantViolation, match="even integer"):
+            sample_counts(5, rho)
 
 
 def test_xampled_ops_frozen_block_sums():

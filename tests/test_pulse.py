@@ -73,11 +73,11 @@ def test_build_h_near_carrier_all_nonzero():
     assert np.all(np.abs(H) > 0)
 
 
-def test_build_h_rejects_dc_harmonic():
-    # H(0)/H(w_c) ~ 1.1e-2 for this pulse, so a floor above that trips
-    with pytest.raises(SingularHarmonic):
-        build_H(PULSE, [0, 527], 102.4e-6, floor=5e-2)
-    # while the default floor accepts it
+def test_build_h_rejects_off_band_harmonic():
+    # k = 5000 is 48.8 MHz, where H/H(w_c) ~ exp(-377), below SPECTRUM_FLOOR
+    with pytest.raises(SingularHarmonic, match="5000"):
+        build_H(PULSE, [5000, 527], 102.4e-6)
+    # H(0)/H(w_c) ~ 1.1e-2 for this pulse, well above the floor
     assert np.all(np.abs(build_H(PULSE, [0, 527], 102.4e-6)) > 0)
 
 

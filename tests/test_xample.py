@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from xampus import (BeamformedLine, ChannelSet, GridTooShort,
-                    InvariantViolation, OffBand, Scatterer, Scene,
+                    InvariantViolation, OffBand, PulseModel, Scatterer, Scene,
                     XampleConfig, add_interference, beamform_line, build_S,
                     kernel_value, select_kappa, xample_beamformed_oracle,
                     xample_channels)
@@ -45,11 +45,13 @@ def test_select_kappa_pairing():
 
 
 def test_select_kappa_off_band():
-    # centering the set at 17 MHz puts every harmonic ~12 MHz off the pulse
+    # a 1 us envelope narrows the band to about +/-1 MHz around the carrier,
+    # while K = 240 harmonics at tau = 25.6 us span 0.5 to 9.8 MHz
+    long_pulse = PulseModel(carrier_hz=PULSE.carrier_hz, envelope_sigma=1e-6)
     with pytest.raises(OffBand):
-        select_kappa(5, 1, 102.4e-6, 17e6, pulse=PULSE)
-    # in-band selection passes the same check silently
-    select_kappa(5, 1, 102.4e-6, 5.142e6, pulse=PULSE)
+        XampleConfig.create(30, 4, 25.6e-6, long_pulse, default_geometry())
+    # the usual short pulse covers the same set
+    XampleConfig.create(30, 4, 25.6e-6, PULSE, default_geometry())
 
 
 def test_select_kappa_validation():
