@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -76,10 +77,12 @@ def _axial_samples(tau: float) -> int:
 
 def cmd_simulate(args) -> int:
     scene = load_scene(args.scene)
+    noise = scene.noise
+    if noise is not None and args.seed is not None:
+        noise = dataclasses.replace(noise, seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     step = simulation_grid_step(args.oversample)
-    noise = scene.noise
     lines = scene.lines[:args.lines]
     paths = [out / f"line_{idx:03d}.urf" for idx in range(len(lines))]
     # a file left by an earlier, longer run would be imaged as a line
@@ -89,9 +92,8 @@ def cmd_simulate(args) -> int:
         with _naming(path):
             ch = synthesize_channels(line, scene.geometry, scene.pulse, step)
             if noise is not None:
-                seed = noise.seed if args.seed is None else args.seed
                 ch = add_interference(ch, noise.snr_db, noise.speckle_count,
-                                      seed + idx, pulse=scene.pulse,
+                                      noise.seed + idx, pulse=scene.pulse,
                                       beam_angle=line.beam_angle)
         urf.write_channels(path, ch)
     print(f"wrote {len(lines)} channel file(s) to {out}")
@@ -131,7 +133,7 @@ def cmd_xample(args) -> int:
     cfg = XampleConfig.create(args.L, args.rho, scene.tau, scene.pulse,
                               scene.geometry, focus_mode=args.focus)
     paths = _line_paths(Path(args.channels), scene, args.lines)
-    for line in scene.lines:
+    for line in scene.lines[:args.lines]:
         if line.beam_angle != 0.0:
             raise InvariantViolation(
                 "low-rate acquisition is defined for linear scan only "

@@ -24,8 +24,8 @@ from .errors import InvariantViolation
 from .xample import harmonic_count
 
 DEFAULT_DEPTH_M = 0.0788
-DEFAULT_SAMPLE_RATE_HZ = 20e6
-DEFAULT_SPEED_OF_SOUND = 1540.0
+SAMPLE_RATE_HZ = 20e6
+SPEED_OF_SOUND = 1540.0
 DEFAULT_NUM_ELEMENTS = 16
 _MAX_SAMPLES = 2.0**53
 
@@ -65,16 +65,13 @@ def xampled_ops(L: int, K: int, p: int, M: int) -> float:
         + least_squares
 
 
-def standard_samples(depth_m: float = DEFAULT_DEPTH_M,
-                     sample_rate_hz: float = DEFAULT_SAMPLE_RATE_HZ,
-                     c: float = DEFAULT_SPEED_OF_SOUND) -> int:
-    """Per-element samples per line for a round trip to the given depth."""
-    for name, value in (("depth_m", depth_m),
-                        ("sample_rate_hz", sample_rate_hz), ("c", c)):
-        if not 0 < value < math.inf:
-            raise InvariantViolation(f"{name} {value!r} must be finite and "
-                                     "positive")
-    samples = 2.0 * depth_m / c * sample_rate_hz
+def standard_samples(depth_m: float = DEFAULT_DEPTH_M) -> int:
+    """Per-element samples per line for a round trip to the given depth, at
+    ``SAMPLE_RATE_HZ`` and ``SPEED_OF_SOUND``."""
+    if not 0 < depth_m < math.inf:
+        raise InvariantViolation(f"depth_m {depth_m!r} must be finite and "
+                                 "positive")
+    samples = 2.0 * depth_m / SPEED_OF_SOUND * SAMPLE_RATE_HZ
     # beyond 2**53 the count is no longer an exact integer, and standard_ops
     # would take the log of an int past int64
     if not samples <= _MAX_SAMPLES:
@@ -110,11 +107,9 @@ class CostRow:
 
 
 def cost_table(L: int, rhos, num_elements: int = DEFAULT_NUM_ELEMENTS,
-               depth_m: float = DEFAULT_DEPTH_M,
-               sample_rate_hz: float = DEFAULT_SAMPLE_RATE_HZ,
-               c: float = DEFAULT_SPEED_OF_SOUND) -> list[CostRow]:
+               depth_m: float = DEFAULT_DEPTH_M) -> list[CostRow]:
     """One row per oversampling factor, with the standard path for scale."""
-    std_samples = standard_samples(depth_m, sample_rate_hz, c)
+    std_samples = standard_samples(depth_m)
     std_mops = standard_ops(std_samples, num_elements) / 1e6
     M = num_elements // 2
     rows = []

@@ -5,10 +5,6 @@ class XampusError(Exception):
     """Base class for all package-specific failures."""
 
 
-class SingularHarmonic(XampusError):
-    """A selected harmonic falls where the pulse spectrum is effectively zero."""
-
-
 class GridTooCoarse(XampusError):
     """Simulation grid step violates the oversampling floor."""
 
@@ -18,7 +14,7 @@ class GridTooShort(XampusError):
 
 
 class OffBand(XampusError):
-    """Selected harmonic set misses the pulse band."""
+    """A selected harmonic falls where the pulse spectrum is effectively zero."""
 
 
 class OrderOverflow(XampusError):

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InvariantViolation
+
 
 @dataclass(frozen=True)
 class ArrayGeometry:
@@ -33,11 +35,13 @@ class ArrayGeometry:
 
     def __post_init__(self):
         if self.num_elements < 1:
-            raise ValueError("num_elements must be >= 1")
+            raise InvariantViolation("array num_elements must be >= 1")
         if not 0 < self.pitch < math.inf:
-            raise ValueError("pitch must be finite and positive")
+            raise InvariantViolation(
+                "array pitch must be finite and positive")
         if not 0 < self.speed_of_sound < math.inf:
-            raise ValueError("speed_of_sound must be finite and positive")
+            raise InvariantViolation(
+                "array speed_of_sound must be finite and positive")
 
     @property
     def offsets(self) -> np.ndarray:

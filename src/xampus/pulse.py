@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularHarmonic
+from .errors import InvariantViolation, OffBand
 
 # Relative spectrum magnitude below which a harmonic counts as off-band.
 SPECTRUM_FLOOR = 1e-9
@@ -40,11 +40,13 @@ class PulseModel:
 
     def __post_init__(self):
         if not 0 < self.carrier_hz < math.inf:
-            raise ValueError("carrier_hz must be finite and positive")
+            raise InvariantViolation(
+                "pulse carrier_hz must be finite and positive")
         if not 0 < self.envelope_sigma < math.inf:
-            raise ValueError("envelope_sigma must be finite and positive")
+            raise InvariantViolation(
+                "pulse envelope_sigma must be finite and positive")
         if not math.isfinite(self.amplitude):
-            raise ValueError("amplitude must be finite")
+            raise InvariantViolation("pulse amplitude must be finite")
 
     @property
     def support(self) -> float:
@@ -97,9 +99,10 @@ def build_H(model: PulseModel, kappa, tau: float):
 
     Raises
     ------
-    SingularHarmonic
+    OffBand
         If any entry has magnitude <= ``SPECTRUM_FLOOR`` times the spectrum
-        peak, which would make the deconvolution step blow up.
+        peak: that harmonic misses the pulse band, and dividing by it would
+        make the deconvolution step blow up.
     """
     kappa = np.asarray(kappa)
     diag = pulse_spectrum(model, 2.0 * np.pi * kappa / tau)
@@ -107,7 +110,7 @@ def build_H(model: PulseModel, kappa, tau: float):
     bad = np.abs(diag) <= limit
     if np.any(bad):
         k_bad = kappa[bad]
-        raise SingularHarmonic(
+        raise OffBand(
             f"harmonics {k_bad.tolist()} fall below {SPECTRUM_FLOOR:g} of the "
             "spectrum peak"
         )

@@ -12,7 +12,6 @@ filter; amplitudes are a linear least-squares fit given the delays.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -193,9 +192,10 @@ def least_squares_amplitudes(coeffs: FourierCoeffs,
 
     V has entries exp(-2j pi k t_l / tau) over the actual harmonic indices.
     Returns (a, residual): the real parts of the fit and |y - V a| / |y|,
-    0 when y is zero (with no delays, 1 for any nonzero y).  A warning is
-    emitted when the imaginary residue exceeds 1e-3 of the real scale (a
-    symptom of mismatched delays).
+    0 when y is zero (with no delays, 1 for any nonzero y).  The residual
+    includes the dropped imaginary parts: the complex fit's misfit is
+    orthogonal to the range of V, so residual^2 = |y - V a_c|^2 / |y|^2
+    + |V Im a_c|^2 / |y|^2 for the complex solution a_c.
     """
     delays = np.asarray(delays, dtype=float)
     y = np.asarray(coeffs.y)
@@ -213,10 +213,6 @@ def least_squares_amplitudes(coeffs: FourierCoeffs,
             f"amplitude system condition exceeds {_COND_LIMIT:g} "
             "(near-coincident delays)"
         )
-    real_scale = max(np.max(np.abs(a.real)), np.finfo(float).tiny)
-    if np.max(np.abs(a.imag)) / real_scale > 1e-3:
-        warnings.warn("amplitude solution has significant imaginary residue",
-                      RuntimeWarning, stacklevel=2)
     if norm == 0:
         return a.real, 0.0
     return a.real, float(np.linalg.norm(y - V @ a.real) / norm)

@@ -6,7 +6,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .errors import InvariantViolation, ParseError
+from .errors import ParseError
 from .geometry import ArrayGeometry
 from .pulse import PulseModel
 from .sim import NoiseSpec, Scatterer, Scene
@@ -82,28 +82,22 @@ def load_scene(path) -> SceneFile:
     if not isinstance(pd, dict):
         raise ParseError("pulse: expected an object")
     _require(pd, "pulse", ["carrier_hz", "sigma_s"], ["amplitude"])
-    try:
-        pulse = PulseModel(
-            carrier_hz=_number(pd, "pulse", "carrier_hz"),
-            envelope_sigma=_number(pd, "pulse", "sigma_s"),
-            amplitude=_number(pd, "pulse", "amplitude")
-            if "amplitude" in pd else 1.0,
-        )
-    except ValueError as e:
-        raise InvariantViolation(f"pulse: {e}") from e
+    pulse = PulseModel(
+        carrier_hz=_number(pd, "pulse", "carrier_hz"),
+        envelope_sigma=_number(pd, "pulse", "sigma_s"),
+        amplitude=_number(pd, "pulse", "amplitude")
+        if "amplitude" in pd else 1.0,
+    )
 
     ad = doc["array"]
     if not isinstance(ad, dict):
         raise ParseError("array: expected an object")
     _require(ad, "array", ["num_elements", "pitch_m"])
-    try:
-        geometry = ArrayGeometry(
-            num_elements=_integer(ad, "array", "num_elements"),
-            pitch=_number(ad, "array", "pitch_m"),
-            speed_of_sound=c,
-        )
-    except ValueError as e:
-        raise InvariantViolation(f"array: {e}") from e
+    geometry = ArrayGeometry(
+        num_elements=_integer(ad, "array", "num_elements"),
+        pitch=_number(ad, "array", "pitch_m"),
+        speed_of_sound=c,
+    )
 
     noise = None
     if "noise" in doc:

@@ -75,6 +75,8 @@ class NoiseSpec:
             raise InvariantViolation(
                 "speckle_count > 0 requires snr_db (speckle power budget)"
             )
+        if self.seed < 0:
+            raise InvariantViolation(f"noise seed {self.seed!r} must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,7 @@ import numpy as np
 
 from ._worker import alongside
 from .beamform import BeamformedLine
-from .errors import GridTooShort, InvariantViolation, OffBand, SingularHarmonic
+from .errors import GridTooShort, InvariantViolation
 from .geometry import ArrayGeometry, tau_hat
 from .pulse import PulseModel, build_H
 from .sim import MAX_GRID_STEP, ChannelSet
@@ -121,10 +121,7 @@ class XampleConfig:
         refuses and ``OffBand`` if a harmonic falls outside the pulse band."""
         cfg = cls(L=L, rho=rho, tau=tau, carrier_hz=pulse.carrier_hz,
                   focus_mode=focus_mode, geometry=geometry)
-        try:
-            build_H(pulse, cfg.kappa, tau)
-        except SingularHarmonic as e:
-            raise OffBand(str(e)) from e
+        build_H(pulse, cfg.kappa, tau)
         return cfg
 
     @property

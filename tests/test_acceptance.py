@@ -137,7 +137,7 @@ def test_criterion_5_standard_path_accounting():
     """Sample count at 7.88 cm and the delay-and-sum add count."""
     with criterion(5, "standard path: 2048 +/- 1 samples, 2048x15 adds, "
                       "total within 2x of 0.06 MOps"):
-        n = standard_samples(0.0788, 20e6, 1540.0)
+        n = standard_samples(0.0788)
         assert abs(n - 2048) <= 1
         total = standard_ops(2048, 16)
         adds = 2048 * 15
@@ -236,11 +236,8 @@ def test_criterion_8_focus_mode_contrast():
 
     with criterion(8, "dynamic focus: lower delay RMSE and higher reference "
                       "peak than focus-at-infinity"):
-        import warnings
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            rmse_dyn = delay_rmse("dynamic")
-            rmse_inf = delay_rmse("infinity")
+        rmse_dyn = delay_rmse("dynamic")
+        rmse_inf = delay_rmse("infinity")
         assert rmse_dyn <= rmse_inf
         dyn = beamform_line(ch, focus_mode="dynamic", out_step=50e-9)
         inf = beamform_line(ch, focus_mode="infinity", out_step=50e-9)

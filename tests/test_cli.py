@@ -474,6 +474,27 @@ def test_seed_flag(scene_path, tmp_path):
     assert all(a != b for a, b in zip(other, scene_seed))
 
 
+def test_negative_seed_fails_before_any_file_is_written(scene_path, tmp_path,
+                                                        capsys):
+    # from the scene file or from --seed, a negative seed is refused as an
+    # invariant of the noise, before the output directory is made
+    doc = json.loads(scene_path.read_text())
+    doc["noise"] = {"snr_db": 20.0, "speckle_count": 0, "seed": 1}
+    noisy = tmp_path / "noisy.json"
+    noisy.write_text(json.dumps(doc))
+    doc["noise"]["seed"] = -5
+    negative = tmp_path / "negative.json"
+    negative.write_text(json.dumps(doc))
+    out = tmp_path / "ch"
+    for scene, flags, seed in ((negative, [], -5),
+                               (noisy, ["--seed", "-1"], -1)):
+        assert main(["simulate", "--scene", str(scene), "--out", str(out),
+                     *flags]) == 1
+        assert capsys.readouterr().err == (
+            f"error[InvariantViolation]: noise seed {seed} must be >= 0\n")
+        assert not out.exists()
+
+
 def test_simulate_over_an_earlier_run(scene_path, tmp_path):
     # a second run into the same directory leaves exactly what a run into
     # a fresh one writes

@@ -32,6 +32,28 @@ def test_lines_flag_limits_processing(scene_path, tmp_path):
     assert body.startswith(b"P5\n1 ")  # single image column
 
 
+def test_xample_lines_checks_only_the_lines_it_images(scene_path, tmp_path,
+                                                      capsys):
+    # a steered third line does not stop the low-rate path from imaging the
+    # first two, but still refuses the scene as a whole
+    doc = json.loads(scene_path.read_text())
+    doc["lines"][2]["alpha_rad"] = 0.3
+    scene_path.write_text(json.dumps(doc))
+    ch = tmp_path / "ch"
+    assert main(["simulate", "--scene", str(scene_path), "--out", str(ch),
+                 "--lines", "2"]) == 0
+    xample = ["xample", "--channels", str(ch), "--scene", str(scene_path),
+              "--L", "5"]
+    assert main([*xample, "--out", str(tmp_path / "two"), "--lines", "2"]) == 0
+    body = (tmp_path / "two" / "xampled.pgm").read_bytes()
+    assert body.startswith(b"P5\n2 ")
+    assert main([*xample, "--out", str(tmp_path / "all")]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error[InvariantViolation]: low-rate acquisition is defined for "
+        "linear scan only")
+    assert not (tmp_path / "all").exists()
+
+
 def test_lines_flag_validated(scene_path, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--scene", str(scene_path),

@@ -50,14 +50,13 @@ def test_cubic_growth_ratio():
 
 
 def test_standard_samples_at_reference_depth():
-    assert standard_samples(0.0788, 20e6, 1540.0) == 2047
+    assert standard_samples(0.0788) == 2047
     assert abs(standard_samples() - 2048) <= 1
 
 
 @pytest.mark.parametrize("kwargs", [
     {"depth_m": float("inf")}, {"depth_m": float("nan")}, {"depth_m": 0.0},
-    {"depth_m": -0.01}, {"sample_rate_hz": float("inf")},
-    {"sample_rate_hz": 0.0}, {"c": float("nan")}, {"c": -1540.0},
+    {"depth_m": -0.01},
     {"depth_m": 1e300},  # a finite depth whose count passes 2**53
     {"depth_m": 1e-11},  # a round trip that rounds to no sample
 ])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from xampus import ArrayGeometry, arrival_time, tau_hat
+from xampus import ArrayGeometry, InvariantViolation, arrival_time, tau_hat
 
 C = 1540.0
 
@@ -111,11 +111,11 @@ def test_offsets_symmetric_odd_and_even():
 
 
 def test_geometry_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvariantViolation, match="array num_elements"):
         ArrayGeometry(0, 1e-3, C)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvariantViolation, match="array pitch"):
         ArrayGeometry(16, -1e-3, C)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvariantViolation, match="array speed_of_sound"):
         ArrayGeometry(16, 1e-3, 0.0)
 
 
@@ -124,5 +124,5 @@ def test_geometry_validation():
     (1e-3, float("nan")), (1e-3, float("inf")),
 ])
 def test_geometry_rejects_non_finite(pitch, speed):
-    with pytest.raises(ValueError):
+    with pytest.raises(InvariantViolation, match="array "):
         ArrayGeometry(16, pitch, speed)

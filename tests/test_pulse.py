@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from xampus import PulseModel, SingularHarmonic, build_H, eval_pulse, pulse_spectrum
+from xampus import (InvariantViolation, OffBand, PulseModel, build_H,
+                    eval_pulse, pulse_spectrum)
 
 from util import PULSE, numeric_ctft
 
@@ -75,7 +76,7 @@ def test_build_h_near_carrier_all_nonzero():
 
 def test_build_h_rejects_off_band_harmonic():
     # k = 5000 is 48.8 MHz, where H/H(w_c) ~ exp(-377), below SPECTRUM_FLOOR
-    with pytest.raises(SingularHarmonic, match="5000"):
+    with pytest.raises(OffBand, match="5000"):
         build_H(PULSE, [5000, 527], 102.4e-6)
     # H(0)/H(w_c) ~ 1.1e-2 for this pulse, well above the floor
     assert np.all(np.abs(build_H(PULSE, [0, 527], 102.4e-6)) > 0)
@@ -86,9 +87,9 @@ def test_support_property():
 
 
 def test_invalid_parameters():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvariantViolation, match="pulse carrier_hz"):
         PulseModel(carrier_hz=-1.0, envelope_sigma=1e-7)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvariantViolation, match="pulse envelope_sigma"):
         PulseModel(carrier_hz=5e6, envelope_sigma=0.0)
 
 
@@ -101,5 +102,6 @@ def test_invalid_parameters():
     {"amplitude": float("inf")},
 ])
 def test_pulse_rejects_non_finite(kwargs):
-    with pytest.raises(ValueError):
+    field = next(iter(kwargs))
+    with pytest.raises(InvariantViolation, match=f"pulse {field} must be"):
         PulseModel(**kwargs)

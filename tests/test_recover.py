@@ -270,11 +270,28 @@ def test_amplitude_ill_conditioned_delays():
         least_squares_amplitudes(fc, [10e-6, 10e-6 + 1e-16])
 
 
-def test_amplitude_imaginary_residue_warns():
+def test_amplitude_residual_holds_imaginary_residue():
     fc = make_coeffs([10e-6], [1.0], K=8)
     fc.y = 1j * fc.y  # rotate the data off the real-amplitude model
-    with pytest.warns(RuntimeWarning):
-        least_squares_amplitudes(fc, [10e-6])
+    amps, residual = least_squares_amplitudes(fc, [10e-6])
+    np.testing.assert_allclose(amps, [0.0], atol=1e-12)
+    assert residual == pytest.approx(1.0, abs=1e-12)
+    # on a noisy line the complex fit's misfit is orthogonal to V, so the
+    # residual of the real parts splits into that misfit and |V Im a|
+    delays = [3e-6, 9e-6, 17e-6]
+    fc = make_coeffs(delays, [1.0, -0.6, 0.8], K=20)
+    rng = np.random.default_rng(41)
+    fc.y = fc.y + 0.02 * np.max(np.abs(fc.y)) * (
+        rng.standard_normal(20) + 1j * rng.standard_normal(20))
+    V = np.exp((-2j * np.pi / TAU) * np.outer(fc.kappa_pos, delays))
+    a = np.linalg.lstsq(V, fc.y, rcond=None)[0]
+    misfit = np.linalg.norm(fc.y - V @ a)
+    imag_part = np.linalg.norm(V @ a.imag)
+    assert imag_part > 1e-3 * np.linalg.norm(fc.y)
+    amps, residual = least_squares_amplitudes(fc, delays)
+    np.testing.assert_array_equal(amps, a.real)
+    assert residual**2 == pytest.approx(
+        (misfit**2 + imag_part**2) / np.linalg.norm(fc.y)**2, rel=1e-12)
 
 
 # --- full chain ---------------------------------------------------------------

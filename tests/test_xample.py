@@ -544,9 +544,6 @@ def test_config_derives_kappa():
     assert not cfg.kappa.flags.writeable and kappa.flags.writeable
 
 
-# the infinity-focus run of this scene warns of an imaginary residue
-@pytest.mark.filterwarnings("ignore:amplitude solution has significant "
-                            "imaginary residue")
 def test_cli_focus_switch_reuses_no_stale_table(tmp_path):
     doc = {
         "speed_of_sound_m_s": SPEED,
