@@ -12,7 +12,7 @@ from .beamform import BeamformedLine, beamform_line, envelope_detect
 from .costs import cost_table, sample_counts, standard_ops, standard_samples, xampled_ops
 from .errors import (AllZero, ConditioningFailure, GridTooCoarse, GridTooShort,
                      IllConditioned, InvariantViolation, OffBand, OrderOverflow,
-                     ParseError, SingularSystem, XampusError)
+                     ParseError, XampusError)
 from .geometry import ArrayGeometry, arrival_time, tau_hat
 from .imaging import ImageGrid, assemble_image, read_pgm, render_line, write_pgm
 from .pulse import PulseModel, build_H, eval_pulse, pulse_spectrum

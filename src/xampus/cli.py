@@ -78,11 +78,11 @@ def _axial_samples(tau: float) -> int:
 def cmd_simulate(args) -> int:
     scene = load_scene(args.scene)
     noise = scene.noise
-    if noise is not None and args.seed is not None:
+    if args.seed is not None:
         noise = dataclasses.replace(noise, seed=args.seed)
+    step = simulation_grid_step(args.oversample)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    step = simulation_grid_step(args.oversample)
     lines = scene.lines[:args.lines]
     paths = [out / f"line_{idx:03d}.urf" for idx in range(len(lines))]
     # a file left by an earlier, longer run would be imaged as a line
@@ -91,10 +91,9 @@ def cmd_simulate(args) -> int:
     for idx, (line, path) in enumerate(zip(lines, paths)):
         with _naming(path):
             ch = synthesize_channels(line, scene.geometry, scene.pulse, step)
-            if noise is not None:
-                ch = add_interference(ch, noise.snr_db, noise.speckle_count,
-                                      noise.seed + idx, pulse=scene.pulse,
-                                      beam_angle=line.beam_angle)
+            ch = add_interference(ch, noise.snr_db, noise.speckle_count,
+                                  noise.seed + idx, pulse=scene.pulse,
+                                  beam_angle=line.beam_angle)
         urf.write_channels(path, ch)
     print(f"wrote {len(lines)} channel file(s) to {out}")
     return 0

@@ -88,7 +88,7 @@ def standard_ops(samples_per_line: int, num_elements: int) -> float:
     for name, value in (("samples_per_line", samples_per_line),
                         ("num_elements", num_elements)):
         if value < 1:
-            raise ValueError(f"{name} {value!r} must be >= 1")
+            raise InvariantViolation(f"{name} {value!r} must be >= 1")
     adds = samples_per_line * (num_elements - 1)
     hilbert = 2.0 * samples_per_line * np.log2(samples_per_line)
     return adds + hilbert

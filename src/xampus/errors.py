@@ -22,11 +22,7 @@ class OrderOverflow(XampusError):
 
 
 class ConditioningFailure(XampusError):
-    """Eigen-solve in the delay estimator did not converge."""
-
-
-class SingularSystem(XampusError):
-    """Annihilation system is rank deficient (e.g. all-zero coefficients)."""
+    """An SVD or eigen-solve in a delay estimator did not converge."""
 
 
 class IllConditioned(XampusError):

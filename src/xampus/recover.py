@@ -5,9 +5,9 @@ The positive-half coefficients satisfy
 
     y[k] = (1/tau) * sum_l b_l exp(-2j pi k t_l / tau)
 
-i.e. a sum of cisoids whose pole phases encode the delays.  Delays come from
-either the matrix pencil (with SVD model-order estimation) or an annihilating
-filter; amplitudes are a linear least-squares fit given the delays.
+i.e. a sum of cisoids whose pole phases encode the delays.  Both delay
+estimators, the matrix pencil and the annihilating filter, read the SVD of a
+coefficient Hankel matrix; amplitudes are a linear least-squares fit.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ConditioningFailure, IllConditioned, InvariantViolation,
-                     OrderOverflow, SingularSystem)
+                     OrderOverflow)
 from .pulse import PulseModel, build_H
 from .xample import MixingMatrix, XampleConfig, build_S
 
@@ -102,36 +102,41 @@ def pencil_split(K: int, L_max: int) -> int:
     return min(max(K // 3, L_max), K - L_max)
 
 
+def _hankel_svd(u: np.ndarray, width: int):
+    """Singular values and square right-singular-vector matrix ``Vh`` of the
+    Hankel with rows ``u[i:i+width]``, by Chan's R-SVD: H = QR with Q
+    orthonormal, so the triangular R has H's singular values and right
+    singular vectors, and the left factor, which no caller reads, is never
+    formed.  ``Vh`` is full, so a wide Hankel's null vector is its last row.
+    Raises ``ConditioningFailure`` if the SVD does not converge.
+    """
+    hankel = np.lib.stride_tricks.sliding_window_view(u, width)
+    try:
+        R = np.linalg.qr(hankel, mode="r")
+        _, s, Vh = np.linalg.svd(R)
+    except np.linalg.LinAlgError as e:
+        raise ConditioningFailure(f"SVD did not converge: {e}") from e
+    return s, Vh
+
+
 def estimate_order(y, L_max: int, sv_threshold: float = SV_THRESHOLD_DEFAULT):
     """Model order: the count of singular values of the Hankel split at
     ``pencil_split`` whose ratio to the largest exceeds ``sv_threshold``
     (0 for all-zero data).
-
-    The SVD is taken of the Hankel's triangular factor R (Chan's R-SVD):
-    H = QR with Q orthonormal, so R has the singular values and right
-    singular vectors of H, and the left factor of H, which no caller reads,
-    is never formed.
 
     Returns (order, singular values, right singular vectors).  Raises
     ``OrderOverflow`` if the order exceeds ``L_max`` and
     ``ConditioningFailure`` if the SVD does not converge.
     """
     u = np.asarray(y, dtype=complex)
-    eta = pencil_split(len(u), L_max)
-    # the (K - eta) x (eta + 1) Hankel matrix, rows u[i:i+eta+1], as a view
-    hankel = np.lib.stride_tricks.sliding_window_view(u, eta + 1)
-    try:
-        R = np.linalg.qr(hankel, mode="r")
-        _, s, Vh = np.linalg.svd(R, full_matrices=False)
-    except np.linalg.LinAlgError as e:
-        raise ConditioningFailure(f"SVD did not converge: {e}") from e
+    s, Vh = _hankel_svd(u, pencil_split(len(u), L_max) + 1)
     order = int(np.sum(s / s[0] > sv_threshold)) if s[0] > 0.0 else 0
     if order > L_max:
         raise OrderOverflow(
             f"{order} singular values above threshold {sv_threshold:g}, "
             f"bound is {L_max}"
         )
-    return order, s, Vh
+    return order, s, Vh[:len(s)]
 
 
 def matrix_pencil(coeffs: FourierCoeffs, L_max: int,
@@ -162,11 +167,12 @@ def matrix_pencil(coeffs: FourierCoeffs, L_max: int,
 
 
 def annihilating_filter(coeffs: FourierCoeffs, L_est: int) -> np.ndarray:
-    """Delay estimation via the annihilating (Prony) filter.
-
-    Solves the Toeplitz system for the length-``L_est`` filter whose zeros
-    sit on the coefficient poles, then maps root phases to delays.  Needs
-    K >= 2 * L_est coefficients.
+    """Delay estimation via the annihilating filter, taken in total least
+    squares: the right singular vector of the (K - L_est) x (L_est + 1)
+    Hankel for its smallest singular value, whose zeros sit on the
+    coefficient poles.  Needs K >= 2 * L_est coefficients, not all zero.
+    Asked for more poles than the data hold, it returns spurious roots, as
+    noisy data can; ``recover_line`` takes ``L_est`` from ``estimate_order``.
     """
     u = np.asarray(coeffs.y, dtype=complex)
     K = len(u)
@@ -174,15 +180,11 @@ def annihilating_filter(coeffs: FourierCoeffs, L_est: int) -> np.ndarray:
         raise ValueError("L_est must be >= 1")
     if K < 2 * L_est:
         raise ValueError(f"need K >= 2*L_est, got K={K}, L_est={L_est}")
-    # T[r, c] = u[L_est - 1 + r - c]
-    T = u[np.arange(L_est - 1, K - 1)[:, None] - np.arange(L_est)]
-    rhs = -u[L_est:]
-    coef, _, rank, _ = np.linalg.lstsq(T, rhs, rcond=None)
-    if rank < L_est:
-        raise SingularSystem(
-            f"annihilation system rank {rank} < {L_est}"
-        )
-    z = np.roots(np.concatenate([[1.0], coef]))
+    if not np.any(u):
+        raise InvariantViolation("annihilating filter of all-zero coefficients")
+    _, Vh = _hankel_svd(u, L_est + 1)
+    # H v = 0 for v = conj(Vh[-1]): sum_m v[m] z^m vanishes at every pole
+    z = np.roots(Vh[-1].conj()[::-1])
     return _delays_from_poles(z, coeffs.tau)
 
 

@@ -17,7 +17,7 @@ class SceneFile:
     pulse: PulseModel
     geometry: ArrayGeometry
     tau: float
-    noise: NoiseSpec | None
+    noise: NoiseSpec
     lines: list[Scene]
 
 
@@ -99,7 +99,7 @@ def load_scene(path) -> SceneFile:
         speed_of_sound=c,
     )
 
-    noise = None
+    noise = NoiseSpec()
     if "noise" in doc:
         nd = doc["noise"]
         if not isinstance(nd, dict):

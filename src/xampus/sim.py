@@ -43,20 +43,6 @@ class Scatterer:
     reflectivity: float
 
 
-def _check_snr(snr_db: float | None) -> None:
-    if snr_db is not None and not math.isfinite(snr_db):
-        raise InvariantViolation(f"snr_db {snr_db} must be finite")
-
-
-def _check_speckle_count(speckle_count) -> None:
-    if (isinstance(speckle_count, bool)
-            or not isinstance(speckle_count, numbers.Integral)
-            or speckle_count < 0):
-        raise InvariantViolation(
-            f"speckle_count {speckle_count!r} must be an integer >= 0"
-        )
-
-
 def _check_beam_angle(beam_angle: float) -> None:
     if not math.isfinite(beam_angle):
         raise InvariantViolation(f"beam_angle {beam_angle} must be finite")
@@ -69,8 +55,14 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        _check_snr(self.snr_db)
-        _check_speckle_count(self.speckle_count)
+        if self.snr_db is not None and not math.isfinite(self.snr_db):
+            raise InvariantViolation(f"snr_db {self.snr_db} must be finite")
+        if (isinstance(self.speckle_count, bool)
+                or not isinstance(self.speckle_count, numbers.Integral)
+                or self.speckle_count < 0):
+            raise InvariantViolation(
+                f"speckle_count {self.speckle_count!r} must be an integer >= 0"
+            )
         if self.speckle_count > 0 and self.snr_db is None:
             raise InvariantViolation(
                 "speckle_count > 0 requires snr_db (speckle power budget)"
@@ -255,17 +247,15 @@ def add_interference(
     When ``speckle_count > 0`` half of that budget is carried by weak on-beam
     scatterers with reflectivities drawn from N(0, eps^2), the other half by
     white Gaussian noise; with no speckle the white noise takes the whole
-    budget.  Deterministic for a fixed seed.
+    budget.  Deterministic for a fixed seed; with no SNR, a copy of ``ch``.
+    ``NoiseSpec`` checks the SNR, speckle count and seed.
     """
-    _check_snr(snr_db)
-    _check_speckle_count(speckle_count)
+    NoiseSpec(snr_db, speckle_count, seed)
     _check_beam_angle(beam_angle)
-    if snr_db is None and speckle_count == 0:
+    if snr_db is None:
         return ChannelSet(ch.grid_step, ch.samples.copy(), ch.geometry, ch.tau)
     if speckle_count > 0 and pulse is None:
         raise ValueError("speckle surrogate requires the pulse model")
-    if snr_db is None:
-        raise InvariantViolation("speckle_count > 0 requires snr_db")
 
     rng = np.random.default_rng(seed)
     target = _row_power(ch.samples) * 10.0 ** (-snr_db / 10.0)

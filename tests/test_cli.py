@@ -217,8 +217,8 @@ def test_cost_invalid_elements(tmp_path, capsys):
                    "--out", str(tmp_path / "c.csv")])
         assert rc != 0
         err = capsys.readouterr().err
-        assert (err == f"error[ValueError]: num_elements {elements} must be "
-                ">= 1\n")
+        assert (err == f"error[InvariantViolation]: num_elements {elements} "
+                "must be >= 1\n")
     assert not (tmp_path / "c.csv").exists()
 
 
@@ -493,6 +493,27 @@ def test_negative_seed_fails_before_any_file_is_written(scene_path, tmp_path,
         assert capsys.readouterr().err == (
             f"error[InvariantViolation]: noise seed {seed} must be >= 0\n")
         assert not out.exists()
+
+
+def test_seed_is_checked_on_a_scene_without_noise(scene_path, tmp_path,
+                                                  capsys):
+    # --seed applies to the noise-free spec too, so a bad value is not ignored
+    out = tmp_path / "ch"
+    assert main(["simulate", "--scene", str(scene_path), "--out", str(out),
+                 "--seed", "-4"]) == 1
+    assert capsys.readouterr().err == (
+        "error[InvariantViolation]: noise seed -4 must be >= 0\n")
+    assert not out.exists()
+
+
+def test_coarse_grid_fails_before_the_output_directory(scene_path, tmp_path,
+                                                       capsys):
+    out = tmp_path / "ch"
+    assert main(["simulate", "--scene", str(scene_path), "--out", str(out),
+                 "--oversample", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error[GridTooCoarse]:") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_simulate_over_an_earlier_run(scene_path, tmp_path):

@@ -78,9 +78,10 @@ def test_standard_ops_single_element_is_fft_only():
 
 
 def test_standard_ops_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvariantViolation):
         standard_ops(0, 16)
-    with pytest.raises(ValueError, match="num_elements -3 must be >= 1"):
+    with pytest.raises(InvariantViolation,
+                       match="num_elements -3 must be >= 1"):
         standard_ops(2048, -3)
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from xampus import (FourierCoeffs, IllConditioned, InvariantViolation,
                     MixingMatrix, OrderOverflow, Scatterer, Scene,
-                    SingularSystem, annihilating_filter, beamform_line,
+                    annihilating_filter, beamform_line,
                     build_H, build_S, estimate_order,
                     least_squares_amplitudes, matrix_pencil, pencil_split,
                     recover_fourier, recover_line, XampleConfig,
@@ -210,9 +210,38 @@ def test_annihilating_two_delays():
     np.testing.assert_allclose(d, delays_true, atol=1e-9 * TAU)
 
 
+@pytest.mark.parametrize("K, L", [(25, 3), (16, 4), (40, 6)])
+def test_annihilating_is_the_hankel_tls_null_vector(K, L):
+    # the filter is the smallest right singular vector of the dense
+    # (K - L) x (L + 1) Hankel, with the noise fitted on every coefficient
+    rng = np.random.default_rng(31)
+    kpos = round(5.142e6 * TAU) + np.arange(K)
+    y = cisoid_coeffs(kpos, TAU, np.sort(rng.uniform(0.05, 0.95, L)) * TAU,
+                      rng.uniform(0.5, 1.5, L))
+    noise = rng.standard_normal(K) + 1j * rng.standard_normal(K)
+    y += 1e-3 * np.linalg.norm(y) / np.linalg.norm(noise) * noise
+    fc = FourierCoeffs(y=y, kappa_pos=kpos, tau=TAU)
+
+    dense = y[np.arange(K - L)[:, None] + np.arange(L + 1)]
+    v = np.linalg.svd(dense)[2][-1].conj()
+    assert np.linalg.norm(dense @ v) < 1e-2 * np.linalg.norm(dense)
+    z = np.roots(v[::-1])
+    d_ref = np.sort((-np.angle(z) / (2.0 * np.pi)) % 1.0 * TAU)
+    np.testing.assert_allclose(annihilating_filter(fc, L), d_ref,
+                               rtol=0, atol=1e-12 * TAU)
+
+
+def test_annihilating_on_the_wide_hankel():
+    # K = 2 L: an L x (L + 1) Hankel whose null vector only the full Vh holds
+    delays_true = np.array([3e-6, 9.5e-6, 16e-6, 22e-6])
+    fc = make_coeffs(delays_true, [1.0, -0.6, 0.8, 1.3], K=8)
+    np.testing.assert_allclose(annihilating_filter(fc, 4), delays_true,
+                               rtol=0, atol=1e-9 * TAU)
+
+
 def test_annihilating_singular_on_zero():
     fc = make_coeffs([10e-6], [0.0], K=8)
-    with pytest.raises(SingularSystem):
+    with pytest.raises(InvariantViolation):
         annihilating_filter(fc, 2)
 
 

@@ -49,7 +49,7 @@ def test_noise_optional(tmp_path):
     doc = base_doc()
     del doc["noise"]
     sf = load_scene(write(tmp_path, doc))
-    assert sf.noise is None
+    assert sf.noise == NoiseSpec()
 
 
 def test_unknown_top_level_key(tmp_path):
@@ -146,7 +146,7 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 def scene_files(draw):
     tau = draw(st.floats(1e-9, 1.0))
     snr = draw(st.none() | st.floats(-200.0, 200.0))
-    noise = draw(st.none() | st.builds(
+    noise = draw(st.just(NoiseSpec()) | st.builds(
         NoiseSpec, snr_db=st.just(snr),
         speckle_count=st.integers(0, 0 if snr is None else 100),
         seed=st.integers(0, 2**64)))
@@ -181,10 +181,9 @@ def scene_doc(sf):
                                   for s in line.scatterers]}
                   for line in sf.lines],
     }
-    if sf.noise is not None:
-        doc["noise"] = {"snr_db": sf.noise.snr_db,
-                        "speckle_count": sf.noise.speckle_count,
-                        "seed": sf.noise.seed}
+    doc["noise"] = {"snr_db": sf.noise.snr_db,
+                    "speckle_count": sf.noise.speckle_count,
+                    "seed": sf.noise.seed}
     return doc
 
 

@@ -187,6 +187,13 @@ def test_speckle_requires_snr_budget():
         add_interference(ch, None, 10, seed=0, pulse=PULSE)
 
 
+def test_add_interference_rejects_a_negative_seed():
+    ch = synthesize(Scene(scatterers=(Scatterer(6e-6, 1.0),), tau=25.6e-6),
+                    default_geometry(num_elements=3))
+    with pytest.raises(InvariantViolation, match="seed -1 must be >= 0"):
+        add_interference(ch, 20.0, 0, seed=-1)
+
+
 def test_channelset_row_count_checked():
     geom = default_geometry(num_elements=4)
     with pytest.raises(InvariantViolation):
