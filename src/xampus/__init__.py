@@ -15,7 +15,7 @@ from .errors import (AllZero, ConditioningFailure, GridTooCoarse, GridTooShort,
                      ParseError, XampusError)
 from .geometry import ArrayGeometry, arrival_time, tau_hat
 from .imaging import ImageGrid, assemble_image, read_pgm, render_line, write_pgm
-from .pulse import PulseModel, build_H, eval_pulse, pulse_spectrum
+from .pulse import PulseModel, build_H, pulse_spectrum
 from .recover import (FourierCoeffs, LineEstimate, annihilating_filter,
                       estimate_order, least_squares_amplitudes, matrix_pencil,
                       pencil_split, recover_fourier, recover_line)
@@ -24,7 +24,6 @@ from .sim import (ChannelSet, NoiseSpec, Scatterer, Scene, add_interference,
                   simulation_grid_step, synthesize_channels)
 from .urf import read_channels, write_channels
 from .xample import (MixingMatrix, XampleConfig, XampleOutput, build_S,
-                     kernel_value, select_kappa, xample_beamformed_oracle,
-                     xample_channels)
+                     select_kappa, xample_beamformed_oracle, xample_channels)
 
 __version__ = "0.1.0"

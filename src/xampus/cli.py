@@ -27,10 +27,10 @@ import numpy as np
 from . import costs, urf
 from .beamform import beamform_line, envelope_detect
 from .errors import InvariantViolation, ParseError, XampusError
-from .imaging import (DEFAULT_DYNAMIC_RANGE_DB, assemble_image, read_pgm,
-                      render_line, write_pgm)
+from .imaging import (DEFAULT_DYNAMIC_RANGE_DB, assemble_image,
+                      check_dynamic_range, read_pgm, render_line, write_pgm)
 from .outfile import open_new
-from .recover import SV_THRESHOLD_DEFAULT, recover_line
+from .recover import SV_THRESHOLD_DEFAULT, check_sv_threshold, recover_line
 from .scenefile import load_scene
 from .sim import add_interference, simulation_grid_step, synthesize_channels
 from .xample import XampleConfig, build_S, xample_channels
@@ -101,6 +101,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_beamform(args) -> int:
     scene = load_scene(args.scene)
+    check_dynamic_range(args.dynamic_range_db)
     paths = _line_paths(Path(args.channels), scene, args.lines)
     n_axial = _axial_samples(scene.tau)
 
@@ -128,9 +129,11 @@ def cmd_beamform(args) -> int:
 
 def cmd_xample(args) -> int:
     scene = load_scene(args.scene)
-    # the configuration is checked before any channel file is touched
+    # the configuration and options are checked before any channel file
     cfg = XampleConfig.create(args.L, args.rho, scene.tau, scene.pulse,
                               scene.geometry, focus_mode=args.focus)
+    check_sv_threshold(args.sv_threshold)
+    check_dynamic_range(args.dynamic_range_db)
     paths = _line_paths(Path(args.channels), scene, args.lines)
     for line in scene.lines[:args.lines]:
         if line.beam_angle != 0.0:

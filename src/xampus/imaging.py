@@ -18,15 +18,14 @@ DEFAULT_DYNAMIC_RANGE_DB = 50.0
 class ImageGrid:
     axial_step: float
     dynamic_range_db: float
-    pixels: np.ndarray  # (axial_samples, num_lines) uint8
+    pixels: np.ndarray  # (axial samples, lines) uint8
 
-    @property
-    def num_lines(self) -> int:
-        return self.pixels.shape[1]
 
-    @property
-    def axial_samples(self) -> int:
-        return self.pixels.shape[0]
+def check_dynamic_range(dynamic_range_db: float) -> None:
+    """Raises ``InvariantViolation`` unless the range is finite and > 0."""
+    if not (np.isfinite(dynamic_range_db) and dynamic_range_db > 0):
+        raise InvariantViolation(
+            f"dynamic range {dynamic_range_db!r} dB must be finite and > 0")
 
 
 def render_line(est: LineEstimate, pulse: PulseModel, axial_grid) -> np.ndarray:
@@ -52,11 +51,9 @@ def assemble_image(lines, dynamic_range_db: float = DEFAULT_DYNAMIC_RANGE_DB,
     pixel = clamp(255 * (1 + 20 log10(v / v_max) / DR), 0, 255), with zeros
     mapping to zero.  Normalization is by the global maximum, so scaling all
     traces together leaves the image bit-identical.  ``dynamic_range_db``
-    must be finite and > 0.
+    must pass ``check_dynamic_range``.
     """
-    if not (np.isfinite(dynamic_range_db) and dynamic_range_db > 0):
-        raise InvariantViolation(
-            f"dynamic range {dynamic_range_db!r} dB must be finite and > 0")
+    check_dynamic_range(dynamic_range_db)
     try:
         traces = np.asarray(lines, dtype=float)
     except ValueError as e:

@@ -48,21 +48,6 @@ class PulseModel:
         if not math.isfinite(self.amplitude):
             raise InvariantViolation("pulse amplitude must be finite")
 
-    @property
-    def support(self) -> float:
-        """Effective one-sided support (amplitude < 1e-6 peak outside)."""
-        return 6.0 * self.envelope_sigma
-
-
-def eval_pulse(model: PulseModel, t):
-    """Evaluate h(t); accepts scalars or arrays, even-symmetric in t."""
-    t = np.asarray(t, dtype=float)
-    return (
-        model.amplitude
-        * np.exp(-(t**2) / (2.0 * model.envelope_sigma**2))
-        * np.cos(2.0 * np.pi * model.carrier_hz * t)
-    )
-
 
 def pulse_spectrum(model: PulseModel, omega):
     """Closed-form CTFT of the pulse at angular frequency ``omega`` (rad/s).

@@ -22,26 +22,20 @@ from .pulse import PulseModel, build_H
 from .xample import MixingMatrix, XampleConfig, build_S
 
 # sigma_i / sigma_1 above this counts toward the model order; 1e-2 suits data
-# with noise or quadrature error, 1e-8 suits exact synthetic coefficients.
+# with noise or quadrature error, ~1e-8 suits exact synthetic coefficients.
 SV_THRESHOLD_DEFAULT = 1e-2
-SV_THRESHOLD_EXACT = 1e-8
 
 _COND_LIMIT = 1e10
 
 
 @dataclass
 class FourierCoeffs:
-    """Positive-half harmonics of the beamformed line.
-
-    ``phi`` holds the raw unmixed coefficients of the line itself;
-    ``y`` has the pulse spectrum divided out and is what the delay
-    estimators consume.
-    """
+    """Positive-half harmonics of the beamformed line with the pulse
+    spectrum divided out: ``y`` is what the delay estimators consume."""
 
     y: np.ndarray
     kappa_pos: np.ndarray
     tau: float
-    phi: np.ndarray | None = None
 
 
 @dataclass
@@ -85,7 +79,7 @@ def recover_fourier(c, S: MixingMatrix, H, kappa, tau: float) -> FourierCoeffs:
         raise InvariantViolation("branch samples must be finite")
     K = p // 2
     phi = c[:K] + 1j * c[K:]
-    return FourierCoeffs(y=phi / H[:K], kappa_pos=kappa[:K], tau=tau, phi=phi)
+    return FourierCoeffs(y=phi / H[:K], kappa_pos=kappa[:K], tau=tau)
 
 
 def _delays_from_poles(z: np.ndarray, tau: float) -> np.ndarray:
@@ -119,15 +113,25 @@ def _hankel_svd(u: np.ndarray, width: int):
     return s, Vh
 
 
+def check_sv_threshold(sv_threshold: float) -> None:
+    """Raises ``InvariantViolation`` unless 0 < ``sv_threshold`` < 1: a
+    singular-value ratio is at most 1, so no other cut selects an order."""
+    if not 0 < sv_threshold < 1:
+        raise InvariantViolation(
+            f"sv threshold {sv_threshold!r} must be in (0, 1)")
+
+
 def estimate_order(y, L_max: int, sv_threshold: float = SV_THRESHOLD_DEFAULT):
     """Model order: the count of singular values of the Hankel split at
     ``pencil_split`` whose ratio to the largest exceeds ``sv_threshold``
     (0 for all-zero data).
 
     Returns (order, singular values, right singular vectors).  Raises
-    ``OrderOverflow`` if the order exceeds ``L_max`` and
+    ``InvariantViolation`` for a threshold that ``check_sv_threshold``
+    refuses, ``OrderOverflow`` if the order exceeds ``L_max`` and
     ``ConditioningFailure`` if the SVD does not converge.
     """
+    check_sv_threshold(sv_threshold)
     u = np.asarray(y, dtype=complex)
     s, Vh = _hankel_svd(u, pencil_split(len(u), L_max) + 1)
     order = int(np.sum(s / s[0] > sv_threshold)) if s[0] > 0.0 else 0
@@ -197,15 +201,15 @@ def least_squares_amplitudes(coeffs: FourierCoeffs,
     0 when y is zero (with no delays, 1 for any nonzero y).  The residual
     includes the dropped imaginary parts: the complex fit's misfit is
     orthogonal to the range of V, so residual^2 = |y - V a_c|^2 / |y|^2
-    + |V Im a_c|^2 / |y|^2 for the complex solution a_c.
+    + |V Im a_c|^2 / |y|^2 for the complex solution a_c.  Raises
+    ``IllConditioned`` when V's condition number exceeds 1e10, equal or
+    near-coincident delays included.
     """
     delays = np.asarray(delays, dtype=float)
     y = np.asarray(coeffs.y)
     norm = np.linalg.norm(y)
     if delays.size == 0:
         return np.zeros(0), 0.0 if norm == 0 else 1.0
-    if len(set(delays.tolist())) != delays.size:
-        raise ValueError("delays must be distinct")
     if delays.size > len(y):
         raise ValueError("more delays than coefficients")
     V = np.exp((-2j * np.pi / coeffs.tau) * np.outer(coeffs.kappa_pos, delays))

@@ -9,7 +9,8 @@ Echoes (scatterers and the speckle surrogate alike) are synthesized in one
 batch per call: one table of 2*ceil(8 sigma / dt) + 1 complex entries is
 shared by every echo, each echo needs two scalars of its own, and no sample
 takes a trigonometric function.  Each channel row stays within 1e-12 of its
-peak of the per-sample ``eval_pulse`` sum over the same windows.
+peak of the per-sample pulse sum over the same windows, the oracle the tests
+build from ``tests/util.eval_pulse``.
 """
 
 from __future__ import annotations

@@ -192,26 +192,18 @@ class XampleOutput:
     c: np.ndarray     # (p,)
 
 
-def _phase(ts, a):
-    """Warped phase ``t - a^2/t`` on support points ``ts >= a``; the plain
-    axis for ``a = 0`` (on-axis element or infinity focus)."""
-    return ts - (a * a) / ts if a else ts
-
-
-def _bracket(ts, a):
-    """Warp bracket ``1 + (a/t)^2`` on support points ``ts >= a``."""
-    return 1.0 + (a / ts) ** 2 if a else 1.0
-
-
 def _harmonic_table(kappa_pos, tau, ts, a, weights):
-    """``(z0, step)`` for the harmonic recurrence on support points ``ts``:
-    the first weighted, warped kernel
-    ``z0 = weights * bracket * exp(-2j pi kappa_pos[0] phase / tau)`` and
+    """``(z0, step)`` for the harmonic recurrence on support points
+    ``ts >= a``: the first weighted, warped kernel
+    ``z0 = weights * bracket * exp(-2j pi kappa_pos[0] phase / tau)``, with
+    the warped phase ``t - a^2/t`` and bracket ``1 + (a/t)^2`` (the plain
+    axis and 1 for ``a = 0``: on-axis element or infinity focus), and
     ``step`` the factor between consecutive harmonics, both read-only.
     ``kappa_pos`` must be consecutive."""
-    w = (-2j * np.pi / tau) * _phase(ts, a)
+    phase, bracket = (ts - a * a / ts, 1.0 + (a / ts) ** 2) if a else (ts, 1.0)
+    w = (-2j * np.pi / tau) * phase
     z0 = np.exp(kappa_pos[0] * w)
-    z0 *= weights * _bracket(ts, a)
+    z0 *= weights * bracket
     step = np.exp(w)
     z0.flags.writeable = False
     step.flags.writeable = False
@@ -250,19 +242,18 @@ class _WarpGroup:
 
 
 @functools.lru_cache(maxsize=1)
-def _bank_tables(cfg: XampleConfig, geometry: ArrayGeometry, grid_len: int,
+def _bank_tables(cfg: XampleConfig, grid_len: int,
                  grid_step: float) -> tuple[_WarpGroup, ...]:
-    """The kernel bank's warp groups for one configuration, array and grid.
+    """The kernel bank's warp groups for one configuration and grid.
 
     The weighted, warped kernels depend on no echo, so they are built once
-    and reused on every line.  ``cfg`` hashes by identity and ``geometry``
-    by value; the cache holds its key, so no id is reused while the entry
-    lives.  One entry fits the traffic: a run uses one configuration and one
-    grid.
+    and reused on every line.  ``cfg`` hashes by identity; the cache holds
+    its key, so no id is reused while the entry lives.  One entry fits the
+    traffic: a run uses one configuration and one grid.
     """
     t = np.arange(grid_len) * grid_step
     weights = _trapezoid_weights(grid_len, grid_step)
-    a = geometry.offset_times
+    a = cfg.geometry.offset_times
     if cfg.focus_mode != "dynamic":
         a = np.zeros_like(a)
     warps, first, group = np.unique(a, return_index=True, return_inverse=True)
@@ -308,17 +299,21 @@ def xample_channels(ch: ChannelSet, cfg: XampleConfig,
     The package's worker thread takes every second group while this thread
     takes the rest; each side has its own two grid-length buffers and each
     group writes only its own column, so ``c_qm`` is bitwise that of one
-    thread taking every group.
+    thread taking every group.  Raises ``InvariantViolation`` unless the
+    channels come from the configuration's array.
     """
-    bound = tau_hat(cfg.tau, ch.geometry)
+    if ch.geometry != cfg.geometry:
+        raise InvariantViolation(
+            f"channels from {ch.geometry}, configuration for {cfg.geometry}")
+    bound = tau_hat(cfg.tau, cfg.geometry)
     if ch.duration < bound * (1 - 1e-12):
         raise GridTooShort(
             f"channel grid ends at {ch.duration:g} s, needs {bound:g} s"
         )
     if S.p != len(cfg.kappa):
         raise InvariantViolation("mixing matrix branches must match |kappa|")
-    groups = _bank_tables(cfg, ch.geometry, ch.grid_len, ch.grid_step)
-    c_qm = np.zeros((S.p, ch.geometry.num_elements))
+    groups = _bank_tables(cfg, ch.grid_len, ch.grid_step)
+    c_qm = np.zeros((S.p, cfg.geometry.num_elements))
     trace_bufs = np.empty((2, ch.grid_len))
     z_bufs = np.empty((2, ch.grid_len), dtype=complex)
     with alongside(_bank_passes, groups[1::2], ch.samples, cfg, c_qm,
@@ -346,28 +341,3 @@ def xample_beamformed_oracle(line: BeamformedLine, cfg: XampleConfig,
     g = _harmonics(z0 * line.samples, step, cfg.K)
     return np.concatenate([g.real, g.imag]) / cfg.tau
 
-
-def kernel_value(cfg: XampleConfig, S: MixingMatrix, q: int, elem: int, t):
-    """Branch kernel s_hat[q, elem] evaluated at time(s) t.
-
-    ``q`` is the 0-based branch (row of S) and ``elem`` the 0-based element
-    row.  In infinity mode, or for the on-axis element, this is the plain
-    harmonic kernel; otherwise the warped form with the unit step at
-    ``|offset|/c``.  The +/-k pairing makes the sum real; the real part is
-    returned.
-    """
-    if not 0 <= q < S.p:
-        raise IndexError(f"branch {q} outside 0..{S.p - 1}")
-    n_elem = cfg.geometry.num_elements
-    if not 0 <= elem < n_elem:
-        raise IndexError(f"element {elem} outside 0..{n_elem - 1}")
-    t = np.asarray(t, dtype=float)
-    scalar = t.ndim == 0
-    t = np.atleast_1d(t)
-    a = cfg.geometry.offset_times[elem] if cfg.focus_mode == "dynamic" else 0.0
-    mask = t >= a if a else slice(None)
-    ts = t[mask]
-    ex = np.exp((-2j * np.pi / cfg.tau) * np.outer(cfg.kappa, _phase(ts, a)))
-    vals = np.zeros(t.shape)
-    vals[mask] = _bracket(ts, a) * np.real(ex.T @ S.entries[q])
-    return float(vals[0]) if scalar else vals

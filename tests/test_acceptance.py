@@ -16,10 +16,10 @@ from xampus import (OrderOverflow, Scatterer, Scene, XampleConfig,
                     standard_samples, xample_beamformed_oracle,
                     xample_channels, xampled_ops)
 from xampus.cli import main
-from xampus.recover import SV_THRESHOLD_EXACT
 
-from util import (PULSE, SPEED, cisoid_coeffs, default_geometry,
-                  line_fourier_coeffs, random_scene, synthesize)
+from util import (PULSE, SPEED, SV_THRESHOLD_EXACT, cisoid_coeffs,
+                  default_geometry, line_fourier_coeffs, random_scene,
+                  synthesize)
 
 TAU = 25.6e-6
 
@@ -107,7 +107,8 @@ def test_criterion_3_fourier_coefficient_oracle():
             line = beamform_line(ch, focus_mode="dynamic",
                                  out_step=ch.grid_step, duration=cfg.tau)
             direct = line_fourier_coeffs(line, cfg.kappa_pos, cfg.tau)
-            err = np.linalg.norm(fc.phi - direct) / np.linalg.norm(direct)
+            phi = fc.y * H[:cfg.K]
+            err = np.linalg.norm(phi - direct) / np.linalg.norm(direct)
             worst = max(worst, err)
             assert err <= 1e-3
         print(f"  worst relative l2 error {worst:.2e}")
@@ -215,7 +216,7 @@ def test_criterion_7_method_cross_validation():
 def test_criterion_8_focus_mode_contrast():
     """Wide aperture: dynamic focus beats focus-at-infinity."""
     geom = default_geometry(num_elements=16, pitch=1e-3)
-    assert geom.offset_times.max() >= 0.5 * PULSE.support
+    assert geom.offset_times.max() >= 0.5 * 6 * PULSE.envelope_sigma
     tau = 51.2e-6
     trips = np.array([16e-6, 26e-6, 36e-6])
     scene = Scene(scatterers=tuple(Scatterer(t / 2, 1.0) for t in trips),

@@ -562,6 +562,30 @@ def test_bad_dynamic_range_is_refused(scene_path, tmp_path, capsys, db,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, option, value, message", [
+    ("beamform", "--dynamic-range-db", "0", "dynamic range "),
+    ("xample", "--dynamic-range-db", "nan", "dynamic range "),
+    ("xample", "--sv-threshold", "2", "sv threshold "),
+    ("xample", "--sv-threshold", "nan", "sv threshold "),
+    ("xample", "--sv-threshold", "0", "sv threshold "),
+    ("xample", "--sv-threshold", "-1", "sv threshold "),
+])
+def test_bad_option_is_refused_before_the_channels(scene_path, tmp_path,
+                                                   capsys, command, option,
+                                                   value, message):
+    # an empty channel directory: the option's error comes first
+    ch_dir = tmp_path / "ch"
+    ch_dir.mkdir()
+    out = tmp_path / "out"
+    rc = main([command, "--channels", str(ch_dir), "--scene", str(scene_path),
+               "--out", str(out), option, value]
+              + (["--L", "5"] if command == "xample" else []))
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(
+        f"error[InvariantViolation]: {message}")
+    assert not out.exists()
+
+
 def _compare_with(scene_path, tmp_path, estimates_text):
     est = tmp_path / "est.csv"
     est.write_text(estimates_text)

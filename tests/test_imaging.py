@@ -104,9 +104,7 @@ def test_image_ragged_traces_rejected():
 
 def test_image_layout_lines_as_columns():
     img = assemble_image([[1.0, 0.2], [0.4, 1.0]], 50.0)
-    assert img.pixels.shape == (2, 2)
-    assert img.num_lines == 2
-    assert img.axial_samples == 2
+    assert img.pixels.shape == (2, 2)  # (axial samples, lines)
     assert img.pixels[0, 0] == 255  # line 0, first axial sample
 
 

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from xampus import (InvariantViolation, OffBand, PulseModel, build_H,
-                    eval_pulse, pulse_spectrum)
+                    pulse_spectrum)
 
-from util import PULSE, numeric_ctft
+from util import PULSE, eval_pulse, numeric_ctft
 
 
 def test_peak_is_amplitude():
@@ -80,10 +80,6 @@ def test_build_h_rejects_off_band_harmonic():
         build_H(PULSE, [5000, 527], 102.4e-6)
     # H(0)/H(w_c) ~ 1.1e-2 for this pulse, well above the floor
     assert np.all(np.abs(build_H(PULSE, [0, 527], 102.4e-6)) > 0)
-
-
-def test_support_property():
-    assert PULSE.support == pytest.approx(6e-7)
 
 
 def test_invalid_parameters():

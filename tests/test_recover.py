@@ -8,10 +8,10 @@ from xampus import (FourierCoeffs, IllConditioned, InvariantViolation,
                     least_squares_amplitudes, matrix_pencil, pencil_split,
                     recover_fourier, recover_line, XampleConfig,
                     xample_beamformed_oracle, xample_channels)
-from xampus.recover import SV_THRESHOLD_EXACT
 
-from util import (PULSE, SPEED, cisoid_coeffs, default_geometry,
-                  line_fourier_coeffs, random_scene, synthesize)
+from util import (PULSE, SPEED, SV_THRESHOLD_EXACT, cisoid_coeffs,
+                  default_geometry, line_fourier_coeffs, random_scene,
+                  synthesize)
 
 TAU = 25.6e-6
 
@@ -35,7 +35,7 @@ def test_unmix_identity_pair():
     # Re phi and Im phi of phi = 4 - 6j
     fc = recover_fourier([4.0, -6.0], build_S(2), [2.0, 2.0], [5, -5], TAU)
     np.testing.assert_allclose(fc.y, [2.0 - 3.0j])
-    np.testing.assert_allclose(fc.phi, [4.0 - 6.0j])
+    np.testing.assert_allclose(fc.y * 2.0, [4.0 - 6.0j])
     assert fc.kappa_pos.tolist() == [5]
 
 
@@ -61,9 +61,10 @@ def test_coefficients_match_dense_grid_fourier_oracle():
     line = beamform_line(ch, focus_mode="dynamic", out_step=ch.grid_step,
                          duration=cfg.tau)
     direct = line_fourier_coeffs(line, cfg.kappa_pos, cfg.tau)
-    assert np.linalg.norm(fc.phi - direct) / np.linalg.norm(direct) <= 1e-3
-    # dividing the pulse spectrum out relates y to the same oracle
     Hpos = H[: cfg.K]
+    phi = fc.y * Hpos
+    assert np.linalg.norm(phi - direct) / np.linalg.norm(direct) <= 1e-3
+    # dividing the pulse spectrum out relates y to the same oracle
     assert np.linalg.norm(fc.y - direct / Hpos) \
         / np.linalg.norm(direct / Hpos) <= 1e-3
 
@@ -124,7 +125,7 @@ def test_paired_closed_form_matches_solve(p, kind):
     S = build_S(p)
     fc = recover_fourier(c, S, np.ones(p), _kappa(p), TAU)
     ref = np.linalg.solve(S.entries, c.astype(complex))[:p // 2]
-    assert np.linalg.norm(fc.phi - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert np.linalg.norm(fc.y - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 @pytest.mark.parametrize("p", [4, 40, 480])
@@ -134,7 +135,7 @@ def test_unmix_square_solve_matches_lstsq(p):
     c = rng.standard_normal(p)
     fc = recover_fourier(c, S, np.ones(p), _kappa(p), TAU)
     ref = np.linalg.lstsq(S.entries, c.astype(complex), rcond=None)[0]
-    assert np.linalg.norm(fc.phi - ref[:p // 2]) \
+    assert np.linalg.norm(fc.y - ref[:p // 2]) \
         <= 1e-12 * np.linalg.norm(ref[:p // 2])
 
 
@@ -299,6 +300,13 @@ def test_amplitude_ill_conditioned_delays():
         least_squares_amplitudes(fc, [10e-6, 10e-6 + 1e-16])
 
 
+def test_amplitude_equal_delays_are_ill_conditioned():
+    # two equal columns of V: its condition check fires, no separate rule
+    fc = make_coeffs([10e-6], [1.0], K=20)
+    with pytest.raises(IllConditioned):
+        least_squares_amplitudes(fc, [10e-6, 10e-6])
+
+
 def test_amplitude_residual_holds_imaginary_residue():
     fc = make_coeffs([10e-6], [1.0], K=8)
     fc.y = 1j * fc.y  # rotate the data off the real-amplitude model
@@ -456,6 +464,13 @@ def test_estimate_order_counts_and_zero_data():
     assert np.sum(s / s[0] > SV_THRESHOLD_EXACT) == 3
     order, s, _ = estimate_order(np.zeros(12, dtype=complex), 4)
     assert order == 0
+
+
+@pytest.mark.parametrize("threshold", [0.0, 1.0, 2.0, -1.0, np.nan, np.inf])
+def test_estimate_order_refuses_a_threshold_outside_0_1(threshold):
+    fc = make_coeffs([6e-6, 13e-6], [1.0, 0.7], K=12)
+    with pytest.raises(InvariantViolation, match="sv threshold"):
+        estimate_order(fc.y, 4, sv_threshold=threshold)
 
 
 @pytest.mark.parametrize("K, L_max", [(25, 6), (25, 12), (24, 12)],

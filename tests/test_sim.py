@@ -5,11 +5,11 @@ import pytest
 
 from xampus import (ChannelSet, GridTooCoarse, InvariantViolation, NoiseSpec,
                     PulseModel, Scatterer, Scene, add_interference,
-                    arrival_time, eval_pulse, simulation_grid_step,
+                    arrival_time, simulation_grid_step,
                     synthesize_channels, tau_hat)
 from xampus.sim import _echoes, _row_power
 
-from util import PULSE, SPEED, default_geometry, synthesize
+from util import PULSE, SPEED, default_geometry, eval_pulse, synthesize
 
 
 def dense_echoes(t0, gains, dt, grid_len, pulse):

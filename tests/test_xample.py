@@ -10,13 +10,13 @@ import pytest
 from xampus import (BeamformedLine, ChannelSet, GridTooShort,
                     InvariantViolation, OffBand, PulseModel, Scatterer, Scene,
                     XampleConfig, add_interference, beamform_line, build_S,
-                    kernel_value, select_kappa, xample_beamformed_oracle,
-                    xample_channels)
+                    select_kappa, xample_beamformed_oracle, xample_channels)
 from xampus.cli import main
 from xampus import xample
 from xampus.xample import _bank_tables
 
-from util import PULSE, SPEED, default_geometry, random_scene, synthesize
+from util import (PULSE, SPEED, default_geometry, kernel_value, random_scene,
+                  synthesize)
 
 
 def make_config(L=5, rho=1.0, tau=25.6e-6, geometry=None, focus="dynamic"):
@@ -142,11 +142,10 @@ def test_build_s_odd_p_rejected():
 def test_kernel_on_axis_is_plain_cosine():
     geom = default_geometry(num_elements=17)
     cfg = make_config(L=2, rho=1, geometry=geom)
-    S = build_S(cfg.p)
     t = np.linspace(0, cfg.tau, 37)
     center = geom.num_elements // 2
     for q in range(cfg.p // 2):
-        vals = kernel_value(cfg, S, q, center, t)
+        vals = kernel_value(cfg, q, center, t)
         np.testing.assert_allclose(
             vals, np.cos(2 * np.pi * cfg.kappa_pos[q] * t / cfg.tau),
             atol=1e-12)
@@ -154,20 +153,18 @@ def test_kernel_on_axis_is_plain_cosine():
 
 def test_kernel_zero_before_step():
     cfg = make_config(L=2, rho=1, geometry=default_geometry(pitch=1e-3))
-    S = build_S(cfg.p)
     a = cfg.geometry.offset_times[0]
-    assert kernel_value(cfg, S, 0, 0, a / 2) == 0.0
-    assert kernel_value(cfg, S, 0, 0, 0.0) == 0.0
+    assert kernel_value(cfg, 0, 0, a / 2) == 0.0
+    assert kernel_value(cfg, 0, 0, 0.0) == 0.0
 
 
 def test_kernel_symmetric_elements():
     cfg = make_config(L=2, rho=1)
-    S = build_S(cfg.p)
     t = np.linspace(0, cfg.tau, 64)
     n = cfg.geometry.num_elements
     for q in (0, cfg.p - 1):
-        np.testing.assert_array_equal(kernel_value(cfg, S, q, 2, t),
-                                      kernel_value(cfg, S, q, n - 3, t))
+        np.testing.assert_array_equal(kernel_value(cfg, q, 2, t),
+                                      kernel_value(cfg, q, n - 3, t))
 
 
 def test_kernel_sum_is_real_by_pairing():
@@ -187,9 +184,8 @@ def test_kernel_sum_is_real_by_pairing():
 def test_kernel_infinity_mode_drops_warp():
     geom = default_geometry(pitch=1e-3)
     cfg = make_config(L=2, rho=1, geometry=geom, focus="infinity")
-    S = build_S(cfg.p)
     t = np.linspace(0, cfg.tau, 50)
-    vals = kernel_value(cfg, S, 0, 0, t)  # outermost element, no step/warp
+    vals = kernel_value(cfg, 0, 0, t)  # outermost element, no step/warp
     np.testing.assert_allclose(
         vals, np.cos(2 * np.pi * cfg.kappa_pos[0] * t / cfg.tau), atol=1e-12)
 
@@ -389,9 +385,9 @@ def test_kernel_value_integrates_to_c_qm_column():
     # off-axis pair 0 and 2: exercises the step and the warp, and shares
     # one kernel, so column 0 holds both elements
     weighted = _trapezoid(ch) * (ch.samples[0] + ch.samples[2])
-    kernels = [kernel_value(cfg, S, q, 0, ch.times) for q in range(cfg.p)]
+    kernels = [kernel_value(cfg, q, 0, ch.times) for q in range(cfg.p)]
     for q, k in enumerate(kernels):
-        assert np.array_equal(k, kernel_value(cfg, S, q, 2, ch.times))
+        assert np.array_equal(k, kernel_value(cfg, q, 2, ch.times))
     col = np.array([k @ weighted for k in kernels]) / cfg.tau
     assert _rel(col, out.c_qm[:, 0]) <= 1e-12
 
@@ -455,20 +451,11 @@ def test_channel_path_matches_beamformed_oracle_infinity():
     assert _channel_vs_oracle("infinity") <= 1e-3
 
 
-def test_kernel_indices_validated():
-    cfg = make_config(L=1, rho=1)
-    S = build_S(cfg.p)
-    with pytest.raises(IndexError):
-        kernel_value(cfg, S, cfg.p, 0, 0.0)
-    with pytest.raises(IndexError):
-        kernel_value(cfg, S, 0, 99, 0.0)
-
-
 # --- kernel-bank tables, cached per configuration and grid -------------------
 
 def _cache_cases():
     """Named (cfg, channels) pairs for the cache tests."""
-    geom = default_geometry()
+    geom, narrow = default_geometry(), default_geometry(pitch=0.2e-3)
     dyn = make_config(L=5, rho=2, geometry=geom)
     inf = make_config(L=5, rho=2, geometry=geom, focus="infinity")
     scene, _, _ = random_scene(np.random.default_rng(21), 3, dyn.tau)
@@ -482,8 +469,8 @@ def _cache_cases():
         "dynamic": (dyn, ch16),
         "infinity": (inf, ch16),
         # a narrower array on the same samples and grid
-        "pitch": (dyn, ChannelSet(ch16.grid_step, ch16.samples,
-                                  default_geometry(pitch=0.2e-3), ch16.tau)),
+        "pitch": (make_config(L=5, rho=2, geometry=narrow),
+                  ChannelSet(ch16.grid_step, ch16.samples, narrow, ch16.tau)),
         # the same grid step, seven samples longer
         "longer": (dyn, ChannelSet(ch16.grid_step,
                                    np.pad(ch16.samples, ((0, 0), (0, 7))),
@@ -508,7 +495,8 @@ def test_cached_tables_match_a_cleared_cache_bitwise():
         for j in range(i):
             assert not np.array_equal(outs[i].c, outs[j].c)
     # each call differs from the one before in one part of the cache key:
-    # the config, the array, the grid length, length and step, the step
+    # the config (its focus, then its array), the grid length, length and
+    # step, the step
     order = ["dynamic", "infinity", "dynamic", "pitch", "dynamic", "longer",
              "oversample", "step", "oversample", "dynamic"]
     for name in order * 2:
@@ -523,7 +511,7 @@ def test_cached_tables_match_a_cleared_cache_bitwise():
 def test_cached_tables_are_read_only():
     cfg, ch = _cache_cases()["dynamic"]
     xample_channels(ch, cfg, build_S(cfg.p))
-    groups = _bank_tables(cfg, ch.geometry, ch.grid_len, ch.grid_step)
+    groups = _bank_tables(cfg, ch.grid_len, ch.grid_step)
     assert _bank_tables.cache_info().hits >= 1
     assert len(groups) == ch.geometry.num_elements // 2
     for grp in groups:
@@ -533,6 +521,17 @@ def test_cached_tables_are_read_only():
                 arr[0] = 0
     # the tables are built from kappa, so it cannot change under them
     assert not cfg.kappa.flags.writeable
+
+
+@pytest.mark.parametrize("geometry", [
+    default_geometry(num_elements=8), default_geometry(pitch=0.2e-3)],
+    ids=["count", "pitch"])
+def test_channels_from_another_array_are_refused(geometry):
+    # the kernel bank's warps come from the configuration's array
+    cfg = make_config(L=5, rho=2, geometry=geometry)
+    ch = synthesize(Scene(scatterers=(), tau=cfg.tau), default_geometry())
+    with pytest.raises(InvariantViolation, match="configuration for"):
+        xample_channels(ch, cfg, build_S(cfg.p))
 
 
 def test_config_derives_kappa():

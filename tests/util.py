@@ -10,6 +10,8 @@ from xampus import (ArrayGeometry, PulseModel, Scatterer, Scene,
 
 PULSE = PulseModel(carrier_hz=5.142e6, envelope_sigma=1e-7, amplitude=1.0)
 SPEED = 1540.0
+# model-order cut for exact synthetic coefficients
+SV_THRESHOLD_EXACT = 1e-8
 
 
 def default_geometry(num_elements=16, pitch=0.3e-3):
@@ -44,6 +46,37 @@ def random_scene(rng, l_true, tau, margin=4e-6, min_sep=2e-6,
 def synthesize(scene, geometry, oversample=16, pulse=PULSE):
     return synthesize_channels(scene, geometry, pulse,
                                simulation_grid_step(oversample))
+
+
+def eval_pulse(model, t):
+    """Evaluate h(t); accepts scalars or arrays, even-symmetric in t."""
+    t = np.asarray(t, dtype=float)
+    return (
+        model.amplitude
+        * np.exp(-(t**2) / (2.0 * model.envelope_sigma**2))
+        * np.cos(2.0 * np.pi * model.carrier_hz * t)
+    )
+
+
+def kernel_value(cfg, q, elem, t):
+    """Branch kernel s_hat[q, elem] at the times ``t``, the pointwise oracle
+    of the kernel bank, as an array of t's shape.
+
+    Branch q < K is the cosine of harmonic ``kappa_pos[q]`` and branch
+    q + K its negated sine, taken of the warped phase t - a^2/t and times
+    the bracket 1 + (a/t)^2, zero before the step at a = |offset_elem|/c.
+    In infinity focus, and for the on-axis element, a = 0: the plain
+    harmonic.
+    """
+    t = np.asarray(t, dtype=float)
+    a = cfg.geometry.offset_times[elem] if cfg.focus_mode == "dynamic" else 0.0
+    on = t >= a
+    ts = t[on]
+    phase, bracket = (ts - a * a / ts, 1.0 + (a / ts) ** 2) if a else (ts, 1.0)
+    arg = (2.0 * np.pi * cfg.kappa_pos[q % cfg.K] / cfg.tau) * phase
+    vals = np.zeros(t.shape)
+    vals[on] = bracket * (np.cos(arg) if q < cfg.K else -np.sin(arg))
+    return vals
 
 
 def numeric_ctft(pulse, omega, step=None, span_sigmas=8.0):
