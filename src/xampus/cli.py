@@ -59,15 +59,31 @@ def _naming(path: Path):
         raise
 
 
-def _line_paths(channel_dir: Path, scene, limit=None) -> list[Path]:
-    """The channel files to image, one per scene line, in line order."""
-    paths = sorted(Path(channel_dir).glob("line_*.urf"))[:limit]
+def _each_line(args, scene, work, linear_only=False) -> list:
+    """``work(channels, scene_line)`` on each of the first ``--lines`` scene
+    lines and its ``line_*.urf`` file, in line order.  With ``linear_only`` a
+    steered line is refused before any file is listed.  A file must hold the
+    scene's window; an error raised by ``work`` names the line's file."""
+    lines = scene.lines[:args.lines]
+    if linear_only and any(line.beam_angle != 0.0 for line in lines):
+        raise InvariantViolation("low-rate acquisition is defined for linear "
+                                 "scan only (alpha_rad must be 0)")
+    paths = sorted(Path(args.channels).glob("line_*.urf"))[:args.lines]
     if not paths:
-        raise InvariantViolation(f"no line_*.urf files in {channel_dir}")
+        raise InvariantViolation(
+            f"no line_*.urf files in {Path(args.channels)}")
     if len(paths) > len(scene.lines):
         raise InvariantViolation(
             f"{len(paths)} channel files for {len(scene.lines)} scene lines")
-    return paths
+    results = []
+    for path, line in zip(paths, lines):
+        ch = urf.read_channels(path, scene.geometry)
+        if ch.tau != scene.tau:
+            raise InvariantViolation(f"{path}: window {ch.tau!r} s is not "
+                                     f"the scene's tau_s {scene.tau!r} s")
+        with _naming(path):
+            results.append(work(ch, line))
+    return results
 
 
 def _axial_samples(tau: float) -> int:
@@ -82,7 +98,6 @@ def cmd_simulate(args) -> int:
         noise = dataclasses.replace(noise, seed=args.seed)
     step = simulation_grid_step(args.oversample)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     lines = scene.lines[:args.lines]
     paths = [out / f"line_{idx:03d}.urf" for idx in range(len(lines))]
     # a file left by an earlier, longer run would be imaged as a line
@@ -102,21 +117,18 @@ def cmd_simulate(args) -> int:
 def cmd_beamform(args) -> int:
     scene = load_scene(args.scene)
     check_dynamic_range(args.dynamic_range_db)
-    paths = _line_paths(Path(args.channels), scene, args.lines)
     n_axial = _axial_samples(scene.tau)
 
-    traces = []
-    for path, scene_line in zip(paths, scene.lines):
-        ch = urf.read_channels(path, scene.geometry)
-        with _naming(path):
-            line = beamform_line(ch, alpha=scene_line.beam_angle,
-                                 focus_mode=args.focus,
-                                 out_step=AXIAL_STEP, duration=scene.tau,
-                                 num_focal_zones=args.focal_zones)
-        traces.append(envelope_detect(line)[:n_axial])
+    def work(ch, scene_line):
+        line = beamform_line(ch, alpha=scene_line.beam_angle,
+                             focus_mode=args.focus, out_step=AXIAL_STEP,
+                             duration=scene.tau,
+                             num_focal_zones=args.focal_zones)
+        return envelope_detect(line)[:n_axial]
+
+    traces = _each_line(args, scene, work)
     image = assemble_image(traces, args.dynamic_range_db, AXIAL_STEP)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     write_pgm(out / "reference.pgm", image)
     peaks = [int(np.argmax(tr)) for tr in traces]
     _write_csv(out / "reference_lines.csv",
@@ -134,32 +146,20 @@ def cmd_xample(args) -> int:
                               scene.geometry, focus_mode=args.focus)
     check_sv_threshold(args.sv_threshold)
     check_dynamic_range(args.dynamic_range_db)
-    paths = _line_paths(Path(args.channels), scene, args.lines)
-    for line in scene.lines[:args.lines]:
-        if line.beam_angle != 0.0:
-            raise InvariantViolation(
-                "low-rate acquisition is defined for linear scan only "
-                "(alpha_rad must be 0)"
-            )
     S = build_S(cfg.p)
-    n_axial = _axial_samples(scene.tau)
-    axial_grid = np.arange(n_axial) * AXIAL_STEP
 
-    results = []
-    for path in paths:
-        ch = urf.read_channels(path, scene.geometry)
-        with _naming(path):
-            out_samples = xample_channels(ch, cfg, S)
-            est = recover_line(out_samples.c, cfg, scene.pulse,
-                               method=args.method,
-                               sv_threshold=args.sv_threshold, S=S)
-        results.append((out_samples, est))
+    def work(ch, _):
+        out_samples = xample_channels(ch, cfg, S)
+        return out_samples, recover_line(out_samples.c, cfg, scene.pulse,
+                                         method=args.method,
+                                         sv_threshold=args.sv_threshold, S=S)
+
+    results = _each_line(args, scene, work, linear_only=True)
+    axial_grid = np.arange(_axial_samples(scene.tau)) * AXIAL_STEP
     traces = [render_line(est, scene.pulse, axial_grid)
               for _, est in results]
     image = assemble_image(traces, args.dynamic_range_db, AXIAL_STEP)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
     _write_csv(out / "estimates.csv",
                ["line_index", "t_l_s", "b_l", "residual"],
                ([i, _fmt(t_l), _fmt(b_l), _fmt(est.residual)]
@@ -182,7 +182,6 @@ def cmd_cost(args) -> int:
     rows = costs.cost_table(args.L, args.rho, num_elements=args.elements,
                             depth_m=args.depth_cm / 100.0)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     _write_csv(out, ["L", "rho", "K", "samples_per_element_per_line",
                      "xampled_mops", "reduction_factor", "standard_samples",
                      "standard_mops"],
@@ -234,7 +233,6 @@ def cmd_compare(args) -> int:
     n_elem = scene.geometry.num_elements
 
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     rows = []
     for i, line in enumerate(scene.lines):
         truths = sorted((2.0 * s.axial_time, s.reflectivity)
@@ -295,50 +293,45 @@ def build_parser() -> argparse.ArgumentParser:
                 description="Sub-Nyquist ultrasound image-line pipeline")
     sub = p.add_subparsers(dest="command", required=True)
 
-    sim = sub.add_parser("simulate", help="scene JSON -> URF1 channel files")
-    sim.add_argument("--scene", required=True)
-    sim.add_argument("--out", required=True, help="output directory")
+    # flags shared by the subcommands that go through scene lines
+    lines = argparse.ArgumentParser(add_help=False)
+    lines.add_argument("--scene", required=True)
+    lines.add_argument("--out", required=True, help="output directory")
+    lines.add_argument("--lines", type=_count, default=None,
+                       help="process only the first N lines")
+    image = argparse.ArgumentParser(add_help=False, parents=[lines])
+    image.add_argument("--channels", required=True,
+                       help="directory of URF1 files")
+    image.add_argument("--focus", choices=["dynamic", "infinity"],
+                       default="dynamic")
+    image.add_argument("--dynamic-range-db", type=float,
+                       default=DEFAULT_DYNAMIC_RANGE_DB)
+
+    sim = sub.add_parser("simulate", parents=[lines],
+                         help="scene JSON -> URF1 channel files")
     sim.add_argument("--oversample", type=int, default=16,
                      help="simulation grid factor over the 20 MHz rate")
     sim.add_argument("--seed", type=int, default=None,
                      help="override the scene noise seed")
-    sim.add_argument("--lines", type=_count, default=None,
-                     help="process only the first N lines")
     sim.set_defaults(fn=cmd_simulate)
 
-    bf = sub.add_parser("beamform", help="reference delay-and-sum image")
-    bf.add_argument("--channels", required=True, help="directory of URF1 files")
-    bf.add_argument("--scene", required=True)
-    bf.add_argument("--out", required=True, help="output directory")
-    bf.add_argument("--focus", choices=["dynamic", "infinity"],
-                    default="dynamic")
+    bf = sub.add_parser("beamform", parents=[image],
+                        help="reference delay-and-sum image")
     bf.add_argument("--focal-zones", type=_count, default=None,
                     help="staircase focus with this many zones")
-    bf.add_argument("--dynamic-range-db", type=float,
-                    default=DEFAULT_DYNAMIC_RANGE_DB)
-    bf.add_argument("--lines", type=_count, default=None,
-                    help="process only the first N lines")
     bf.set_defaults(fn=cmd_beamform)
 
-    xa = sub.add_parser("xample", help="low-rate acquisition and recovery")
-    xa.add_argument("--channels", required=True)
-    xa.add_argument("--scene", required=True)
-    xa.add_argument("--out", required=True, help="output directory")
+    xa = sub.add_parser("xample", parents=[image],
+                        help="low-rate acquisition and recovery")
     xa.add_argument("--L", type=int, required=True,
                     help="upper bound on reflectors per line")
     xa.add_argument("--rho", type=float, default=2.0)
-    xa.add_argument("--focus", choices=["dynamic", "infinity"],
-                    default="dynamic")
     xa.add_argument("--method", choices=["pencil", "annihilating"],
                     default="pencil")
     xa.add_argument("--sv-threshold", type=float,
                     default=SV_THRESHOLD_DEFAULT)
     xa.add_argument("--dump-samples", action="store_true",
                     help="also write the branch sample CSVs")
-    xa.add_argument("--dynamic-range-db", type=float,
-                    default=DEFAULT_DYNAMIC_RANGE_DB)
-    xa.add_argument("--lines", type=_count, default=None,
-                    help="process only the first N lines")
     xa.set_defaults(fn=cmd_xample)
 
     co = sub.add_parser("cost", help="sampling-rate and op-count table")

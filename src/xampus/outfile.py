@@ -6,7 +6,8 @@ from pathlib import Path
 
 
 def open_new(path, mode="wb", newline=None):
-    """Remove any file at ``path``, then open a new one there for writing.
+    """Remove any file at ``path``, then open a new one there for writing,
+    making its directory first if it is missing.
 
     On ext4, truncating a file whose data has not yet reached the disk first
     waits for that data to be written back, 40 to 180 ms per rewrite on a
@@ -14,5 +15,6 @@ def open_new(path, mode="wb", newline=None):
     file keeps reading the old bytes, and a symlink at ``path`` is replaced,
     not followed.  Durability is unchanged: there is no fsync.
     """
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     Path(path).unlink(missing_ok=True)
     return open(path, mode, newline=newline)

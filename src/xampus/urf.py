@@ -3,7 +3,8 @@
 Layout (little-endian): magic ``URF1``, u32 num_elements, u32 grid_len,
 f64 grid_step_s, f64 tau_s, then num_elements x grid_len f64 samples
 row-major.  Array geometry is not stored; readers supply it from the scene
-configuration.  The file must hold exactly the samples its header declares.
+configuration.  The file must hold exactly the samples its header declares,
+and every sample must be finite.
 """
 
 from __future__ import annotations
@@ -64,6 +65,8 @@ def read_channels(path, geometry: ArrayGeometry) -> ChannelSet:
         samples = np.empty((num_elements, grid_len), dtype="<f8")
         if f.readinto(samples) != body_size:
             raise ParseError(f"{path}: truncated URF1 body")
+    if not np.isfinite(samples).all():
+        raise ParseError(f"{path}: samples must be finite")
     try:
         return ChannelSet(grid_step=grid_step, samples=samples,
                           geometry=geometry, tau=tau)

@@ -351,6 +351,67 @@ def test_channel_file_errors_name_the_file(scene_path, tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("tau", [25.6e-6, 102.4e-6])
+def test_channels_from_another_window_are_refused(scene_path, tmp_path,
+                                                  capsys, tau):
+    # channels simulated over 51.2 us, imaged with a shorter window (the
+    # 26 us echo would wrap around it) or a longer one (read past the grid)
+    ch_dir = tmp_path / "ch"
+    assert main(["simulate", "--scene", str(scene_path), "--out",
+                 str(ch_dir)]) == 0
+    doc = json.loads(scene_path.read_text())
+    doc["tau_s"] = tau
+    del doc["lines"][0]["scatterers"][1]
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps(doc))
+    capsys.readouterr()
+    for argv in (["beamform"], ["xample", "--L", "5"]):
+        out = tmp_path / argv[0]
+        rc = main([*argv, "--channels", str(ch_dir), "--scene", str(other),
+                   "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error[InvariantViolation]: {ch_dir / 'line_000.urf'}: window "
+            f"5.12e-05 s is not the scene's tau_s {tau!r} s\n")
+        assert not out.exists()
+
+
+def test_non_finite_channel_samples_are_refused(scene_path, tmp_path,
+                                                capsys):
+    ch_dir = tmp_path / "ch"
+    assert main(["simulate", "--scene", str(scene_path), "--out",
+                 str(ch_dir)]) == 0
+    path = ch_dir / "line_001.urf"
+    raw = bytearray(path.read_bytes())
+    raw[28:28 + 8 * 100] = np.full(100, np.nan).tobytes()
+    path.write_bytes(bytes(raw))
+    capsys.readouterr()
+    for argv in (["beamform"], ["xample", "--L", "5"]):
+        out = tmp_path / argv[0]
+        rc = main([*argv, "--channels", str(ch_dir), "--scene",
+                   str(scene_path), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error[ParseError]: {path}: samples must be finite\n")
+        assert not out.exists()
+
+
+def test_xample_refuses_a_steered_line_before_listing_files(
+        scene_path, tmp_path, capsys):
+    doc = json.loads(scene_path.read_text())
+    doc["lines"] = [{"alpha_rad": 0.2, "scatterers": []}]
+    steered = tmp_path / "steered.json"
+    steered.write_text(json.dumps(doc))
+    ch_dir = tmp_path / "ch"
+    ch_dir.mkdir()
+    rc = main(["xample", "--channels", str(ch_dir), "--scene", str(steered),
+               "--out", str(tmp_path / "xa"), "--L", "5"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error[InvariantViolation]: low-rate acquisition is defined for "
+        "linear scan only (alpha_rad must be 0)\n")
+
+
 @pytest.mark.parametrize("zones", ["0", "-2", "two"])
 def test_beamform_refuses_a_bad_zone_count_as_usage(scene_path, tmp_path,
                                                     capsys, zones):

@@ -18,8 +18,10 @@ FUZZ = settings(max_examples=60, deadline=None, derandomize=True,
                 database=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
 
+# finite: a file holding a NaN or infinite sample is refused
 samples_st = st.tuples(st.integers(1, 4), st.integers(0, 40)).flatmap(
-    lambda shape: arrays(np.float64, shape, elements=st.floats(width=64)))
+    lambda shape: arrays(np.float64, shape, elements=st.floats(
+        width=64, allow_nan=False, allow_infinity=False)))
 grid_step_st = st.floats(0.0, MAX_GRID_STEP, exclude_min=True)
 tau_st = st.floats(0.0, 1e300, exclude_min=True)
 
@@ -149,6 +151,20 @@ def test_fuzz_roundtrip_bitwise(tmp_path, samples, grid_step, tau):
     np.testing.assert_array_equal(back.samples.view(np.uint64),
                                   samples.view(np.uint64))
     assert (back.grid_step, back.tau) == (grid_step, tau)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                   float("-inf")])
+def test_non_finite_samples_are_refused(tmp_path, value):
+    geom = default_geometry(num_elements=3)
+    ch = synthesize(Scene(scatterers=(Scatterer(6e-6, 0.8),), tau=25.6e-6),
+                    geom)
+    ch.samples[1, 100:200] = value
+    path = tmp_path / "line_001.urf"
+    write_channels(path, ch)
+    with pytest.raises(ParseError, match="line_001.urf: samples must be "
+                                         "finite"):
+        read_channels(path, geom)
 
 
 @FUZZ
