@@ -130,6 +130,39 @@ def test_non_finite_numbers_rejected(tmp_path, literal, field):
         load_scene(path)
 
 
+@pytest.mark.parametrize("field,where", [
+    (("pulse",), "pulse"),
+    (("array",), "array"),
+    (("noise",), "noise"),
+    (("lines", 0), r"lines\[0\]"),
+    (("lines", 0, "scatterers", 0), r"lines\[0\]\.scatterers\[0\]"),
+])
+def test_scene_object_given_as_list_is_refused(tmp_path, field, where):
+    doc = base_doc()
+    target = doc
+    for step in field[:-1]:
+        target = target[step]
+    target[field[-1]] = [1.0]
+    with pytest.raises(ParseError, match=f"^{where}: expected an object$"):
+        load_scene(write(tmp_path, doc))
+
+
+@pytest.mark.parametrize("snr", ["omitted", None])
+def test_omitted_optional_keys_take_their_defaults(tmp_path, snr):
+    doc = base_doc()
+    del doc["pulse"]["amplitude"]
+    del doc["noise"]["speckle_count"]
+    if snr is None:
+        doc["noise"]["snr_db"] = None
+    else:
+        del doc["noise"]["snr_db"]
+    sf = load_scene(write(tmp_path, doc))
+    assert sf.pulse.amplitude == 1.0
+    assert sf.noise.speckle_count == 0
+    assert sf.noise.snr_db is None
+    assert sf.noise.seed == 42
+
+
 # --- fuzz ---------------------------------------------------------------------
 
 # deterministic, no example database; each example writes into its own
