@@ -12,9 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import arrival_time
-from .sim import ChannelSet
+from .sim import NYQUIST_RATE_HZ, ChannelSet
 
-DEFAULT_OUT_STEP = 50e-9  # 20 MHz output rate
+DEFAULT_OUT_STEP = 1.0 / NYQUIST_RATE_HZ
 
 
 @dataclass

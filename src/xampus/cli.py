@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import costs, urf
+from .beamform import DEFAULT_OUT_STEP as AXIAL_STEP
 from .beamform import beamform_line, envelope_detect
 from .errors import InvariantViolation, ParseError, XampusError
 from .imaging import (DEFAULT_DYNAMIC_RANGE_DB, assemble_image,
@@ -34,8 +35,6 @@ from .recover import SV_THRESHOLD_DEFAULT, check_sv_threshold, recover_line
 from .scenefile import load_scene
 from .sim import add_interference, simulation_grid_step, synthesize_channels
 from .xample import XampleConfig, build_S, xample_channels
-
-AXIAL_STEP = 50e-9
 
 
 def _fmt(x: float) -> str:
@@ -59,15 +58,11 @@ def _naming(path: Path):
         raise
 
 
-def _each_line(args, scene, work, linear_only=False) -> list:
+def _each_line(args, scene, work) -> list:
     """``work(channels, scene_line)`` on each of the first ``--lines`` scene
-    lines and its ``line_*.urf`` file, in line order.  With ``linear_only`` a
-    steered line is refused before any file is listed.  A file must hold the
+    lines and its ``line_*.urf`` file, in line order.  A file must hold the
     scene's window; an error raised by ``work`` names the line's file."""
     lines = scene.lines[:args.lines]
-    if linear_only and any(line.beam_angle != 0.0 for line in lines):
-        raise InvariantViolation("low-rate acquisition is defined for linear "
-                                 "scan only (alpha_rad must be 0)")
     paths = sorted(Path(args.channels).glob("line_*.urf"))[:args.lines]
     if not paths:
         raise InvariantViolation(
@@ -122,7 +117,6 @@ def cmd_beamform(args) -> int:
     def work(ch, scene_line):
         line = beamform_line(ch, alpha=scene_line.beam_angle,
                              focus_mode=args.focus, out_step=AXIAL_STEP,
-                             duration=scene.tau,
                              num_focal_zones=args.focal_zones)
         return envelope_detect(line)[:n_axial]
 
@@ -146,6 +140,9 @@ def cmd_xample(args) -> int:
                               scene.geometry, focus_mode=args.focus)
     check_sv_threshold(args.sv_threshold)
     check_dynamic_range(args.dynamic_range_db)
+    if any(line.beam_angle != 0.0 for line in scene.lines[:args.lines]):
+        raise InvariantViolation("low-rate acquisition is defined for linear "
+                                 "scan only (alpha_rad must be 0)")
     S = build_S(cfg.p)
 
     def work(ch, _):
@@ -154,7 +151,7 @@ def cmd_xample(args) -> int:
                                          method=args.method,
                                          sv_threshold=args.sv_threshold, S=S)
 
-    results = _each_line(args, scene, work, linear_only=True)
+    results = _each_line(args, scene, work)
     axial_grid = np.arange(_axial_samples(scene.tau)) * AXIAL_STEP
     traces = [render_line(est, scene.pulse, axial_grid)
               for _, est in results]

@@ -21,10 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantViolation
+from .sim import NYQUIST_RATE_HZ
 from .xample import harmonic_count
 
 DEFAULT_DEPTH_M = 0.0788
-SAMPLE_RATE_HZ = 20e6
 SPEED_OF_SOUND = 1540.0
 DEFAULT_NUM_ELEMENTS = 16
 _MAX_SAMPLES = 2.0**53
@@ -67,11 +67,11 @@ def xampled_ops(L: int, K: int, p: int, M: int) -> float:
 
 def standard_samples(depth_m: float = DEFAULT_DEPTH_M) -> int:
     """Per-element samples per line for a round trip to the given depth, at
-    ``SAMPLE_RATE_HZ`` and ``SPEED_OF_SOUND``."""
+    ``sim.NYQUIST_RATE_HZ`` and ``SPEED_OF_SOUND``."""
     if not 0 < depth_m < math.inf:
         raise InvariantViolation(f"depth_m {depth_m!r} must be finite and "
                                  "positive")
-    samples = 2.0 * depth_m / SPEED_OF_SOUND * SAMPLE_RATE_HZ
+    samples = 2.0 * depth_m / SPEED_OF_SOUND * NYQUIST_RATE_HZ
     # beyond 2**53 the count is no longer an exact integer, and standard_ops
     # would take the log of an int past int64
     if not samples <= _MAX_SAMPLES:

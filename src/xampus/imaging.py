@@ -17,7 +17,6 @@ DEFAULT_DYNAMIC_RANGE_DB = 50.0
 @dataclass
 class ImageGrid:
     axial_step: float
-    dynamic_range_db: float
     pixels: np.ndarray  # (axial samples, lines) uint8
 
 
@@ -70,8 +69,7 @@ def assemble_image(lines, dynamic_range_db: float = DEFAULT_DYNAMIC_RANGE_DB,
             1.0 + 20.0 * np.log10(traces[pos] / v_max) / dynamic_range_db
         )
     pixels = np.clip(np.rint(pixels), 0, 255).astype(np.uint8)
-    return ImageGrid(axial_step=axial_step, dynamic_range_db=dynamic_range_db,
-                     pixels=pixels.T)
+    return ImageGrid(axial_step=axial_step, pixels=pixels.T)
 
 
 def write_pgm(path, image: ImageGrid) -> None:

@@ -70,11 +70,6 @@ def pulse_spectrum(model: PulseModel, omega):
     )
 
 
-def spectrum_peak(model: PulseModel) -> float:
-    """Reference peak |H|, attained at the carrier."""
-    return float(pulse_spectrum(model, 2.0 * np.pi * model.carrier_hz))
-
-
 def build_H(model: PulseModel, kappa, tau: float):
     """Diagonal of the pulse-spectrum matrix over the harmonic set ``kappa``.
 
@@ -86,13 +81,13 @@ def build_H(model: PulseModel, kappa, tau: float):
     ------
     OffBand
         If any entry has magnitude <= ``SPECTRUM_FLOOR`` times the spectrum
-        peak: that harmonic misses the pulse band, and dividing by it would
-        make the deconvolution step blow up.
+        peak, H(2 pi f_c): that harmonic misses the pulse band, and dividing
+        by it would make the deconvolution step blow up.
     """
     kappa = np.asarray(kappa)
     diag = pulse_spectrum(model, 2.0 * np.pi * kappa / tau)
-    limit = SPECTRUM_FLOOR * spectrum_peak(model)
-    bad = np.abs(diag) <= limit
+    peak = pulse_spectrum(model, 2.0 * np.pi * model.carrier_hz)
+    bad = np.abs(diag) <= SPECTRUM_FLOOR * peak
     if np.any(bad):
         k_bad = kappa[bad]
         raise OffBand(

@@ -21,16 +21,22 @@ class SceneFile:
     lines: list[Scene]
 
 
-def _require(obj: dict, where: str, required, optional=()) -> None:
+def _object(obj, where: str, required, optional=()) -> dict:
+    """``obj``, checked as an object with no missing and no unknown keys."""
+    if not isinstance(obj, dict):
+        raise ParseError(f"{where}: expected an object")
     unknown = set(obj) - set(required) - set(optional)
     if unknown:
         raise ParseError(f"{where}: unknown keys {sorted(unknown)}")
     missing = set(required) - set(obj)
     if missing:
         raise ParseError(f"{where}: missing keys {sorted(missing)}")
+    return obj
 
 
-def _number(obj, where, key):
+def _number(obj, where, key, default=None):
+    if key not in obj:
+        return default
     v = obj[key]
     if not isinstance(v, (int, float)) or isinstance(v, bool):
         raise ParseError(f"{where}.{key}: expected a number, got {v!r}")
@@ -43,7 +49,9 @@ def _number(obj, where, key):
     return x
 
 
-def _integer(obj, where, key):
+def _integer(obj, where, key, default=None):
+    if key not in obj:
+        return default
     v = obj[key]
     if not isinstance(v, int) or isinstance(v, bool):
         raise ParseError(f"{where}.{key}: expected an integer, got {v!r}")
@@ -71,28 +79,22 @@ def load_scene(path) -> SceneFile:
         ) from e
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be an object")
-    _require(doc, "scene",
-             ["speed_of_sound_m_s", "tau_s", "pulse", "array", "lines"],
-             ["noise"])
+    _object(doc, "scene",
+            ["speed_of_sound_m_s", "tau_s", "pulse", "array", "lines"],
+            ["noise"])
 
     c = _number(doc, "scene", "speed_of_sound_m_s")
     tau = _number(doc, "scene", "tau_s")
 
-    pd = doc["pulse"]
-    if not isinstance(pd, dict):
-        raise ParseError("pulse: expected an object")
-    _require(pd, "pulse", ["carrier_hz", "sigma_s"], ["amplitude"])
+    pd = _object(doc["pulse"], "pulse", ["carrier_hz", "sigma_s"],
+                 ["amplitude"])
     pulse = PulseModel(
         carrier_hz=_number(pd, "pulse", "carrier_hz"),
         envelope_sigma=_number(pd, "pulse", "sigma_s"),
-        amplitude=_number(pd, "pulse", "amplitude")
-        if "amplitude" in pd else 1.0,
+        amplitude=_number(pd, "pulse", "amplitude", 1.0),
     )
 
-    ad = doc["array"]
-    if not isinstance(ad, dict):
-        raise ParseError("array: expected an object")
-    _require(ad, "array", ["num_elements", "pitch_m"])
+    ad = _object(doc["array"], "array", ["num_elements", "pitch_m"])
     geometry = ArrayGeometry(
         num_elements=_integer(ad, "array", "num_elements"),
         pitch=_number(ad, "array", "pitch_m"),
@@ -101,17 +103,12 @@ def load_scene(path) -> SceneFile:
 
     noise = NoiseSpec()
     if "noise" in doc:
-        nd = doc["noise"]
-        if not isinstance(nd, dict):
-            raise ParseError("noise: expected an object")
-        _require(nd, "noise", ["seed"], ["snr_db", "speckle_count"])
-        snr = None
-        if "snr_db" in nd and nd["snr_db"] is not None:
-            snr = _number(nd, "noise", "snr_db")
+        nd = _object(doc["noise"], "noise", ["seed"],
+                     ["snr_db", "speckle_count"])
         noise = NoiseSpec(
-            snr_db=snr,
-            speckle_count=_integer(nd, "noise", "speckle_count")
-            if "speckle_count" in nd else 0,
+            snr_db=None if nd.get("snr_db") is None
+            else _number(nd, "noise", "snr_db"),
+            speckle_count=_integer(nd, "noise", "speckle_count", 0),
             seed=_integer(nd, "noise", "seed"),
         )
 
@@ -120,18 +117,14 @@ def load_scene(path) -> SceneFile:
     lines = []
     for i, ld in enumerate(doc["lines"]):
         where = f"lines[{i}]"
-        if not isinstance(ld, dict):
-            raise ParseError(f"{where}: expected an object")
-        _require(ld, where, ["scatterers"], ["alpha_rad"])
-        alpha = _number(ld, where, "alpha_rad") if "alpha_rad" in ld else 0.0
+        _object(ld, where, ["scatterers"], ["alpha_rad"])
+        alpha = _number(ld, where, "alpha_rad", 0.0)
         if not isinstance(ld["scatterers"], list):
             raise ParseError(f"{where}.scatterers: expected a list")
         scatterers = []
         for j, sd in enumerate(ld["scatterers"]):
             sw = f"{where}.scatterers[{j}]"
-            if not isinstance(sd, dict):
-                raise ParseError(f"{sw}: expected an object")
-            _require(sd, sw, ["t_n_s", "reflectivity"])
+            _object(sd, sw, ["t_n_s", "reflectivity"])
             scatterers.append(Scatterer(
                 axial_time=_number(sd, sw, "t_n_s"),
                 reflectivity=_number(sd, sw, "reflectivity"),

@@ -270,10 +270,12 @@ def _bank_tables(cfg: XampleConfig, grid_len: int,
     return tuple(groups)
 
 
-def _bank_passes(groups, samples, cfg: XampleConfig, c_qm: np.ndarray,
-                 trace_buf: np.ndarray, z_buf: np.ndarray) -> None:
+def _bank_passes(groups, samples, cfg: XampleConfig,
+                 c_qm: np.ndarray) -> None:
     """One harmonic pass per warp group, each into its own ``c_qm`` column;
-    every pass reuses the grid-length buffers ``trace_buf`` and ``z_buf``."""
+    every pass reuses one pair of grid-length buffers, allocated here."""
+    trace_buf = np.empty(samples.shape[1])
+    z_buf = np.empty(samples.shape[1], dtype=complex)
     for grp in groups:
         sup = grp.support
         trace = trace_buf[sup]
@@ -297,14 +299,17 @@ def xample_channels(ch: ChannelSet, cfg: XampleConfig,
     infinity focus.  The passes' weighted, warped kernels come from
     ``_bank_tables``.
     The package's worker thread takes every second group while this thread
-    takes the rest; each side has its own two grid-length buffers and each
-    group writes only its own column, so ``c_qm`` is bitwise that of one
-    thread taking every group.  Raises ``InvariantViolation`` unless the
-    channels come from the configuration's array.
+    takes the rest; each side allocates its own two grid-length buffers and
+    each group writes only its own column, so ``c_qm`` is bitwise that of
+    one thread taking every group.  Raises ``InvariantViolation`` unless the
+    channels come from the configuration's array and window.
     """
     if ch.geometry != cfg.geometry:
         raise InvariantViolation(
             f"channels from {ch.geometry}, configuration for {cfg.geometry}")
+    if ch.tau != cfg.tau:
+        raise InvariantViolation(f"channels of window {ch.tau!r} s, "
+                                 f"configuration for {cfg.tau!r} s")
     bound = tau_hat(cfg.tau, cfg.geometry)
     if ch.duration < bound * (1 - 1e-12):
         raise GridTooShort(
@@ -314,12 +319,8 @@ def xample_channels(ch: ChannelSet, cfg: XampleConfig,
         raise InvariantViolation("mixing matrix branches must match |kappa|")
     groups = _bank_tables(cfg, ch.grid_len, ch.grid_step)
     c_qm = np.zeros((S.p, cfg.geometry.num_elements))
-    trace_bufs = np.empty((2, ch.grid_len))
-    z_bufs = np.empty((2, ch.grid_len), dtype=complex)
-    with alongside(_bank_passes, groups[1::2], ch.samples, cfg, c_qm,
-                   trace_bufs[1], z_bufs[1]):
-        _bank_passes(groups[0::2], ch.samples, cfg, c_qm, trace_bufs[0],
-                     z_bufs[0])
+    with alongside(_bank_passes, groups[1::2], ch.samples, cfg, c_qm):
+        _bank_passes(groups[0::2], ch.samples, cfg, c_qm)
     return XampleOutput(c_qm=c_qm, c=c_qm.sum(axis=1))
 
 

@@ -120,8 +120,7 @@ def test_pgm_roundtrip(tmp_path):
 
 
 def write_image(path, pixels):
-    write_pgm(path, ImageGrid(axial_step=50e-9, dynamic_range_db=50.0,
-                              pixels=pixels))
+    write_pgm(path, ImageGrid(axial_step=50e-9, pixels=pixels))
     return path.read_bytes()
 
 

@@ -534,6 +534,19 @@ def test_channels_from_another_array_are_refused(geometry):
         xample_channels(ch, cfg, build_S(cfg.p))
 
 
+def test_channels_from_another_window_are_refused():
+    # a 102.4 us simulation holds a 30 us scatterer that a 51.2 us
+    # configuration cannot see; its grid also reaches the 51.2 us tau_hat,
+    # so only the window tells the two apart
+    cfg = make_config(L=5, rho=2, tau=51.2e-6)
+    scene = Scene(scatterers=(Scatterer(30e-6, 1.0),), tau=102.4e-6)
+    ch = synthesize(scene, cfg.geometry)
+    with pytest.raises(InvariantViolation,
+                       match=r"window 0\.0001024 s, configuration for "
+                             r"5\.12e-05 s"):
+        xample_channels(ch, cfg, build_S(cfg.p))
+
+
 def test_config_derives_kappa():
     cfg = XampleConfig(L=5, rho=2, tau=25.6e-6, carrier_hz=PULSE.carrier_hz,
                        focus_mode="dynamic", geometry=default_geometry())
