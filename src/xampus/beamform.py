@@ -62,21 +62,13 @@ def beamform_line(
     focus_mode: str = "dynamic",
     out_step: float = DEFAULT_OUT_STEP,
     duration: float | None = None,
-    num_focal_zones: int | None = None,
 ) -> BeamformedLine:
     """Delay-and-sum the channel set into one image-line trace.
 
-    Each output sample t has a focal time: t/2 in dynamic focus, or with
-    ``num_focal_zones`` the staircase approximation, the line split into that
-    many segments that each focus at their center's time over 2.  Element m is
-    read where the echo of that focal point lands on it,
-    ``t - 2 focal + arrival_time(focal)``; infinity focus reads every element
-    at t, with no delays.
-    """
+    Dynamic focus reads element m at ``arrival_time(t/2)``, where the echo of
+    the focal point t/2 lands on it; infinity focus reads it at t."""
     if focus_mode not in ("dynamic", "infinity"):
         raise ValueError(f"unknown focus_mode {focus_mode!r}")
-    if num_focal_zones is not None and num_focal_zones < 1:
-        raise ValueError("num_focal_zones must be >= 1")
     if out_step < ch.grid_step * (1 - 1e-12):
         raise ValueError("out_step must be >= the simulation grid step")
     if duration is None:
@@ -85,19 +77,12 @@ def beamform_line(
     t = np.arange(n) * out_step
 
     focal = t / 2.0
-    if focus_mode == "dynamic" and num_focal_zones is not None:
-        edges = np.linspace(0.0, duration, num_focal_zones + 1)
-        centers = 0.5 * (edges[:-1] + edges[1:])
-        zone = np.minimum((t / duration * num_focal_zones).astype(int),
-                          num_focal_zones - 1)
-        focal = centers[zone] / 2.0
-    lag = t - 2.0 * focal  # zero in per-sample dynamic focus
     acc = np.zeros(n)
     c = ch.geometry.speed_of_sound
     for trace, delta in zip(ch.samples, ch.geometry.offsets):
         read = t
         if focus_mode == "dynamic":
-            read = lag + arrival_time(focal, alpha, delta, c)
+            read = arrival_time(focal, alpha, delta, c)
         acc += _sample_trace(trace, ch.grid_step, read)
     return BeamformedLine(samples=acc, grid_step=out_step)
 

@@ -58,20 +58,24 @@ def _naming(path: Path):
         raise
 
 
+def _line_files(directory, count: int) -> list[Path]:
+    return [Path(directory) / f"line_{i:03d}.urf" for i in range(count)]
+
+
 def _each_line(args, scene, work) -> list:
     """``work(channels, scene_line)`` on each of the first ``--lines`` scene
-    lines and its ``line_*.urf`` file, in line order.  A file must hold the
-    scene's window; an error raised by ``work`` names the line's file."""
+    lines and its file ``line_{i:03d}.urf``, in line order.  A file must hold
+    the scene's window; an error raised by ``work`` names the line's file."""
     lines = scene.lines[:args.lines]
-    paths = sorted(Path(args.channels).glob("line_*.urf"))[:args.lines]
-    if not paths:
+    n_files = len(list(Path(args.channels).glob("line_*.urf"))[:args.lines])
+    if not n_files:
         raise InvariantViolation(
             f"no line_*.urf files in {Path(args.channels)}")
-    if len(paths) > len(scene.lines):
+    if n_files > len(scene.lines):
         raise InvariantViolation(
-            f"{len(paths)} channel files for {len(scene.lines)} scene lines")
+            f"{n_files} channel files for {len(scene.lines)} scene lines")
     results = []
-    for path, line in zip(paths, lines):
+    for path, line in zip(_line_files(args.channels, len(lines)), lines):
         ch = urf.read_channels(path, scene.geometry)
         if ch.tau != scene.tau:
             raise InvariantViolation(f"{path}: window {ch.tau!r} s is not "
@@ -94,7 +98,7 @@ def cmd_simulate(args) -> int:
     step = simulation_grid_step(args.oversample)
     out = Path(args.out)
     lines = scene.lines[:args.lines]
-    paths = [out / f"line_{idx:03d}.urf" for idx in range(len(lines))]
+    paths = _line_files(out, len(lines))
     # a file left by an earlier, longer run would be imaged as a line
     for stale in set(out.glob("line_*.urf")) - set(paths):
         stale.unlink()
@@ -116,8 +120,7 @@ def cmd_beamform(args) -> int:
 
     def work(ch, scene_line):
         line = beamform_line(ch, alpha=scene_line.beam_angle,
-                             focus_mode=args.focus, out_step=AXIAL_STEP,
-                             num_focal_zones=args.focal_zones)
+                             focus_mode=args.focus, out_step=AXIAL_STEP)
         return envelope_detect(line)[:n_axial]
 
     traces = _each_line(args, scene, work)
@@ -243,7 +246,8 @@ def cmd_compare(args) -> int:
             for t_true, b_true in truths:
                 j = int(np.argmin(np.abs(d_est - t_true)))
                 sq += (d_est[j] - t_true) ** 2
-                rel += abs(b_est[j] / n_elem - b_true) / abs(b_true)
+                rel += (abs(b_est[j] / n_elem - b_true) / abs(b_true)
+                        if b_true else np.inf)
             rmse = float(np.sqrt(sq / len(truths)))
             amp_err = rel / len(truths)
         elif truths:
@@ -314,8 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     bf = sub.add_parser("beamform", parents=[image],
                         help="reference delay-and-sum image")
-    bf.add_argument("--focal-zones", type=_count, default=None,
-                    help="staircase focus with this many zones")
     bf.set_defaults(fn=cmd_beamform)
 
     xa = sub.add_parser("xample", parents=[image],

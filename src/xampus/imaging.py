@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .beamform import DEFAULT_OUT_STEP
 from .errors import AllZero, InvariantViolation, ParseError
 from .outfile import open_new
 from .pulse import PulseModel
@@ -44,7 +45,7 @@ def render_line(est: LineEstimate, pulse: PulseModel, axial_grid) -> np.ndarray:
 
 
 def assemble_image(lines, dynamic_range_db: float = DEFAULT_DYNAMIC_RANGE_DB,
-                   axial_step: float = 50e-9) -> ImageGrid:
+                   axial_step: float = DEFAULT_OUT_STEP) -> ImageGrid:
     """Log-compress traces into an 8-bit image, lines as columns.
 
     pixel = clamp(255 * (1 + 20 log10(v / v_max) / DR), 0, 255), with zeros

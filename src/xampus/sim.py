@@ -239,7 +239,7 @@ def add_interference(
     snr_db: float | None,
     speckle_count: int,
     seed: int,
-    pulse: PulseModel | None = None,
+    pulse: PulseModel,
     beam_angle: float = 0.0,
 ) -> ChannelSet:
     """Add white noise plus a diffuse-scatterer surrogate at a target SNR.
@@ -255,8 +255,6 @@ def add_interference(
     _check_beam_angle(beam_angle)
     if snr_db is None:
         return ChannelSet(ch.grid_step, ch.samples.copy(), ch.geometry, ch.tau)
-    if speckle_count > 0 and pulse is None:
-        raise ValueError("speckle surrogate requires the pulse model")
 
     rng = np.random.default_rng(seed)
     target = _row_power(ch.samples) * 10.0 ** (-snr_db / 10.0)

@@ -283,6 +283,24 @@ def test_compare_identical_estimates_zero_rmse(scene_path, tmp_path):
         assert int(r["peak_row_delta"]) == 0
 
 
+def test_compare_zero_reflectivity_is_infinite_error_without_warning(
+        scene_path, tmp_path, capsys):
+    # any RuntimeWarning fails the test, so a division by the zero truth does
+    doc = json.loads(scene_path.read_text())
+    doc["lines"][1]["scatterers"][0]["reflectivity"] = 0.0
+    scene_path.write_text(json.dumps(doc))
+    est = tmp_path / "est.csv"
+    est.write_text(f"line_index,t_l_s,b_l,residual\n1,{2 * 8e-6!r},1.0,0.0\n")
+    img = tmp_path / "same.pgm"
+    img.write_bytes(b"P5\n2 1\n255\n" + bytes([0, 255]))
+    out = tmp_path / "metrics.csv"
+    assert main(["compare", "--reference", str(img), "--xampled", str(img),
+                 "--estimates", str(est), "--scene", str(scene_path),
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert read_rows(out)[1]["amp_rel_err"] == "inf"
+
+
 def test_compare_line_count_mismatch(scene_path, tmp_path, capsys):
     est = tmp_path / "est.csv"
     est.write_text("line_index,t_l_s,b_l,residual\n")
@@ -412,23 +430,6 @@ def test_xample_refuses_a_steered_line_before_listing_files(
         "linear scan only (alpha_rad must be 0)\n")
 
 
-@pytest.mark.parametrize("zones", ["0", "-2", "two"])
-def test_beamform_refuses_a_bad_zone_count_as_usage(scene_path, tmp_path,
-                                                    capsys, zones):
-    # refused by the parser, in either focus, before a channel file is read:
-    # the channel directory does not exist
-    for focus in ("dynamic", "infinity"):
-        with pytest.raises(SystemExit) as exc:
-            main(["beamform", "--channels", str(tmp_path / "missing"),
-                  "--scene", str(scene_path), "--out", str(tmp_path / focus),
-                  "--focus", focus, "--focal-zones", zones])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error[Usage]: argument --focal-zones: ")
-        assert len(err.strip().splitlines()) == 1
-        assert not (tmp_path / focus).exists()
-
-
 def test_beamform_steers_each_line_by_its_angle(scene_path, tmp_path):
     # one scatterer at t_n = 10 us on a line steered to 0.5 rad: read at
     # alpha = 0 its 16 echoes miss the focus (peak 0.58 at 19.25 us)
@@ -445,6 +446,29 @@ def test_beamform_steers_each_line_by_its_angle(scene_path, tmp_path):
     [row] = read_rows(out / "reference_lines.csv")
     assert float(row["peak_time_s"]) == pytest.approx(20e-6, abs=1e-12)
     assert float(row["peak_value"]) == pytest.approx(16.0, rel=1e-2)
+
+
+def test_each_scene_line_reads_its_own_file(scene_path, tmp_path, capsys):
+    # with line_001.urf gone, line 1 is refused, not imaged from line_002
+    doc = json.loads(scene_path.read_text())
+    doc["lines"].append({"scatterers": [{"t_n_s": 15e-6,
+                                         "reflectivity": 1.0}]})
+    scene_path.write_text(json.dumps(doc))
+    ch_dir = tmp_path / "ch"
+    assert main(["simulate", "--scene", str(scene_path), "--out",
+                 str(ch_dir)]) == 0
+    missing = ch_dir / "line_001.urf"
+    missing.unlink()
+    capsys.readouterr()
+    for argv in (["beamform"], ["xample", "--L", "5"]):
+        out = tmp_path / argv[0]
+        rc = main([*argv, "--channels", str(ch_dir), "--scene",
+                   str(scene_path), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[FileNotFoundError]: ")
+        assert str(missing) in err and len(err.splitlines()) == 1
+        assert not out.exists()
 
 
 def test_beamform_rejects_more_channel_files_than_scene_lines(

@@ -7,8 +7,8 @@ C = 1540.0
 
 
 def focus_delay(t_n, alpha, delta_m, c):
-    """The delay a focal-zone beamformer takes from element ``delta_m``:
-    the on-axis round trip minus the element's own arrival."""
+    """The delay a beamformer focused at ``t_n`` takes from element
+    ``delta_m``: the on-axis round trip minus the element's own arrival."""
     return 2.0 * t_n - arrival_time(t_n, alpha, delta_m, c)
 
 

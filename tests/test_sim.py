@@ -114,7 +114,7 @@ def test_scene_invariants():
 def test_noise_disabled_is_identity():
     scene = Scene(scatterers=(Scatterer(6e-6, 1.0),), tau=25.6e-6)
     ch = synthesize(scene, default_geometry())
-    out = add_interference(ch, None, 0, seed=9)
+    out = add_interference(ch, None, 0, seed=9, pulse=PULSE)
     np.testing.assert_array_equal(out.samples, ch.samples)
     assert out.samples is not ch.samples
 
@@ -191,7 +191,7 @@ def test_add_interference_rejects_a_negative_seed():
     ch = synthesize(Scene(scatterers=(Scatterer(6e-6, 1.0),), tau=25.6e-6),
                     default_geometry(num_elements=3))
     with pytest.raises(InvariantViolation, match="seed -1 must be >= 0"):
-        add_interference(ch, 20.0, 0, seed=-1)
+        add_interference(ch, 20.0, 0, seed=-1, pulse=PULSE)
 
 
 def test_channelset_row_count_checked():
@@ -232,7 +232,7 @@ def test_non_finite_snr_rejected(snr_db):
     scene = Scene(scatterers=(Scatterer(6e-6, 1.0),), tau=25.6e-6)
     ch = synthesize(scene, default_geometry(num_elements=3))
     with pytest.raises(InvariantViolation):
-        add_interference(ch, snr_db, 0, seed=0)
+        add_interference(ch, snr_db, 0, seed=0, pulse=PULSE)
 
 
 @pytest.mark.parametrize("tau", [float("nan"), float("inf"), 0.0, -25.6e-6])
