@@ -10,14 +10,12 @@ Subcommands::
 
 Every failure prints a single ``error[<Kind>]: message`` line on stderr and
 exits nonzero; a failure on one line names that line's file first.
-``simulate --seed`` overrides the scene's noise seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -28,8 +26,7 @@ from . import costs, urf
 from .beamform import DEFAULT_OUT_STEP as AXIAL_STEP
 from .beamform import beamform_line, envelope_detect
 from .errors import InvariantViolation, ParseError, XampusError
-from .imaging import (DEFAULT_DYNAMIC_RANGE_DB, assemble_image,
-                      check_dynamic_range, read_pgm, render_line, write_pgm)
+from .imaging import assemble_image, read_pgm, render_line, write_pgm
 from .outfile import open_new
 from .recover import SV_THRESHOLD_DEFAULT, check_sv_threshold, recover_line
 from .scenefile import load_scene
@@ -63,11 +60,10 @@ def _line_files(directory, count: int) -> list[Path]:
 
 
 def _each_line(args, scene, work) -> list:
-    """``work(channels, scene_line)`` on each of the first ``--lines`` scene
-    lines and its file ``line_{i:03d}.urf``, in line order.  A file must hold
-    the scene's window; an error raised by ``work`` names the line's file."""
-    lines = scene.lines[:args.lines]
-    n_files = len(list(Path(args.channels).glob("line_*.urf"))[:args.lines])
+    """``work(channels, scene_line)`` on each scene line and its file
+    ``line_{i:03d}.urf``, in line order.  A file must hold the scene's
+    window; an error raised by ``work`` names the line's file."""
+    n_files = len(list(Path(args.channels).glob("line_*.urf")))
     if not n_files:
         raise InvariantViolation(
             f"no line_*.urf files in {Path(args.channels)}")
@@ -75,7 +71,8 @@ def _each_line(args, scene, work) -> list:
         raise InvariantViolation(
             f"{n_files} channel files for {len(scene.lines)} scene lines")
     results = []
-    for path, line in zip(_line_files(args.channels, len(lines)), lines):
+    for path, line in zip(_line_files(args.channels, len(scene.lines)),
+                          scene.lines):
         ch = urf.read_channels(path, scene.geometry)
         if ch.tau != scene.tau:
             raise InvariantViolation(f"{path}: window {ch.tau!r} s is not "
@@ -93,29 +90,25 @@ def _axial_samples(tau: float) -> int:
 def cmd_simulate(args) -> int:
     scene = load_scene(args.scene)
     noise = scene.noise
-    if args.seed is not None:
-        noise = dataclasses.replace(noise, seed=args.seed)
-    step = simulation_grid_step(args.oversample)
+    step = simulation_grid_step()
     out = Path(args.out)
-    lines = scene.lines[:args.lines]
-    paths = _line_files(out, len(lines))
+    paths = _line_files(out, len(scene.lines))
     # a file left by an earlier, longer run would be imaged as a line
     for stale in set(out.glob("line_*.urf")) - set(paths):
         stale.unlink()
-    for idx, (line, path) in enumerate(zip(lines, paths)):
+    for idx, (line, path) in enumerate(zip(scene.lines, paths)):
         with _naming(path):
             ch = synthesize_channels(line, scene.geometry, scene.pulse, step)
             ch = add_interference(ch, noise.snr_db, noise.speckle_count,
                                   noise.seed + idx, pulse=scene.pulse,
                                   beam_angle=line.beam_angle)
         urf.write_channels(path, ch)
-    print(f"wrote {len(lines)} channel file(s) to {out}")
+    print(f"wrote {len(paths)} channel file(s) to {out}")
     return 0
 
 
 def cmd_beamform(args) -> int:
     scene = load_scene(args.scene)
-    check_dynamic_range(args.dynamic_range_db)
     n_axial = _axial_samples(scene.tau)
 
     def work(ch, scene_line):
@@ -124,7 +117,7 @@ def cmd_beamform(args) -> int:
         return envelope_detect(line)[:n_axial]
 
     traces = _each_line(args, scene, work)
-    image = assemble_image(traces, args.dynamic_range_db, AXIAL_STEP)
+    image = assemble_image(traces)
     out = Path(args.out)
     write_pgm(out / "reference.pgm", image)
     peaks = [int(np.argmax(tr)) for tr in traces]
@@ -142,8 +135,7 @@ def cmd_xample(args) -> int:
     cfg = XampleConfig.create(args.L, args.rho, scene.tau, scene.pulse,
                               scene.geometry, focus_mode=args.focus)
     check_sv_threshold(args.sv_threshold)
-    check_dynamic_range(args.dynamic_range_db)
-    if any(line.beam_angle != 0.0 for line in scene.lines[:args.lines]):
+    if any(line.beam_angle != 0.0 for line in scene.lines):
         raise InvariantViolation("low-rate acquisition is defined for linear "
                                  "scan only (alpha_rad must be 0)")
     S = build_S(cfg.p)
@@ -158,7 +150,7 @@ def cmd_xample(args) -> int:
     axial_grid = np.arange(_axial_samples(scene.tau)) * AXIAL_STEP
     traces = [render_line(est, scene.pulse, axial_grid)
               for _, est in results]
-    image = assemble_image(traces, args.dynamic_range_db, AXIAL_STEP)
+    image = assemble_image(traces)
     out = Path(args.out)
     _write_csv(out / "estimates.csv",
                ["line_index", "t_l_s", "b_l", "residual"],
@@ -179,8 +171,7 @@ def cmd_xample(args) -> int:
 
 
 def cmd_cost(args) -> int:
-    rows = costs.cost_table(args.L, args.rho, num_elements=args.elements,
-                            depth_m=args.depth_cm / 100.0)
+    rows = costs.cost_table(args.L, args.rho, num_elements=args.elements)
     out = Path(args.out)
     _write_csv(out, ["L", "rho", "K", "samples_per_element_per_line",
                      "xampled_mops", "reduction_factor", "standard_samples",
@@ -225,6 +216,10 @@ def cmd_compare(args) -> int:
     xam_img = read_pgm(args.xampled)
     estimates = _read_estimates(args.estimates)
     n_lines = len(scene.lines)
+    last = max(estimates, default=-1)
+    if last >= n_lines:
+        raise InvariantViolation(f"{args.estimates}: line_index {last} is "
+                                 f"not a line of the scene ({n_lines} lines)")
     if ref_img.shape[1] != n_lines or xam_img.shape[1] != n_lines:
         raise InvariantViolation(
             f"image line counts ({ref_img.shape[1]}, {xam_img.shape[1]}) "
@@ -270,19 +265,6 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _count(text: str) -> int:
-    """argparse type of a count: an integer >= 1, so that any other value
-    is a usage error, reported before any file is read."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         print(f"error[Usage]: {message}", file=sys.stderr)
@@ -298,22 +280,14 @@ def build_parser() -> argparse.ArgumentParser:
     lines = argparse.ArgumentParser(add_help=False)
     lines.add_argument("--scene", required=True)
     lines.add_argument("--out", required=True, help="output directory")
-    lines.add_argument("--lines", type=_count, default=None,
-                       help="process only the first N lines")
     image = argparse.ArgumentParser(add_help=False, parents=[lines])
     image.add_argument("--channels", required=True,
                        help="directory of URF1 files")
     image.add_argument("--focus", choices=["dynamic", "infinity"],
                        default="dynamic")
-    image.add_argument("--dynamic-range-db", type=float,
-                       default=DEFAULT_DYNAMIC_RANGE_DB)
 
     sim = sub.add_parser("simulate", parents=[lines],
                          help="scene JSON -> URF1 channel files")
-    sim.add_argument("--oversample", type=int, default=16,
-                     help="simulation grid factor over the 20 MHz rate")
-    sim.add_argument("--seed", type=int, default=None,
-                     help="override the scene noise seed")
     sim.set_defaults(fn=cmd_simulate)
 
     bf = sub.add_parser("beamform", parents=[image],
@@ -337,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     co.add_argument("--L", type=int, default=30)
     co.add_argument("--rho", type=float, nargs="+", default=[1, 2, 3, 4])
     co.add_argument("--elements", type=int, default=16)
-    co.add_argument("--depth-cm", type=float, default=7.88)
     co.add_argument("--out", required=True, help="output CSV path")
     co.set_defaults(fn=cmd_cost)
 

@@ -21,13 +21,6 @@ class ImageGrid:
     pixels: np.ndarray  # (axial samples, lines) uint8
 
 
-def check_dynamic_range(dynamic_range_db: float) -> None:
-    """Raises ``InvariantViolation`` unless the range is finite and > 0."""
-    if not (np.isfinite(dynamic_range_db) and dynamic_range_db > 0):
-        raise InvariantViolation(
-            f"dynamic range {dynamic_range_db!r} dB must be finite and > 0")
-
-
 def render_line(est: LineEstimate, pulse: PulseModel, axial_grid) -> np.ndarray:
     """Convolve the recovered pulse stream with the pulse envelope.
 
@@ -50,10 +43,12 @@ def assemble_image(lines, dynamic_range_db: float = DEFAULT_DYNAMIC_RANGE_DB,
 
     pixel = clamp(255 * (1 + 20 log10(v / v_max) / DR), 0, 255), with zeros
     mapping to zero.  Normalization is by the global maximum, so scaling all
-    traces together leaves the image bit-identical.  ``dynamic_range_db``
-    must pass ``check_dynamic_range``.
+    traces together leaves the image bit-identical.  A ``dynamic_range_db``
+    that is not finite and > 0 raises ``InvariantViolation``.
     """
-    check_dynamic_range(dynamic_range_db)
+    if not (np.isfinite(dynamic_range_db) and dynamic_range_db > 0):
+        raise InvariantViolation(
+            f"dynamic range {dynamic_range_db!r} dB must be finite and > 0")
     try:
         traces = np.asarray(lines, dtype=float)
     except ValueError as e:

@@ -199,18 +199,6 @@ def test_cost_invalid_rho(tmp_path, capsys):
     assert not (tmp_path / "c.csv").exists()
 
 
-def test_cost_invalid_depth(tmp_path, capsys):
-    # 1e-9 cm is a round trip that rounds to no sample at all
-    for depth in ("inf", "nan", "0", "-1", "1e300", "1e-9"):
-        rc = main(["cost", "--depth-cm", depth,
-                   "--out", str(tmp_path / "c.csv")])
-        assert rc != 0
-        err = capsys.readouterr().err
-        assert (err.startswith("error[InvariantViolation]:")
-                and err.count("\n") == 1)
-    assert not (tmp_path / "c.csv").exists()
-
-
 def test_cost_invalid_elements(tmp_path, capsys):
     for elements in ("0", "-3"):
         rc = main(["cost", "--elements", elements,
@@ -514,10 +502,10 @@ def test_rerun_into_the_same_paths_matches_a_fresh_run(scene_path, tmp_path):
     assert main(["simulate", "--scene", str(scene_path), "--out",
                  str(ch_dir)]) == 0
 
-    def run(root, db, rhos):
+    def run(root, focus, rhos):
         ref, xa = root / "ref", root / "xa"
         common = ["--channels", str(ch_dir), "--scene", str(scene_path),
-                  "--dynamic-range-db", db]
+                  "--focus", focus]
         for argv in (
                 ["beamform", "--out", str(ref), *common],
                 ["xample", "--out", str(xa), "--L", "5", "--dump-samples",
@@ -533,71 +521,26 @@ def test_rerun_into_the_same_paths_matches_a_fresh_run(scene_path, tmp_path):
         return {p.relative_to(root): p.read_bytes()
                 for p in sorted(root.rglob("*")) if p.is_file()}
 
-    first = run(tmp_path / "reused", "30", ["1", "2", "3", "4"])
-    again = run(tmp_path / "reused", "50", ["2"])
-    assert again == run(tmp_path / "fresh", "50", ["2"])
+    first = run(tmp_path / "reused", "infinity", ["1", "2", "3", "4"])
+    again = run(tmp_path / "reused", "dynamic", ["2"])
+    assert again == run(tmp_path / "fresh", "dynamic", ["2"])
     assert len(again) == 8
     assert again != first
 
 
-def test_seed_flag(scene_path, tmp_path):
-    doc = json.loads(scene_path.read_text())
-    doc["noise"] = {"snr_db": 20.0, "speckle_count": 0, "seed": 1}
-    noisy = tmp_path / "noisy.json"
-    noisy.write_text(json.dumps(doc))
-
-    def simulate(name, *flags):
-        out = tmp_path / name
-        assert main(["simulate", "--scene", str(noisy), "--out", str(out),
-                     *flags]) == 0
-        return [(out / f"line_{i:03d}.urf").read_bytes() for i in range(2)]
-
-    scene_seed = simulate("none")
-    assert simulate("seed1", "--seed", "1") == scene_seed
-    other = simulate("seed999", "--seed", "999")
-    assert simulate("seed999_again", "--seed", "999") == other
-    assert all(a != b for a, b in zip(other, scene_seed))
-
-
 def test_negative_seed_fails_before_any_file_is_written(scene_path, tmp_path,
                                                         capsys):
-    # from the scene file or from --seed, a negative seed is refused as an
-    # invariant of the noise, before the output directory is made
+    # a negative seed in the scene file is refused as an invariant of the
+    # noise, before the output directory is made
     doc = json.loads(scene_path.read_text())
-    doc["noise"] = {"snr_db": 20.0, "speckle_count": 0, "seed": 1}
-    noisy = tmp_path / "noisy.json"
-    noisy.write_text(json.dumps(doc))
-    doc["noise"]["seed"] = -5
+    doc["noise"] = {"snr_db": 20.0, "speckle_count": 0, "seed": -5}
     negative = tmp_path / "negative.json"
     negative.write_text(json.dumps(doc))
     out = tmp_path / "ch"
-    for scene, flags, seed in ((negative, [], -5),
-                               (noisy, ["--seed", "-1"], -1)):
-        assert main(["simulate", "--scene", str(scene), "--out", str(out),
-                     *flags]) == 1
-        assert capsys.readouterr().err == (
-            f"error[InvariantViolation]: noise seed {seed} must be >= 0\n")
-        assert not out.exists()
-
-
-def test_seed_is_checked_on_a_scene_without_noise(scene_path, tmp_path,
-                                                  capsys):
-    # --seed applies to the noise-free spec too, so a bad value is not ignored
-    out = tmp_path / "ch"
-    assert main(["simulate", "--scene", str(scene_path), "--out", str(out),
-                 "--seed", "-4"]) == 1
+    assert main(["simulate", "--scene", str(negative), "--out",
+                 str(out)]) == 1
     assert capsys.readouterr().err == (
-        "error[InvariantViolation]: noise seed -4 must be >= 0\n")
-    assert not out.exists()
-
-
-def test_coarse_grid_fails_before_the_output_directory(scene_path, tmp_path,
-                                                       capsys):
-    out = tmp_path / "ch"
-    assert main(["simulate", "--scene", str(scene_path), "--out", str(out),
-                 "--oversample", "1"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error[GridTooCoarse]:") and err.count("\n") == 1
+        "error[InvariantViolation]: noise seed -5 must be >= 0\n")
     assert not out.exists()
 
 
@@ -605,51 +548,31 @@ def test_simulate_over_an_earlier_run(scene_path, tmp_path):
     # a second run into the same directory leaves exactly what a run into
     # a fresh one writes
     doc = json.loads(scene_path.read_text())
-    doc["noise"] = {"snr_db": 20.0, "speckle_count": 5, "seed": 1}
-    noisy = tmp_path / "noisy.json"
-    noisy.write_text(json.dumps(doc))
 
-    def simulate(name, seed, *flags):
+    def simulate(name, seed, lines=2):
+        scene = tmp_path / f"seed{seed}_lines{lines}.json"
+        scene.write_text(json.dumps({
+            **doc, "lines": doc["lines"][:lines],
+            "noise": {"snr_db": 20.0, "speckle_count": 5, "seed": seed}}))
         out = tmp_path / name
-        assert main(["simulate", "--scene", str(noisy), "--out", str(out),
-                     "--seed", seed, *flags]) == 0
+        assert main(["simulate", "--scene", str(scene), "--out",
+                     str(out)]) == 0
         return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
 
-    first = simulate("reused", "3")
-    again = simulate("reused", "4")
-    assert again == simulate("fresh", "4")
+    first = simulate("reused", 3)
+    again = simulate("reused", 4)
+    assert again == simulate("fresh", 4)
     assert sorted(again) == ["line_000.urf", "line_001.urf"]
     assert all(again[name] != first[name] for name in first)
     # a shorter rerun removes the channel files it did not write, and only
     # those: other files in the directory stay
     (tmp_path / "reused" / "notes.txt").write_text("keep")
-    fewer = simulate("reused", "5", "--lines", "1")
-    assert fewer == {**simulate("fresh_one", "5", "--lines", "1"),
+    fewer = simulate("reused", 5, lines=1)
+    assert fewer == {**simulate("fresh_one", 5, lines=1),
                      "notes.txt": b"keep"}
 
 
-@pytest.mark.parametrize("command", ["beamform", "xample"])
-@pytest.mark.parametrize("db", ["0", "-10", "nan", "inf"])
-def test_bad_dynamic_range_is_refused(scene_path, tmp_path, capsys, db,
-                                      command):
-    ch_dir = tmp_path / "ch"
-    assert main(["simulate", "--scene", str(scene_path), "--out",
-                 str(ch_dir)]) == 0
-    capsys.readouterr()
-    out = tmp_path / "out"
-    rc = main([command, "--channels", str(ch_dir), "--scene",
-               str(scene_path), "--out", str(out), "--dynamic-range-db", db]
-              + (["--L", "5"] if command == "xample" else []))
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error[InvariantViolation]: dynamic range ")
-    assert len(err.strip().splitlines()) == 1
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("command, option, value, message", [
-    ("beamform", "--dynamic-range-db", "0", "dynamic range "),
-    ("xample", "--dynamic-range-db", "nan", "dynamic range "),
     ("xample", "--sv-threshold", "2", "sv threshold "),
     ("xample", "--sv-threshold", "nan", "sv threshold "),
     ("xample", "--sv-threshold", "0", "sv threshold "),
@@ -710,4 +633,17 @@ def test_compare_rejects_malformed_estimates(scene_path, tmp_path, capsys,
     rc, est, out = _compare_with(scene_path, tmp_path, text)
     assert rc == 1
     assert capsys.readouterr().err == f"error[ParseError]: {est}: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("index", [2, 7])
+def test_compare_refuses_an_estimate_for_a_line_the_scene_lacks(
+        scene_path, tmp_path, capsys, index):
+    # the scene has lines 0 and 1, so no row may be an estimate of line 2
+    rows = f"0,1.3e-05,16.0,0.0\n{index},1e-05,16.0,0.0\n"
+    rc, est, out = _compare_with(scene_path, tmp_path, HEADER + rows)
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error[InvariantViolation]: {est}: line_index {index} is not a "
+        "line of the scene (2 lines)\n")
     assert not out.exists()

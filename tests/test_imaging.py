@@ -92,6 +92,14 @@ def test_image_scale_invariant():
     np.testing.assert_array_equal(a, b)
 
 
+@pytest.mark.parametrize("db", ["0", "-10", "nan", "inf"])
+def test_image_bad_dynamic_range_is_refused(db):
+    with pytest.raises(InvariantViolation,
+                       match=f"^dynamic range {float(db)!r} dB must be "
+                             "finite and > 0$"):
+        assemble_image([[1.0, 0.5]], dynamic_range_db=float(db))
+
+
 def test_image_all_zero():
     with pytest.raises(AllZero):
         assemble_image(np.zeros((3, 8)))

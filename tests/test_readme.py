@@ -1,5 +1,5 @@
-"""The README's CLI walkthrough runs as written, and every option it names
-exists."""
+"""The README's CLI walkthrough runs as written, every option it names
+exists, and it names every option the CLI accepts."""
 
 import json
 import re
@@ -70,3 +70,10 @@ def test_every_documented_option_is_accepted(capsys):
     assert "--sv-threshold" in named
     known = set().union(*options.values())
     assert named <= known, sorted(named - known)
+
+
+def test_every_accepted_option_is_documented(capsys):
+    options = subcommand_options(capsys)
+    accepted = set().union(*options.values()) - {"--help"}
+    named = set(re.findall(r"(?<![\w-])--[a-zA-Z][\w-]*", README))
+    assert accepted <= named, sorted(accepted - named)
