@@ -5,8 +5,9 @@ import struct
 import numpy as np
 import pytest
 
-from xampus import read_channels, read_pgm
+from xampus import cli, read_channels, read_pgm
 from xampus.cli import main
+from xampus.imaging import assemble_image
 
 from util import SPEED, default_geometry
 
@@ -570,6 +571,29 @@ def test_simulate_over_an_earlier_run(scene_path, tmp_path):
     fewer = simulate("reused", 5, lines=1)
     assert fewer == {**simulate("fresh_one", 5, lines=1),
                      "notes.txt": b"keep"}
+
+
+@pytest.mark.parametrize("command", ["beamform", "xample"])
+@pytest.mark.parametrize("db", ["0", "-10", "nan", "inf"])
+def test_bad_dynamic_range_is_refused(scene_path, tmp_path, capsys,
+                                      monkeypatch, db, command):
+    # the image is assembled with a bad dynamic range: the command reports
+    # the refusal on one line and writes no output
+    monkeypatch.setattr(cli, "assemble_image", lambda traces: assemble_image(
+        traces, dynamic_range_db=float(db)))
+    ch_dir = tmp_path / "ch"
+    assert main(["simulate", "--scene", str(scene_path), "--out",
+                 str(ch_dir)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    rc = main([command, "--channels", str(ch_dir), "--scene",
+               str(scene_path), "--out", str(out)]
+              + (["--L", "5"] if command == "xample" else []))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error[InvariantViolation]: dynamic range ")
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, option, value, message", [
