@@ -13,16 +13,23 @@ bitwise those of a serial run.
 
 There is one worker and no setting.  Shares from several calling threads
 queue on it; a share never waits for another share, so none can deadlock.
-The thread starts on the first call, not on import.
+The thread starts on the first call, not on import, in each forked child too.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent import futures
 from contextlib import contextmanager
 
-_WORKER = futures.ThreadPoolExecutor(max_workers=1,
-                                     thread_name_prefix="xampus-worker")
+
+def _new_worker():
+    global _WORKER
+    _WORKER = futures.ThreadPoolExecutor(1, thread_name_prefix="xampus-worker")
+
+
+_new_worker()
+os.register_at_fork(after_in_child=_new_worker)
 
 
 @contextmanager

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InvariantViolation
 from .geometry import arrival_time
 from .sim import NYQUIST_RATE_HZ, ChannelSet
 
@@ -68,9 +69,9 @@ def beamform_line(
     Dynamic focus reads element m at ``arrival_time(t/2)``, where the echo of
     the focal point t/2 lands on it; infinity focus reads it at t."""
     if focus_mode not in ("dynamic", "infinity"):
-        raise ValueError(f"unknown focus_mode {focus_mode!r}")
+        raise InvariantViolation(f"unknown focus_mode {focus_mode!r}")
     if out_step < ch.grid_step * (1 - 1e-12):
-        raise ValueError("out_step must be >= the simulation grid step")
+        raise InvariantViolation("out_step must be >= the grid step")
     if duration is None:
         duration = ch.tau
     n = int(np.floor(duration / out_step + 1e-9)) + 1

@@ -89,10 +89,10 @@ def _delays_from_poles(z: np.ndarray, tau: float) -> np.ndarray:
 
 def pencil_split(K: int, L_max: int) -> int:
     """Hankel split ``eta`` of K coefficients: K//3 clamped into [L_max,
-    K - L_max], a single point at K = 2*L_max; ``ValueError`` below that."""
+    K - L_max], a single point at K = 2*L_max; ``InvariantViolation`` below."""
     if K < 2 * L_max:
-        raise ValueError(f"K={K} coefficients leave no pencil split for "
-                         f"L_max={L_max}; need K >= {2 * L_max}")
+        raise InvariantViolation(f"K={K} coefficients leave no pencil split "
+                                 f"for L_max={L_max}; need K >= {2 * L_max}")
     return min(max(K // 3, L_max), K - L_max)
 
 
@@ -181,9 +181,9 @@ def annihilating_filter(coeffs: FourierCoeffs, L_est: int) -> np.ndarray:
     u = np.asarray(coeffs.y, dtype=complex)
     K = len(u)
     if L_est < 1:
-        raise ValueError("L_est must be >= 1")
+        raise InvariantViolation("L_est must be >= 1")
     if K < 2 * L_est:
-        raise ValueError(f"need K >= 2*L_est, got K={K}, L_est={L_est}")
+        raise InvariantViolation(f"need K >= 2*L_est, got K={K}, L_est={L_est}")
     if not np.any(u):
         raise InvariantViolation("annihilating filter of all-zero coefficients")
     _, Vh = _hankel_svd(u, L_est + 1)
@@ -207,11 +207,14 @@ def least_squares_amplitudes(coeffs: FourierCoeffs,
     """
     delays = np.asarray(delays, dtype=float)
     y = np.asarray(coeffs.y)
-    norm = np.linalg.norm(y)
+    # norms of y over a power of two near its peak: exact, and no overflow
+    exponent = np.frexp(np.max(np.abs(y), initial=0.0))[1]
+    scale = np.ldexp(1.0, -max(exponent, -1022))
+    norm = np.linalg.norm(y * scale)
     if delays.size == 0:
         return np.zeros(0), 0.0 if norm == 0 else 1.0
     if delays.size > len(y):
-        raise ValueError("more delays than coefficients")
+        raise InvariantViolation("more delays than coefficients")
     V = np.exp((-2j * np.pi / coeffs.tau) * np.outer(coeffs.kappa_pos, delays))
     a, _, _, sv = np.linalg.lstsq(V, y, rcond=None)
     if sv[0] > _COND_LIMIT * sv[-1]:  # 2-norm condition number of V
@@ -219,9 +222,8 @@ def least_squares_amplitudes(coeffs: FourierCoeffs,
             f"amplitude system condition exceeds {_COND_LIMIT:g} "
             "(near-coincident delays)"
         )
-    if norm == 0:
-        return a.real, 0.0
-    return a.real, float(np.linalg.norm(y - V @ a.real) / norm)
+    misfit = np.linalg.norm((y - V @ a.real) * scale) / norm if norm else 0.0
+    return a.real, float(misfit)
 
 
 def recover_line(c, cfg: XampleConfig, pulse: PulseModel,
@@ -235,7 +237,7 @@ def recover_line(c, cfg: XampleConfig, pulse: PulseModel,
     out), matching what a direct fit of the beamformed line would give.
     """
     if method not in ("pencil", "annihilating"):
-        raise ValueError(f"unknown method {method!r}")
+        raise InvariantViolation(f"unknown method {method!r}")
     if S is None:
         S = build_S(cfg.p)
     H = build_H(pulse, cfg.kappa, cfg.tau)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._worker import alongside
-from .errors import GridTooCoarse, InvariantViolation
+from .errors import GridTooCoarse, GridTooShort, InvariantViolation
 from .geometry import ArrayGeometry, arrival_time, tau_hat
 from .pulse import PulseModel
 
@@ -99,12 +99,19 @@ class Scene:
             raise InvariantViolation("scatterer delays must be distinct")
 
 
-@dataclass
+def check_grid_step(grid_step: float) -> None:
+    if not 0 < grid_step <= MAX_GRID_STEP * (1 + 1e-12):
+        raise GridTooCoarse(f"grid_step {grid_step:g} s is not in (0, "
+                            f"{MAX_GRID_STEP:g}] s (16x the 20 MHz rate)")
+
+
+@dataclass(frozen=True)
 class ChannelSet:
     """Densely sampled received signals, one row per element.
 
     The grid spans [0, tau_hat(tau, geometry)] so that the warped-time
-    integrals of the sampling stage stay inside it.
+    integrals stay inside it; construction checks the step (``GridTooCoarse``),
+    rows and tau (``InvariantViolation``) and reach (``GridTooShort``).
     """
 
     grid_step: float
@@ -113,16 +120,18 @@ class ChannelSet:
     tau: float
 
     def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=float)
-        if not 0 < self.grid_step <= MAX_GRID_STEP * (1 + 1e-12):
-            raise GridTooCoarse(
-                f"grid_step {self.grid_step:g} s is not in (0, "
-                f"{MAX_GRID_STEP:g}] s (16x the 20 MHz rate)"
-            )
-        if self.samples.shape[0] != self.geometry.num_elements:
-            raise InvariantViolation("samples row count != num_elements")
+        object.__setattr__(self, "samples", np.asarray(self.samples, float))
+        check_grid_step(self.grid_step)
+        rows, elements = self.samples.shape[0], self.geometry.num_elements
+        if rows != elements:
+            raise InvariantViolation(f"{rows} rows for {elements} elements")
         if not 0 < self.tau < math.inf:
             raise InvariantViolation("tau must be finite and positive")
+        with np.errstate(over="ignore"):  # a hostile tau overflows to inf
+            end = tau_hat(self.tau, self.geometry)
+        if self.duration < end * (1 - 1e-12):
+            raise GridTooShort(
+                f"channel grid ends at {self.duration:g} s, needs {end:g} s")
 
     @property
     def grid_len(self) -> int:
@@ -219,12 +228,8 @@ def synthesize_channels(
     arrival time; replica amplitude equals the scatterer reflectivity
     (transmit illumination is idealized as uniform along the beam).
     """
-    if not 0 < grid_step <= MAX_GRID_STEP * (1 + 1e-12):
-        raise GridTooCoarse(
-            f"grid_step {grid_step:g} s is not in (0, {MAX_GRID_STEP:g}] s"
-        )
-    end = tau_hat(scene.tau, geometry)
-    grid_len = int(np.ceil(end / grid_step - 1e-9)) + 1
+    check_grid_step(grid_step)
+    grid_len = math.ceil(tau_hat(scene.tau, geometry) / grid_step - 1e-9) + 1
     t0 = arrival_time([sc.axial_time for sc in scene.scatterers],
                       scene.beam_angle, geometry.offsets[:, None],
                       geometry.speed_of_sound)
@@ -258,6 +263,8 @@ def add_interference(
 
     rng = np.random.default_rng(seed)
     target = _row_power(ch.samples) * 10.0 ** (-snr_db / 10.0)
+    if not np.isfinite(target).all():
+        raise InvariantViolation("interference power budget overflows")
     speckle_frac = 0.5 if speckle_count > 0 else 0.0
     t0 = gains = None
     if speckle_count > 0:

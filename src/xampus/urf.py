@@ -4,12 +4,11 @@ Layout (little-endian): magic ``URF1``, u32 num_elements, u32 grid_len,
 f64 grid_step_s, f64 tau_s, then num_elements x grid_len f64 samples
 row-major.  Array geometry is not stored; readers supply it from the scene
 configuration.  The file must hold exactly the samples its header declares,
-and every sample must be finite.
+and every sample must be finite; ``ChannelSet`` checks the rest.
 """
 
 from __future__ import annotations
 
-import math
 import os
 import struct
 
@@ -43,16 +42,6 @@ def read_channels(path, geometry: ArrayGeometry) -> ChannelSet:
         magic, num_elements, grid_len, grid_step, tau = _HEADER.unpack(raw)
         if magic != MAGIC:
             raise ParseError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-        for key, value in (("grid_step", grid_step), ("tau", tau)):
-            if not 0 < value < math.inf:
-                raise ParseError(
-                    f"{path}: {key} {value!r} must be finite and positive"
-                )
-        if num_elements != geometry.num_elements:
-            raise ParseError(
-                f"{path}: file has {num_elements} elements, geometry expects "
-                f"{geometry.num_elements}"
-            )
         # checked against the file size before allocating, so a hostile
         # header cannot ask for more memory than the file holds
         body_size = 8 * num_elements * grid_len

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 import xampus
-from xampus import (BeamformedLine, ChannelSet, Scatterer, Scene,
-                    add_interference, beamform_line, envelope_detect)
+from xampus import (BeamformedLine, ChannelSet, InvariantViolation,
+                    Scatterer, Scene, add_interference, beamform_line,
+                    envelope_detect)
 from xampus.beamform import _sample_trace
 
 from util import PULSE, SPEED, default_geometry, synthesize
@@ -179,7 +180,7 @@ def test_beamform_linear_in_channels():
 def test_out_step_must_not_undersample_grid():
     geom = default_geometry(num_elements=1)
     ch = synthesize(Scene(scatterers=(), tau=25.6e-6), geom)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvariantViolation):
         beamform_line(ch, out_step=ch.grid_step / 2)
 
 

@@ -1,6 +1,7 @@
 import csv
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -55,6 +56,27 @@ def test_simulate_empty_line_is_zero(scene_path, tmp_path):
     assert main(["simulate", "--scene", str(scene2), "--out", str(out)]) == 0
     ch = read_channels(out / "line_000.urf", default_geometry())
     assert not np.any(ch.samples)
+
+
+def test_simulate_refuses_an_overflowing_noise_budget(scene_path, tmp_path,
+                                                     capsys):
+    # the clean power of a 1e200 reflector overflows, and the noise scaled
+    # to it would make the channel file non-finite
+    doc = json.loads(scene_path.read_text())
+    doc["lines"][0]["scatterers"][0]["reflectivity"] = 1e200
+    doc["noise"] = {"snr_db": 25.0, "speckle_count": 25, "seed": 0}
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(doc))
+    out = tmp_path / "ch"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["simulate", "--scene", str(huge), "--out", str(out)])
+    assert rc == 1
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert err.startswith("error[InvariantViolation]: line_000.urf: ")
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
 
 
 def test_malformed_scene_fails_with_error_line(tmp_path, capsys):
@@ -168,6 +190,27 @@ def test_xample_rejects_steered_lines(scene_path, tmp_path, capsys):
                "--out", str(tmp_path / "o"), "--L", "5"])
     assert rc != 0
     assert capsys.readouterr().err.startswith("error[InvariantViolation]:")
+
+
+def test_xample_residual_of_a_huge_echo_is_finite(scene_path, tmp_path,
+                                                  capsys):
+    # the squares of the line's coefficients overflow; its residual must not
+    doc = json.loads(scene_path.read_text())
+    doc["lines"][0]["scatterers"][0]["reflectivity"] = 1e300
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(doc))
+    ch_dir, out = tmp_path / "ch", tmp_path / "xa"
+    assert main(["simulate", "--scene", str(huge), "--out", str(ch_dir)]) == 0
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["xample", "--channels", str(ch_dir), "--scene", str(huge),
+                   "--out", str(out), "--L", "5"])
+    assert rc == 0
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == ""
+    residuals = [float(r["residual"]) for r in read_rows(out / "estimates.csv")]
+    assert residuals and np.isfinite(residuals).all()
 
 
 def test_cost_command(tmp_path):
@@ -400,6 +443,32 @@ def test_non_finite_channel_samples_are_refused(scene_path, tmp_path,
         assert rc == 1
         assert capsys.readouterr().err == (
             f"error[ParseError]: {path}: samples must be finite\n")
+        assert not out.exists()
+
+
+def test_channels_cut_short_of_tau_hat_are_refused(scene_path, tmp_path,
+                                                  capsys):
+    # a file whose header and body agree but whose grid stops at 60% of
+    # tau_hat: delay-and-sum would image zeros past its end
+    ch_dir = tmp_path / "ch"
+    assert main(["simulate", "--scene", str(scene_path), "--out",
+                 str(ch_dir)]) == 0
+    path = ch_dir / "line_000.urf"
+    ch = read_channels(path, default_geometry())
+    keep = int(0.6 * ch.grid_len)
+    path.write_bytes(struct.pack("<4sIIdd", b"URF1", 16, keep, ch.grid_step,
+                                 ch.tau)
+                     + np.ascontiguousarray(ch.samples[:, :keep]).tobytes())
+    capsys.readouterr()
+    for argv in (["beamform"], ["xample", "--L", "5"]):
+        out = tmp_path / argv[0]
+        rc = main([*argv, "--channels", str(ch_dir), "--scene",
+                   str(scene_path), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error[GridTooShort]: {path}: channel grid "
+                              "ends at ")
+        assert len(err.splitlines()) == 1
         assert not out.exists()
 
 

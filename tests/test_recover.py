@@ -171,7 +171,7 @@ def test_pencil_three_delays_exact():
 
 def test_pencil_parameter_guard():
     fc = make_coeffs([10e-6], [1.0], K=8)
-    with pytest.raises(ValueError, match="no pencil split"):
+    with pytest.raises(InvariantViolation, match="no pencil split"):
         matrix_pencil(fc, L_max=5)             # K < 2 L_max
 
 
@@ -248,7 +248,7 @@ def test_annihilating_singular_on_zero():
 
 def test_annihilating_needs_enough_coefficients():
     fc = make_coeffs([10e-6], [1.0], K=6)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvariantViolation):
         annihilating_filter(fc, 4)
 
 
@@ -292,6 +292,19 @@ def test_amplitude_residual_is_the_relative_misfit():
     assert residual > 1e-3
     amps, residual = least_squares_amplitudes(fc, [])
     assert amps.size == 0 and residual == 1.0
+
+
+@pytest.mark.parametrize("k", [-500, 500, 900])
+def test_amplitude_residual_of_scaled_coefficients_is_unchanged(k):
+    # beyond 2**512 the squares of y overflow; the norms are taken of y
+    # scaled by a power of two, which is exact
+    delays = [5e-6, 12e-6]
+    fc = make_coeffs(delays, [1.0, -0.5], K=12)
+    fc.y = fc.y + 0.05 * np.random.default_rng(29).standard_normal(12)
+    _, residual = least_squares_amplitudes(fc, delays)
+    scaled = FourierCoeffs(y=fc.y * 2.0**k, kappa_pos=fc.kappa_pos, tau=TAU)
+    assert least_squares_amplitudes(scaled, delays)[1] == residual
+    assert 0 < residual < 1
 
 
 def test_amplitude_ill_conditioned_delays():
@@ -429,7 +442,7 @@ def test_model_order_correct_when_separated():
 def test_recover_line_rejects_unknown_method():
     geom = default_geometry()
     cfg = XampleConfig.create(5, 2, TAU, PULSE, geom)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvariantViolation):
         recover_line(np.zeros(cfg.p), cfg, PULSE, method="music")
 
 
@@ -453,7 +466,7 @@ def test_pencil_split_default_and_guard():
     assert pencil_split(10, 5) == 5            # K = 2 L_max: one feasible eta
     assert pencil_split(25, 12) == 12          # clamped up to L_max
     assert pencil_split(24, 12) == 12          # and down to K - L_max
-    with pytest.raises(ValueError):
+    with pytest.raises(InvariantViolation):
         pencil_split(6, 4)                     # K < 2 L_max: no feasible eta
 
 

@@ -1,3 +1,4 @@
+import multiprocessing
 import threading
 
 import numpy as np
@@ -341,6 +342,32 @@ def test_speckle_error_on_the_worker_reaches_the_caller():
     caller.join(timeout=60)
     assert not caller.is_alive(), "add_interference hung"
     assert len(raised) == 1
+
+
+def test_forked_child_gets_its_own_worker():
+    # a fork copies the worker's executor but not its thread; a child that
+    # queued on the parent's executor would wait forever.  One child repeats
+    # the parent's call and must return its result bitwise, or is killed.
+    ch = synthesize(Scene(scatterers=(Scatterer(6e-6, 1.0),), tau=TAU),
+                    default_geometry(num_elements=5))
+
+    def interfere():
+        return add_interference(ch, 20.0, 5, 3, pulse=PULSE).samples
+
+    want = interfere()
+    fork = multiprocessing.get_context("fork")
+    receive, send = fork.Pipe(duplex=False)
+    child = fork.Process(target=lambda: send.send_bytes(interfere().tobytes()))
+    child.start()
+    with receive, send:
+        try:
+            assert receive.poll(timeout=30), "a forked child hung"
+            got = np.frombuffer(receive.recv_bytes()).reshape(want.shape)
+        finally:
+            child.kill()  # ends a hung child; a finished one is exiting
+            child.join()
+            child.close()
+    np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("kwargs", [

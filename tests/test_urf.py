@@ -2,15 +2,16 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from xampus import (ChannelSet, ParseError, Scatterer, Scene, read_channels,
-                    write_channels)
+from xampus import (ChannelSet, GridTooCoarse, GridTooShort,
+                    InvariantViolation, ParseError, Scatterer, Scene,
+                    read_channels, tau_hat, write_channels)
 from xampus.sim import MAX_GRID_STEP
 
-from util import default_geometry, fresh_dir, synthesize
+from util import SPEED, default_geometry, fresh_dir, synthesize
 
 # deterministic, no example database; each example writes into its own
 # fresh_dir(tmp_path)
@@ -23,7 +24,23 @@ samples_st = st.tuples(st.integers(1, 4), st.integers(0, 40)).flatmap(
     lambda shape: arrays(np.float64, shape, elements=st.floats(
         width=64, allow_nan=False, allow_infinity=False)))
 grid_step_st = st.floats(0.0, MAX_GRID_STEP, exclude_min=True)
-tau_st = st.floats(0.0, 1e300, exclude_min=True)
+# a window as a share of the grid's span, which covered_window turns into tau
+share_st = st.floats(0.0, 0.5, exclude_min=True)
+
+
+def covered_window(samples, grid_step, share):
+    """(array, window) whose tau_hat the grid of ``samples`` reaches.  The
+    aperture's half-width is under half the grid's span and tau is at most
+    half of it, so tau_hat stays below 0.81 of the span.  A grid of fewer
+    than two samples reaches no window and is refused."""
+    rows, span = samples.shape[0], (samples.shape[1] - 1) * grid_step
+    if span <= 0:
+        with pytest.raises(GridTooShort):
+            ChannelSet(grid_step, samples, default_geometry(rows), 25.6e-6)
+    # a share of a subnormal span can round to a window of 0
+    assume(span * share > 0)
+    return (default_geometry(num_elements=rows, pitch=span * SPEED / rows),
+            span * share)
 
 
 def test_roundtrip_bit_exact(tmp_path):
@@ -72,7 +89,8 @@ def test_element_count_mismatch(tmp_path):
     ch = synthesize(Scene(scatterers=(), tau=25.6e-6), geom)
     path = tmp_path / "m.urf"
     write_channels(path, ch)
-    with pytest.raises(ParseError):
+    with pytest.raises(InvariantViolation,
+                       match="m.urf: 3 rows for 5 elements"):
         read_channels(path, default_geometry(num_elements=5))
 
 
@@ -135,22 +153,42 @@ def test_header_rejects_bad_step_or_tau(tmp_path, field, value):
     offset = {"grid_step": 12, "tau": 20}[field]
     raw[offset:offset + 8] = struct.pack("<d", value)
     path.write_bytes(bytes(raw))
-    with pytest.raises(ParseError, match=f"line_007.urf: {field}"):
+    kind = {"grid_step": GridTooCoarse, "tau": InvariantViolation}[field]
+    with pytest.raises(kind, match=f"line_007.urf: {field}"):
         read_channels(path, geom)
 
 
 @FUZZ
-@given(samples=samples_st, grid_step=grid_step_st, tau=tau_st)
+@given(samples=samples_st, grid_step=grid_step_st, share=share_st)
 @example(samples=np.array([[-0.0, 0.0, 5e-324, -2.2e-308, 1.5e-310]]),
-         grid_step=MAX_GRID_STEP, tau=25.6e-6)
-def test_fuzz_roundtrip_bitwise(tmp_path, samples, grid_step, tau):
-    geom = default_geometry(num_elements=samples.shape[0])
+         grid_step=MAX_GRID_STEP, share=0.5)
+def test_fuzz_roundtrip_bitwise(tmp_path, samples, grid_step, share):
+    geom, tau = covered_window(samples, grid_step, share)
     path = fresh_dir(tmp_path) / "f.urf"
     write_channels(path, ChannelSet(grid_step, samples, geom, tau))
     back = read_channels(path, geom)
     np.testing.assert_array_equal(back.samples.view(np.uint64),
                                   samples.view(np.uint64))
     assert (back.grid_step, back.tau) == (grid_step, tau)
+
+
+@pytest.mark.parametrize("share, tau", [(0.6, 25.6e-6), (1.0, 1e200)])
+def test_grid_that_ends_before_tau_hat_is_refused(tmp_path, share, tau):
+    # the header and body agree, but the grid stops at 60% of tau_hat, or
+    # the header's window is so long that tau_hat overflows to inf
+    geom = default_geometry(num_elements=3)
+    ch = synthesize(Scene(scatterers=(Scatterer(6e-6, 0.8),), tau=25.6e-6),
+                    geom)
+    keep = int(share * ch.grid_len)
+    path = tmp_path / "line_002.urf"
+    path.write_bytes(struct.pack("<4sIIdd", b"URF1", 3, keep, ch.grid_step,
+                                 tau)
+                     + np.ascontiguousarray(ch.samples[:, :keep]).tobytes())
+    with np.errstate(over="ignore"):
+        bound = tau_hat(tau, geom)
+    with pytest.raises(GridTooShort, match=f"line_002.urf: channel grid ends "
+                                           f"at .* s, needs {bound:g} s"):
+        read_channels(path, geom)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"),
@@ -168,11 +206,11 @@ def test_non_finite_samples_are_refused(tmp_path, value):
 
 
 @FUZZ
-@given(samples=samples_st, data=st.data())
-def test_fuzz_every_truncation_fails(tmp_path, samples, data):
-    geom = default_geometry(num_elements=samples.shape[0])
+@given(samples=samples_st, share=share_st, data=st.data())
+def test_fuzz_every_truncation_fails(tmp_path, samples, share, data):
+    geom, tau = covered_window(samples, MAX_GRID_STEP, share)
     full = fresh_dir(tmp_path) / "full.urf"
-    write_channels(full, ChannelSet(MAX_GRID_STEP, samples, geom, 25.6e-6))
+    write_channels(full, ChannelSet(MAX_GRID_STEP, samples, geom, tau))
     raw = full.read_bytes()
     cut = data.draw(st.integers(0, len(raw) - 1))
     path = full.with_name("f.urf")

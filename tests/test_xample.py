@@ -395,12 +395,12 @@ def test_kernel_value_integrates_to_c_qm_column():
 def test_grid_too_short_detected():
     geom = default_geometry(pitch=1e-3)
     cfg = make_config(geometry=geom)
-    # grid that stops at tau instead of tau_hat
+    # grid that stops at tau instead of tau_hat: refused as it is built,
+    # before the kernel bank could read past it
     n = int(cfg.tau / 3.125e-9)
-    ch = ChannelSet(grid_step=3.125e-9, samples=np.zeros((16, n)),
-                    geometry=geom, tau=cfg.tau)
     with pytest.raises(GridTooShort):
-        xample_channels(ch, cfg, build_S(cfg.p))
+        ChannelSet(grid_step=3.125e-9, samples=np.zeros((16, n)),
+                   geometry=geom, tau=cfg.tau)
 
 
 def test_oracle_orthogonality_single_harmonic():
