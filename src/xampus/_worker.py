@@ -5,11 +5,12 @@ the calling thread takes one share, the worker the other, and both are numpy
 fills and ufuncs over arrays long enough that numpy releases the interpreter
 lock, so on two cores the shares run at once.  ``add_interference`` hands
 the worker one share per call: the worker builds clean plus speckle as one
-array while the caller draws all the seeded white noise, and the caller adds
-the two once the worker is done.  The kernel bank gives the worker every
-second warp group, each writing only its own columns.  Each share does the
-same arithmetic in the same order as one thread would, so results are
-bitwise those of a serial run.
+array while the caller draws the seeded white noise, one row at a time, and
+once the speckle is done the worker draws rows too, until none is left.
+Each row has its own stream, so its noise does not depend on the thread that
+draws it.  The caller adds the two arrays once the worker is done.  The
+kernel bank gives the worker every second warp group, each writing only its
+own columns.  Either way the results are bitwise those of a serial run.
 
 There is one worker and no setting.  Shares from several calling threads
 queue on it; a share never waits for another share, so none can deadlock.

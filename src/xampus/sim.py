@@ -15,6 +15,7 @@ build from ``tests/util.eval_pulse``.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -68,6 +69,10 @@ class NoiseSpec:
             raise InvariantViolation(
                 "speckle_count > 0 requires snr_db (speckle power budget)"
             )
+        if (isinstance(self.seed, bool)
+                or not isinstance(self.seed, numbers.Integral)):
+            raise InvariantViolation(
+                f"noise seed {self.seed!r} must be an integer")
         if self.seed < 0:
             raise InvariantViolation(f"noise seed {self.seed!r} must be >= 0")
 
@@ -253,18 +258,29 @@ def add_interference(
     When ``speckle_count > 0`` half of that budget is carried by weak on-beam
     scatterers with reflectivities drawn from N(0, eps^2), the other half by
     white Gaussian noise; with no speckle the white noise takes the whole
-    budget.  Deterministic for a fixed seed; with no SNR, a copy of ``ch``.
-    ``NoiseSpec`` checks the SNR, speckle count and seed.
+    budget.  With no SNR, a copy of ``ch``.  ``NoiseSpec`` checks the SNR,
+    speckle count and seed.
+
+    Each draw is a function of the seed alone.  With
+    ``ss = np.random.SeedSequence(seed)``, the speckle positions and gains
+    come from ``np.random.default_rng(ss)``, and row m's white noise from
+    ``np.random.Generator(np.random.SFC64(ss.spawn(rows)[m]))``, whichever
+    thread draws it.
     """
     NoiseSpec(snr_db, speckle_count, seed)
     _check_beam_angle(beam_angle)
     if snr_db is None:
         return ChannelSet(ch.grid_step, ch.samples.copy(), ch.geometry, ch.tau)
 
-    rng = np.random.default_rng(seed)
-    target = _row_power(ch.samples) * 10.0 ** (-snr_db / 10.0)
-    if not np.isfinite(target).all():
+    try:
+        target = _row_power(ch.samples) * 10.0 ** (-snr_db / 10.0)
+    except OverflowError:  # a Python float power, at an SNR below -3083 dB
+        target = None
+    if target is None or not np.isfinite(target).all():
         raise InvariantViolation("interference power budget overflows")
+    ss = np.random.SeedSequence(seed)
+    row_seeds = ss.spawn(ch.samples.shape[0])
+    rng = np.random.default_rng(ss)
     speckle_frac = 0.5 if speckle_count > 0 else 0.0
     t0 = gains = None
     if speckle_count > 0:
@@ -277,26 +293,38 @@ def add_interference(
         t0 = arrival_time(positions, beam_angle, ch.geometry.offsets[:, None],
                           ch.geometry.speed_of_sound)
 
+    noise = np.empty_like(ch.samples)
+    noise_sd = np.sqrt((1.0 - speckle_frac) * target)
+    next_row = itertools.count()  # its next() is atomic under the GIL
+
+    def draw_noise():
+        for m in next_row:
+            if m >= len(row_seeds):
+                return
+            rng_m = np.random.Generator(np.random.SFC64(row_seeds[m]))
+            rng_m.standard_normal(out=noise[m])
+            noise[m] *= noise_sd[m]
+
     def clean_plus_speckle():
         if t0 is None:
-            return ch.samples.copy()
-        # the speckle buffer becomes the output: one full-size array fewer
-        out = _echoes(t0, gains, ch.grid_step, ch.grid_len, pulse)
-        sp_power = _row_power(out)
-        scale = np.zeros_like(sp_power)
-        ok = (sp_power > 0) & (target > 0)
-        scale[ok] = np.sqrt(speckle_frac * target[ok] / sp_power[ok])
-        out *= scale[:, None]
-        out += ch.samples
+            out = ch.samples.copy()
+        else:
+            # the speckle buffer becomes the output: one full-size array fewer
+            out = _echoes(t0, gains, ch.grid_step, ch.grid_len, pulse)
+            sp_power = _row_power(out)
+            scale = np.zeros_like(sp_power)
+            ok = (sp_power > 0) & (target > 0)
+            scale[ok] = np.sqrt(speckle_frac * target[ok] / sp_power[ok])
+            out *= scale[:, None]
+            out += ch.samples
+        draw_noise()
         return out
 
     # One handoff: the worker builds clean plus speckle while this thread
-    # draws all the white noise, after the speckle draws as a serial run
-    # would; the sums are the serial ones, so the output is bitwise the same.
-    noise = np.empty_like(ch.samples)
+    # draws noise rows, then both take rows until none is left.  A row's
+    # noise depends on its own stream only, so the split does not matter.
     with alongside(clean_plus_speckle) as share:
-        rng.standard_normal(out=noise)
-        noise *= np.sqrt((1.0 - speckle_frac) * target)[:, None]
+        draw_noise()
     out = share.result()
     out += noise
     return ChannelSet(ch.grid_step, out, ch.geometry, ch.tau)

@@ -79,6 +79,23 @@ def test_simulate_refuses_an_overflowing_noise_budget(scene_path, tmp_path,
     assert not out.exists()
 
 
+def test_simulate_refuses_an_snr_whose_budget_overflows(scene_path, tmp_path,
+                                                       capsys):
+    # 10 ** 400 overflows a float before any channel is scaled
+    doc = json.loads(scene_path.read_text())
+    doc["noise"] = {"snr_db": -4000.0, "speckle_count": 0, "seed": 0}
+    low = tmp_path / "low.json"
+    low.write_text(json.dumps(doc))
+    out = tmp_path / "ch"
+    rc = main(["simulate", "--scene", str(low), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error[InvariantViolation]: line_000.urf: ")
+    assert "interference power budget overflows" in err
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 def test_malformed_scene_fails_with_error_line(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"speed_of_sound_m_s": }')

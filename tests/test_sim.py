@@ -1,5 +1,8 @@
+import contextlib
 import multiprocessing
+import sys
 import threading
+from concurrent import futures
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from xampus import (ChannelSet, GridTooCoarse, InvariantViolation, NoiseSpec,
                     PulseModel, Scatterer, Scene, add_interference,
                     arrival_time, simulation_grid_step,
                     synthesize_channels, tau_hat)
+from xampus import sim
 from xampus.sim import _echoes, _row_power
 
 from util import PULSE, SPEED, default_geometry, eval_pulse, synthesize
@@ -120,9 +124,17 @@ def test_noise_disabled_is_identity():
     assert out.samples is not ch.samples
 
 
+def row_noise(seed, shape):
+    """White noise drawn row by row: row m from the m-th SFC64 stream
+    spawned from ``SeedSequence(seed)``."""
+    streams = np.random.SeedSequence(seed).spawn(shape[0])
+    return np.stack([np.random.Generator(np.random.SFC64(s))
+                     .standard_normal(shape[1]) for s in streams])
+
+
 def _interference_reference(ch, snr_db, speckle_count, seed, beam_angle):
     """The full-array algorithm: a copy of the samples plus the scaled
-    speckle plus one full-array white-noise draw."""
+    speckle plus the white noise drawn row by row."""
     rng = np.random.default_rng(seed)
     target = _row_power(ch.samples) * 10.0 ** (-snr_db / 10.0)
     out = ch.samples.copy()
@@ -135,7 +147,7 @@ def _interference_reference(ch, snr_db, speckle_count, seed, beam_angle):
         speckle = _echoes(t0, gains, ch.grid_step, ch.grid_len, PULSE)
         speckle *= np.sqrt(frac * target / _row_power(speckle))[:, None]
         out += speckle
-    white = rng.standard_normal(ch.samples.shape)
+    white = row_noise(seed, ch.samples.shape)
     white *= np.sqrt((1.0 - frac) * target)[:, None]
     out += white
     return out
@@ -276,11 +288,11 @@ def test_speckle_matches_dense_reference(num_elements, beam_angle, speckle):
     ch = synthesize(scene, geom)
     out = add_interference(ch, 20.0, speckle, seed=5, pulse=PULSE,
                            beam_angle=beam_angle)
-    # same draws in the same order: positions, gains, then the white noise
+    # the same draws: positions, then gains, then each row's white noise
     rng = np.random.default_rng(5)
     positions = rng.uniform(0.02 * TAU, 0.48 * TAU, speckle)
     gains = rng.standard_normal(speckle)
-    white = rng.standard_normal(ch.samples.shape)
+    white = row_noise(5, ch.samples.shape)
     t0 = [arrival_time(positions, beam_angle, delta, SPEED)
           for delta in geom.offsets]
     ref = dense_echoes(t0, gains, ch.grid_step, ch.grid_len, PULSE)
@@ -323,7 +335,7 @@ def test_echoes_reject_a_pulse_the_grid_cannot_resolve():
 
 def test_speckle_error_on_the_worker_reaches_the_caller():
     # the speckle rows are synthesized on the package's worker thread while
-    # the caller draws the noise; the worker's error must release the
+    # the caller draws noise rows; the worker's error must release the
     # caller with its type unchanged.  A helper thread turns a hang into a
     # failure instead of a stalled suite.
     ch = synthesize(Scene(scatterers=(Scatterer(6e-6, 1.0),), tau=TAU),
@@ -377,6 +389,9 @@ def test_forked_child_gets_its_own_worker():
     {"speckle_count": -3},
     {"speckle_count": 2.5},
     {"speckle_count": True},
+    {"seed": 1.5},
+    {"seed": "3"},
+    {"seed": True},
 ])
 def test_add_interference_rejects_bad_angle_or_speckle_count(kwargs):
     ch = synthesize(Scene(scatterers=(Scatterer(6e-6, 1.0),), tau=TAU),
@@ -385,3 +400,87 @@ def test_add_interference_rejects_bad_angle_or_speckle_count(kwargs):
             **kwargs}
     with pytest.raises(InvariantViolation):
         add_interference(ch, **args)
+
+
+def _serial_alongside(worker_first):
+    """A stand-in for ``sim.alongside`` that runs the worker's share on the
+    calling thread, before the ``with`` block or after it."""
+    @contextlib.contextmanager
+    def alongside(fn, *args):
+        share = futures.Future()
+        if worker_first:
+            share.set_result(fn(*args))
+        yield share
+        if not worker_first:
+            share.set_result(fn(*args))
+    return alongside
+
+
+@pytest.mark.parametrize("speckle", [0, 25])
+def test_noise_does_not_depend_on_the_thread_that_draws_it(speckle,
+                                                           monkeypatch):
+    # the share run first draws every noise row: the worker's share before
+    # the block, the caller's block before the share
+    ch = synthesize(Scene(scatterers=(Scatterer(5e-6, 1.0),), tau=TAU),
+                    default_geometry(num_elements=16))
+
+    def interfere():
+        return add_interference(ch, 20.0, speckle, seed=4, pulse=PULSE).samples
+
+    threaded = interfere()
+    for worker_first in (True, False):
+        monkeypatch.setattr(sim, "alongside", _serial_alongside(worker_first))
+        np.testing.assert_array_equal(interfere(), threaded)
+
+
+def test_each_row_and_seed_has_its_own_noise_stream():
+    # the CLI gives line i the seed noise.seed + i, so neighbouring seeds
+    # must not share a row's stream; nor may row 0 repeat the stream the
+    # speckle is drawn from
+    ch = synthesize(Scene(scatterers=(Scatterer(5e-6, 1.0),), tau=TAU),
+                    default_geometry(num_elements=4))
+    sd = np.sqrt(_row_power(ch.samples) * 10.0 ** (-20.0 / 10.0))
+
+    def noise(seed):
+        out = add_interference(ch, 20.0, 0, seed=seed, pulse=PULSE).samples
+        return (out - ch.samples) / sd[:, None]
+
+    a, b = noise(7), noise(8)
+    shared = np.random.default_rng(7).standard_normal(ch.grid_len)
+    assert np.max(np.abs(a[0] - shared)) > 1.0
+    assert np.all(np.max(np.abs(a - b), axis=1) > 1.0)
+    assert all(np.max(np.abs(a[m] - a[n])) > 1.0
+               for m in range(len(a)) for n in range(m))
+
+
+def test_concurrent_callers_each_get_every_row():
+    # more calling threads than cores, each queueing shares on the one
+    # worker and switching every microsecond: each call's rows must be
+    # drawn from that call's own counter and streams, or a call would leave
+    # a row unwritten or noise from another seed, and not match its serial
+    # result
+    ch = synthesize(Scene(scatterers=(Scatterer(5e-6, 1.0),), tau=TAU),
+                    default_geometry(num_elements=8))
+    want = {seed: _interference_reference(ch, 20.0, 5, seed, 0.0)
+            for seed in range(4)}
+    mismatched = []
+
+    def call(seed):
+        for _ in range(5):
+            got = add_interference(ch, 20.0, 5, seed, pulse=PULSE).samples
+            if not np.array_equal(got, want[seed]):
+                mismatched.append(seed)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=call, args=(seed,), daemon=True)
+                   for seed in want]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers), "a caller hung"
+    assert mismatched == []
