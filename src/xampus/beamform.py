@@ -28,35 +28,6 @@ class BeamformedLine:
         return np.arange(len(self.samples)) * self.grid_step
 
 
-def _sample_trace(trace: np.ndarray, step: float, t: np.ndarray) -> np.ndarray:
-    """Cubic-convolution resampling of a uniformly gridded trace.
-
-    Keys' kernel (a = -0.5): its passband droop is O((f dt)^4), which keeps
-    the warped evaluation error orders of magnitude below the quadrature
-    tolerance (linear interpolation's O((f dt)^2) droop does not).  Times
-    outside the grid return zero; edge neighbors are clamped.
-    """
-    n = len(trace)
-    x = t / step
-    inside = (t >= 0.0) & (x <= n - 1)
-    xi = np.clip(x[inside], 0.0, n - 1)
-    k = np.minimum(xi.astype(int), n - 2)
-    u = xi - k
-    u2 = u * u
-    u3 = u2 * u
-    w0 = -0.5 * u3 + u2 - 0.5 * u
-    w1 = 1.5 * u3 - 2.5 * u2 + 1.0
-    w2 = -1.5 * u3 + 2.0 * u2 + 0.5 * u
-    w3 = 0.5 * u3 - 0.5 * u2
-    y = (w0 * trace[np.maximum(k - 1, 0)]
-         + w1 * trace[k]
-         + w2 * trace[k + 1]
-         + w3 * trace[np.minimum(k + 2, n - 1)])
-    out = np.zeros(len(t))
-    out[inside] = y
-    return out
-
-
 def beamform_line(
     ch: ChannelSet,
     alpha: float = 0.0,
@@ -67,7 +38,14 @@ def beamform_line(
     """Delay-and-sum the channel set into one image-line trace.
 
     Dynamic focus reads element m at ``arrival_time(t/2)``, where the echo of
-    the focal point t/2 lands on it; infinity focus reads it at t."""
+    the focal point t/2 lands on it; infinity focus reads it at t.  Each read
+    is Keys' cubic convolution (a = -0.5) of the element's row: its passband
+    droop is O((f dt)^4), which keeps the warped evaluation error orders of
+    magnitude below the quadrature tolerance (linear interpolation's
+    O((f dt)^2) droop does not).  Reads outside the grid are zero; edge
+    neighbors are clamped.  Elements are read in blocks of at most
+    ``grid_len`` reads, so the temporaries stay the size of one channel row,
+    and added to the line in element order."""
     if focus_mode not in ("dynamic", "infinity"):
         raise InvariantViolation(f"unknown focus_mode {focus_mode!r}")
     if out_step < ch.grid_step * (1 - 1e-12):
@@ -80,11 +58,35 @@ def beamform_line(
     focal = t / 2.0
     acc = np.zeros(n)
     c = ch.geometry.speed_of_sound
-    for trace, delta in zip(ch.samples, ch.geometry.offsets):
-        read = t
+    offsets = ch.geometry.offsets
+    size = ch.grid_len
+    flat = ch.samples.ravel()
+    block = max(1, size // n)
+    for lo in range(0, len(offsets), block):
+        rows = np.arange(lo, min(lo + block, len(offsets)))[:, None]
         if focus_mode == "dynamic":
-            read = arrival_time(focal, alpha, delta, c)
-        acc += _sample_trace(trace, ch.grid_step, read)
+            x = arrival_time(focal, alpha, offsets[rows], c)
+        else:
+            x = np.broadcast_to(t, (len(rows), n))
+        x = x / ch.grid_step
+        inside = (x >= 0.0) & (x <= size - 1)
+        np.clip(x, 0.0, size - 1, out=x)
+        k = np.minimum(x.astype(np.intp), size - 2)
+        u = x - k
+        u2 = u * u
+        u3 = u2 * u
+        # k indexes the flattened rows; the taps k-1 and k+2 are clamped to
+        # the element's own row.  The sum w0 g0 + w1 g1 + w2 g2 + w3 g3 runs
+        # in that order, so each row is bitwise that of one element alone
+        base = rows * size
+        k += base
+        y = (-0.5 * u3 + u2 - 0.5 * u) * flat[np.maximum(k - 1, base)]
+        y += (1.5 * u3 - 2.5 * u2 + 1.0) * flat[k]
+        y += (-1.5 * u3 + 2.0 * u2 + 0.5 * u) * flat[k + 1]
+        y += (0.5 * u3 - 0.5 * u2) * flat[np.minimum(k + 2, base + size - 1)]
+        y[~inside] = 0.0
+        for row in y:
+            acc += row
     return BeamformedLine(samples=acc, grid_step=out_step)
 
 

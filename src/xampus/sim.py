@@ -8,9 +8,11 @@ integrals to be trustworthy.
 Echoes (scatterers and the speckle surrogate alike) are synthesized in one
 batch per call: one table of 2*ceil(8 sigma / dt) + 1 complex entries is
 shared by every echo, each echo needs two scalars of its own, and no sample
-takes a trigonometric function.  Each channel row stays within 1e-12 of its
-peak of the per-sample pulse sum over the same windows, the oracle the tests
-build from ``tests/util.eval_pulse``.
+takes a trigonometric function.  A row whose arrival times equal an earlier
+row's is copied, not evaluated, so the mirrored elements of an unsteered line
+cost one row per pair.  Each channel row stays within 1e-12 of its peak of
+the per-sample pulse sum over the same windows, the oracle the tests build
+from ``tests/util.eval_pulse``.
 """
 
 from __future__ import annotations
@@ -171,7 +173,9 @@ def _echoes(t0, gains, grid_step, grid_len, pulse):
     echo, and ``z = exp(dt phi / sigma^2)`` and
     ``w = gain * exp(-phi^2 / 2 sigma^2 - j w_c phi)`` are per-echo scalars.
     Rows are evaluated one at a time to keep the temporaries to one row's
-    echoes.
+    echoes.  A row whose arrival times equal an earlier row's, bit for bit,
+    is copied from it: on an unsteered line elements m and N-1-m mirror each
+    other, so each mirrored pair is evaluated once.
     """
     sig = pulse.envelope_sigma
     if grid_step > sig:
@@ -204,7 +208,12 @@ def _echoes(t0, gains, grid_step, grid_len, pulse):
     anchor = anchor.astype(np.intp)
     offsets = np.arange(2 * reach + 1)
     rows = np.empty((t0.shape[0], grid_len))
+    first = {}
     for m in range(t0.shape[0]):
+        same = first.setdefault(t0[m].tobytes(), m)
+        if same < m:
+            rows[m] = rows[same]
+            continue
         vals = coef[m] @ table
         vals *= np.exp(np.multiply.outer(log_z[m], k))
         vals[skip_first[m], 0] = 0.0

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,11 +9,11 @@ import pytest
 
 import xampus
 from xampus import (BeamformedLine, ChannelSet, InvariantViolation,
-                    Scatterer, Scene, add_interference, beamform_line,
-                    envelope_detect)
-from xampus.beamform import _sample_trace
+                    Scatterer, Scene, add_interference, arrival_time,
+                    beamform_line, envelope_detect)
+from xampus import beamform
 
-from util import PULSE, SPEED, default_geometry, synthesize
+from util import PULSE, SPEED, default_geometry, sample_trace, synthesize
 
 
 def reference_beamform(ch, alpha, focus_mode, out_step, duration=None):
@@ -26,12 +27,30 @@ def reference_beamform(ch, alpha, focus_mode, out_step, duration=None):
     acc = np.zeros(n)
     if focus_mode == "infinity":
         for m in range(ch.geometry.num_elements):
-            acc += _sample_trace(ch.samples[m], ch.grid_step, t)
+            acc += sample_trace(ch.samples[m], ch.grid_step, t)
     else:
         for m, delta in enumerate(ch.geometry.offsets):
             d = delta / c
             warped = 0.5 * (t + np.sqrt(t**2 + 4.0 * d * (d - t * np.sin(alpha))))
-            acc += _sample_trace(ch.samples[m], ch.grid_step, warped)
+            acc += sample_trace(ch.samples[m], ch.grid_step, warped)
+    return acc
+
+
+def per_element_beamform(ch, alpha, focus_mode, out_step, duration=None,
+                         arrival=arrival_time):
+    """Delay-and-sum one element at a time, each read by ``sample_trace``
+    at ``arrival(t/2)`` (dynamic focus) or at t (infinity focus)."""
+    if duration is None:
+        duration = ch.tau
+    n = int(np.floor(duration / out_step + 1e-9)) + 1
+    t = np.arange(n) * out_step
+    c = ch.geometry.speed_of_sound
+    acc = np.zeros(n)
+    for trace, delta in zip(ch.samples, ch.geometry.offsets):
+        read = t
+        if focus_mode == "dynamic":
+            read = arrival(t / 2.0, alpha, delta, c)
+        acc += sample_trace(trace, ch.grid_step, read)
     return acc
 
 
@@ -87,16 +106,21 @@ def test_distort_outside_grid_is_zero():
         past = line.times > ch.duration
         assert past.any() and not line.samples[past].any()
         assert line.samples[~past].any()
-    assert _sample_trace(ch.samples[8], ch.grid_step, np.array([-1e-6]))[0] == 0.0
+    assert sample_trace(ch.samples[8], ch.grid_step, np.array([-1e-6]))[0] == 0.0
 
 
-def beamform_case(alpha, focus_mode):
-    geom = default_geometry()
+def noisy_channels(num_elements, alpha):
+    """Three scatterers at 25 dB with 25 speckle, on a beam steered by alpha."""
+    geom = default_geometry(num_elements=num_elements)
     scene = Scene(scatterers=(Scatterer(3e-6, 1.0), Scatterer(10e-6, 0.7),
                               Scatterer(17e-6, 1.3)),
                   beam_angle=alpha, tau=51.2e-6)
-    ch = add_interference(synthesize(scene, geom), 25.0, 25, seed=11,
-                          pulse=PULSE, beam_angle=alpha)
+    return add_interference(synthesize(scene, geom), 25.0, 25, seed=11,
+                            pulse=PULSE, beam_angle=alpha)
+
+
+def beamform_case(alpha, focus_mode):
+    ch = noisy_channels(16, alpha)
     new = beamform_line(ch, alpha, focus_mode)
     return new.samples, reference_beamform(ch, alpha, focus_mode, 50e-9)
 
@@ -110,6 +134,63 @@ def test_one_loop_matches_three_branch_reference(alpha):
 def test_one_loop_infinity_focus_bitwise():
     new, ref = beamform_case(0.3, "infinity")
     np.testing.assert_array_equal(new, ref)
+
+
+# At the grid step each block holds one element; at 50 ns a block holds
+# every element (5) or 15 of them and then 1 (16).  A duration past the
+# grid's end makes the last reads of every element fall off it.
+@pytest.mark.parametrize("past_end", [False, True], ids=["tau", "past-end"])
+@pytest.mark.parametrize("out_step", [None, 50e-9], ids=["grid", "50ns"])
+@pytest.mark.parametrize("num_elements", [16, 5])
+@pytest.mark.parametrize("alpha", [0.0, 0.3, -0.5])
+@pytest.mark.parametrize("focus_mode", ["dynamic", "infinity"])
+def test_blocks_match_per_element_loop_bitwise(focus_mode, alpha,
+                                               num_elements, out_step,
+                                               past_end):
+    ch = noisy_channels(num_elements, alpha)
+    step = ch.grid_step if out_step is None else out_step
+    duration = ch.duration + 1e-6 if past_end else None
+    got = beamform_line(ch, alpha, focus_mode, step, duration).samples
+    want = per_element_beamform(ch, alpha, focus_mode, step, duration)
+    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("out_step", [None, 50e-9], ids=["grid", "50ns"])
+@pytest.mark.parametrize("num_elements", [16, 5])
+def test_reads_before_time_zero_are_zero_bitwise(monkeypatch, num_elements,
+                                                 out_step):
+    # arrival_time never reads before t = 0; shifted 2 us early, the first
+    # reads of every element fall before the grid
+    def early(*args):
+        return arrival_time(*args) - 2e-6
+
+    monkeypatch.setattr(beamform, "arrival_time", early)
+    ch = noisy_channels(num_elements, 0.3)
+    step = ch.grid_step if out_step is None else out_step
+    got = beamform_line(ch, 0.3, "dynamic", step).samples
+    want = per_element_beamform(ch, 0.3, "dynamic", step, arrival=early)
+    np.testing.assert_array_equal(got, want)
+    assert got[0] == 0.0 and got.any()
+
+
+def test_grid_resolution_line_allocates_about_one_channel_array():
+    """The tracemalloc peak of one line at the grid step, on the default
+    16-element array, stays within 1.5x the bytes of the channel array.
+
+    The benchmark's lowrate-L5 set-up beamforms a line at the grid step, so
+    a transient here shows in that workload's peak RSS, whose bound is 10%.
+    Reading every element in one numpy pass holds about 9x (20 MB); blocks
+    of at most ``grid_len`` reads hold one element's temporaries at a time
+    and peak near 0.8x.  The per-element loop peaked at 1.07x.
+    """
+    ch = noisy_channels(16, 0.0)
+    tracemalloc.start()
+    try:
+        beamform_line(ch, out_step=ch.grid_step)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * ch.samples.nbytes
 
 
 def test_single_element_modes_coincide():

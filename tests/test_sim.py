@@ -326,6 +326,38 @@ def test_each_echo_covers_exactly_its_window():
         np.testing.assert_array_equal(np.flatnonzero(g), np.flatnonzero(w))
 
 
+def every_row(t0, gains, dt, grid_len, pulse):
+    """``_echoes`` called once per row, so that no row is copied."""
+    return np.vstack([_echoes(row[None], gains, dt, grid_len, pulse)
+                      for row in t0])
+
+
+@pytest.mark.parametrize("num_elements, beam_angle, mirrored", [
+    (16, 0.0, True), (5, 0.0, True), (16, 0.3, False),
+])
+def test_mirrored_rows_are_copied_bitwise(num_elements, beam_angle,
+                                          mirrored):
+    # unsteered, rows m and N-1-m have bitwise equal arrival times (with 5
+    # elements the centre row has no partner); steered, no two rows do
+    geom = default_geometry(num_elements=num_elements)
+    dt = simulation_grid_step(16)
+    times = np.array([3e-6, 7.7e-6, 12e-6])
+    t0 = arrival_time(times, beam_angle, geom.offsets[:, None], SPEED)
+    assert np.array_equal(t0, t0[::-1]) == mirrored
+    gains = np.array([1.0, -0.4, 2.2])
+    np.testing.assert_array_equal(_echoes(t0, gains, dt, 9000, PULSE),
+                                  every_row(t0, gains, dt, 9000, PULSE))
+
+
+@pytest.mark.parametrize("num_elements", [16, 5])
+def test_unsteered_channels_mirror_bitwise(num_elements):
+    # the copy rests on this: element m's row is element N-1-m's
+    scene = Scene(scatterers=(Scatterer(4e-6, 1.0), Scatterer(11e-6, -0.6)),
+                  tau=TAU)
+    ch = synthesize(scene, default_geometry(num_elements=num_elements))
+    np.testing.assert_array_equal(ch.samples, ch.samples[::-1])
+
+
 def test_echoes_reject_a_pulse_the_grid_cannot_resolve():
     narrow = PulseModel(carrier_hz=5e6, envelope_sigma=1e-9)
     scene = Scene(scatterers=(Scatterer(6e-6, 1.0),), tau=TAU)

@@ -58,6 +58,31 @@ def eval_pulse(model, t):
     )
 
 
+def sample_trace(trace, step, t):
+    """Keys' cubic convolution (a = -0.5) of one uniformly gridded trace at
+    the times ``t``, one element at a time: the beamformer's oracle.  Times
+    outside the grid return zero; edge neighbors are clamped."""
+    n = len(trace)
+    x = t / step
+    inside = (t >= 0.0) & (x <= n - 1)
+    xi = np.clip(x[inside], 0.0, n - 1)
+    k = np.minimum(xi.astype(int), n - 2)
+    u = xi - k
+    u2 = u * u
+    u3 = u2 * u
+    w0 = -0.5 * u3 + u2 - 0.5 * u
+    w1 = 1.5 * u3 - 2.5 * u2 + 1.0
+    w2 = -1.5 * u3 + 2.0 * u2 + 0.5 * u
+    w3 = 0.5 * u3 - 0.5 * u2
+    y = (w0 * trace[np.maximum(k - 1, 0)]
+         + w1 * trace[k]
+         + w2 * trace[k + 1]
+         + w3 * trace[np.minimum(k + 2, n - 1)])
+    out = np.zeros(len(t))
+    out[inside] = y
+    return out
+
+
 def kernel_value(cfg, q, elem, t):
     """Branch kernel s_hat[q, elem] at the times ``t``, the pointwise oracle
     of the kernel bank, as an array of t's shape.
