@@ -96,13 +96,24 @@ def cmd_simulate(args) -> int:
     # a file left by an earlier, longer run would be imaged as a line
     for stale in set(out.glob("line_*.urf")) - set(paths):
         stale.unlink()
-    for idx, (line, path) in enumerate(zip(scene.lines, paths)):
-        with _naming(path):
-            ch = synthesize_channels(line, scene.geometry, scene.pulse, step)
-            ch = add_interference(ch, noise.snr_db, noise.speckle_count,
-                                  noise.seed + idx, pulse=scene.pulse,
-                                  beam_angle=line.beam_angle)
-        urf.write_channels(path, ch)
+    made_out = not out.exists()
+    try:
+        for idx, (line, path) in enumerate(zip(scene.lines, paths)):
+            with _naming(path):
+                ch = synthesize_channels(line, scene.geometry, scene.pulse,
+                                         step)
+                ch = add_interference(ch, noise.snr_db, noise.speckle_count,
+                                      noise.seed + idx, pulse=scene.pulse,
+                                      beam_angle=line.beam_angle)
+            urf.write_channels(path, ch)
+    except BaseException:
+        # a failed run leaves no line to be imaged, neither its own nor an
+        # earlier run's under the names it took over
+        for path in paths:
+            path.unlink(missing_ok=True)
+        if made_out and out.exists():
+            out.rmdir()
+        raise
     print(f"wrote {len(paths)} channel file(s) to {out}")
     return 0
 

@@ -1,6 +1,8 @@
+import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -155,10 +157,19 @@ def test_blocks_match_per_element_loop_bitwise(focus_mode, alpha,
     np.testing.assert_array_equal(got, want)
 
 
+@pytest.fixture()
+def no_kept_plan():
+    """An empty plan cache before and after the test, for a test that
+    replaces the warp the kept plans were read under."""
+    beamform._read_plan.cache_clear()
+    yield
+    beamform._read_plan.cache_clear()
+
+
 @pytest.mark.parametrize("out_step", [None, 50e-9], ids=["grid", "50ns"])
 @pytest.mark.parametrize("num_elements", [16, 5])
-def test_reads_before_time_zero_are_zero_bitwise(monkeypatch, num_elements,
-                                                 out_step):
+def test_reads_before_time_zero_are_zero_bitwise(monkeypatch, no_kept_plan,
+                                                 num_elements, out_step):
     # arrival_time never reads before t = 0; shifted 2 us early, the first
     # reads of every element fall before the grid
     def early(*args):
@@ -191,6 +202,116 @@ def test_grid_resolution_line_allocates_about_one_channel_array():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * ch.samples.nbytes
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"alpha": math.nan}, {"alpha": math.inf}, {"out_step": math.nan},
+    {"out_step": math.inf}, {"duration": math.nan}, {"duration": math.inf},
+    {"duration": -1.0},
+], ids=["alpha-nan", "alpha-inf", "out_step-nan", "out_step-inf",
+        "duration-nan", "duration-inf", "duration-negative"])
+def test_hostile_arguments_are_refused_before_the_plan(kwargs):
+    # each once failed in numpy (a cast warning, a bare ValueError, an
+    # OverflowError, a negative dimension) or read NaN positions
+    ch = synthesize(Scene(scatterers=(Scatterer(8e-6, 1.0),), tau=25.6e-6),
+                    default_geometry(num_elements=4))
+    before = beamform._read_plan.cache_info()
+    with pytest.raises(InvariantViolation):
+        beamform_line(ch, **kwargs)
+    assert beamform._read_plan.cache_info() == before
+
+
+def _plan_cases():
+    """(channels, alpha, focus, out_step) on 16 and 5 elements, two angles,
+    both focus modes, 50 ns and the grid step; the plan of each differs from
+    the others' except for infinity focus, which reads at t whatever the
+    angle."""
+    cases = {}
+    for num_elements in (16, 5):
+        ch = noisy_channels(num_elements, 0.3)
+        for alpha in (0.0, 0.3):
+            for focus in ("dynamic", "infinity"):
+                for step, name in ((50e-9, "50ns"), (ch.grid_step, "grid")):
+                    cases[f"{num_elements}-{alpha}-{focus}-{name}"] = (
+                        ch, alpha, focus, step)
+    return cases
+
+
+def test_kept_plan_matches_a_cleared_cache_bitwise():
+    cases = _plan_cases()
+    fresh = {}
+    for name, (ch, alpha, focus, step) in cases.items():
+        beamform._read_plan.cache_clear()
+        fresh[name] = beamform_line(ch, alpha, focus, step).samples
+    # a stale plan would show: each dynamic case reads differently
+    dynamic = [out for name, out in fresh.items() if "dynamic" in name]
+    for i in range(len(dynamic)):
+        for j in range(i):
+            assert not np.array_equal(dynamic[i], dynamic[j])
+    # consecutive calls differ in the array, angle, focus or output step
+    for name in [*cases, *reversed(cases)]:
+        ch, alpha, focus, step = cases[name]
+        got = beamform_line(ch, alpha, focus, step).samples
+        np.testing.assert_array_equal(got, fresh[name])
+        assert beamform._read_plan.cache_info().currsize <= 1
+    assert beamform._read_plan.cache_info().maxsize == 1
+
+
+def test_kept_plan_is_read_only_and_no_larger_than_the_channels():
+    ch = noisy_channels(16, 0.0)
+    beamform._read_plan.cache_clear()
+    beamform_line(ch, out_step=50e-9, duration=ch.tau)
+    assert beamform._read_plan.cache_info().currsize == 1
+    n = int(np.floor(ch.tau / 50e-9 + 1e-9)) + 1
+    blocks = beamform._read_plan(ch.geometry, 0.0, "dynamic", n, 50e-9,
+                                 ch.grid_step, ch.grid_len)
+    assert beamform._read_plan.cache_info().hits >= 1
+    arrays = [arr for block in blocks for arr in block]
+    for arr in arrays:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr.flat[0] = 0
+    kept = sum(arr.nbytes for arr in arrays)
+    assert kept == ch.geometry.num_elements * n * 65
+    assert kept <= ch.samples.nbytes
+
+
+def test_grid_step_line_streams_its_plan():
+    ch = noisy_channels(16, 0.0)
+    beamform_line(ch, out_step=50e-9)
+    before = beamform._read_plan.cache_info()
+    beamform_line(ch, out_step=ch.grid_step)
+    assert beamform._read_plan.cache_info() == before
+
+
+def test_concurrent_callers_match_serial_results():
+    # threads with different angles take turns in the one-entry plan cache;
+    # each line must equal the same call made alone
+    ch = noisy_channels(5, 0.3)
+    alphas = (0.0, 0.3, -0.5)
+    serial = [beamform_line(ch, alpha, out_step=50e-9).samples
+              for alpha in alphas]
+    mismatches = []
+
+    def caller(k):
+        for i in range(30):
+            got = beamform_line(ch, alphas[k], out_step=50e-9).samples
+            if not np.array_equal(got, serial[k]):
+                mismatches.append((k, i))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=caller, args=(k,), daemon=True)
+                   for k in range(len(alphas))]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads), "a caller hung"
+    assert not mismatches
 
 
 def test_single_element_modes_coincide():

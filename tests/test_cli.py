@@ -1,16 +1,19 @@
 import csv
 import json
+import math
 import struct
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from xampus import cli, read_channels, read_pgm
 from xampus.cli import main
 from xampus.imaging import assemble_image
 
-from util import SPEED, default_geometry
+from util import SPEED, default_geometry, fresh_dir
 
 
 @pytest.fixture()
@@ -94,6 +97,53 @@ def test_simulate_refuses_an_snr_whose_budget_overflows(scene_path, tmp_path,
     assert "interference power budget overflows" in err
     assert len(err.splitlines()) == 1
     assert not out.exists()
+
+
+def _overflow_on_line_1(tmp_path):
+    """A 2-line, 4-element scene at 20 dB whose line 1's noise budget
+    overflows after line 0 is written."""
+    doc = {
+        "speed_of_sound_m_s": SPEED,
+        "tau_s": 51.2e-6,
+        "pulse": {"carrier_hz": 5.142e6, "sigma_s": 1e-7},
+        "array": {"num_elements": 4, "pitch_m": 0.3e-3},
+        "noise": {"snr_db": 20.0, "seed": 0},
+        "lines": [{"scatterers": [{"t_n_s": 8e-6, "reflectivity": 1.0}]},
+                  {"scatterers": [{"t_n_s": 8e-6, "reflectivity": 1e200}]}],
+    }
+    scene = tmp_path / "failing.json"
+    scene.write_text(json.dumps(doc))
+    return scene
+
+
+def test_failed_simulate_removes_the_lines_it_wrote(tmp_path, capsys):
+    out = tmp_path / "ch"
+    assert main(["simulate", "--scene", str(_overflow_on_line_1(tmp_path)),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == ("error[InvariantViolation]: line_001.urf: interference "
+                   "power budget overflows\n")
+    assert not out.exists()
+
+
+def test_failed_simulate_leaves_no_line_of_an_earlier_run(scene_path,
+                                                          tmp_path, capsys):
+    # an earlier 2-line run filled the directory; the failed run must not
+    # leave its line_001 to be imaged with a missing line_000
+    out = tmp_path / "ch"
+    assert main(["simulate", "--scene", str(scene_path),
+                 "--out", str(out)]) == 0
+    assert len(list(out.glob("line_*.urf"))) == 2
+    capsys.readouterr()
+    assert main(["simulate", "--scene", str(_overflow_on_line_1(tmp_path)),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error[InvariantViolation]: "
+                                              "line_001.urf:")
+    assert out.is_dir() and list(out.iterdir()) == []
+    assert main(["beamform", "--scene", str(scene_path), "--channels",
+                 str(out), "--out", str(tmp_path / "img")]) == 1
+    assert capsys.readouterr().err == (
+        f"error[InvariantViolation]: no line_*.urf files in {out}\n")
 
 
 def test_malformed_scene_fails_with_error_line(tmp_path, capsys):
@@ -757,3 +807,66 @@ def test_compare_refuses_an_estimate_for_a_line_the_scene_lacks(
         f"error[InvariantViolation]: {est}: line_index {index} is not a "
         "line of the scene (2 lines)\n")
     assert not out.exists()
+
+
+TAU_PROP = 12.8e-6
+# the window's edges: the earliest delay and the last whose round trip
+# stays inside the window
+_edge_times = st.sampled_from([math.ulp(0.0), math.nextafter(TAU_PROP / 2, 0)])
+_scatterer = st.fixed_dictionaries({
+    "t_n_s": st.one_of(_edge_times, st.floats(1e-7, TAU_PROP / 2 - 1e-7)),
+    "reflectivity": st.one_of(st.sampled_from([0.0, 1e200, -1e200]),
+                              st.floats(-2.0, 2.0)),
+})
+_line = st.fixed_dictionaries({
+    "alpha_rad": st.floats(-0.5, 0.5),
+    "scatterers": st.lists(_scatterer, max_size=3,
+                           unique_by=lambda s: s["t_n_s"]),
+})
+_scene_doc = st.fixed_dictionaries({
+    "speed_of_sound_m_s": st.just(SPEED),
+    "tau_s": st.just(TAU_PROP),
+    "pulse": st.just({"carrier_hz": 5.142e6, "sigma_s": 1e-7}),
+    "array": st.fixed_dictionaries({"num_elements": st.integers(1, 8),
+                                    "pitch_m": st.just(0.3e-3)}),
+    "lines": st.lists(_line, min_size=1, max_size=3),
+}, optional={"noise": st.just({"snr_db": 20.0, "speckle_count": 5,
+                               "seed": 0})})
+
+
+def _ended_cleanly(rc, err, outputs):
+    """Exit 0 with nothing on stderr, or exit 1 with one ``error[Kind]``
+    line and none of the command's outputs on disk."""
+    if rc == 0:
+        assert err == ""
+        assert all(path.exists() for path in outputs)
+    else:
+        assert rc == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error[")
+        assert not any(path.exists() for path in outputs)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=_scene_doc)
+def test_simulate_then_beamform_ends_cleanly(tmp_path, capsys, doc):
+    """Every scene of 1-3 steered lines on 1-8 elements, with echoes at the
+    window's edges, zero or huge reflectivities and noise on or off, ends in
+    success with finite numbers or in one error line and no output."""
+    work = fresh_dir(tmp_path)
+    scene = work / "scene.json"
+    scene.write_text(json.dumps(doc))
+    ch_dir, img_dir = work / "ch", work / "img"
+    rc = main(["simulate", "--scene", str(scene), "--out", str(ch_dir)])
+    lines = [ch_dir / f"line_{i:03d}.urf" for i in range(len(doc["lines"]))]
+    _ended_cleanly(rc, capsys.readouterr().err, lines)
+    rc = main(["beamform", "--scene", str(scene), "--channels", str(ch_dir),
+               "--out", str(img_dir)])
+    csv_path = img_dir / "reference_lines.csv"
+    _ended_cleanly(rc, capsys.readouterr().err,
+                   [img_dir / "reference.pgm", csv_path])
+    if rc == 0:
+        rows = read_rows(csv_path)
+        assert len(rows) == len(doc["lines"])
+        values = [float(v) for row in rows for v in row.values()]
+        assert np.isfinite(values).all()
