@@ -141,7 +141,8 @@ def beamform_line(
 
     Raises ``InvariantViolation`` for an unknown focus mode, a non-finite
     angle, an output step that is not finite or is below the grid step, and
-    a duration that is not finite or is negative.
+    a duration that is not finite, is negative or asks for more output
+    samples than the channel array holds.
     """
     if focus_mode not in ("dynamic", "infinity"):
         raise InvariantViolation(f"unknown focus_mode {focus_mode!r}")
@@ -154,7 +155,11 @@ def beamform_line(
     if not 0 <= duration < math.inf:
         raise InvariantViolation(
             f"duration {duration} must be finite and non-negative")
-    n = int(np.floor(duration / out_step + 1e-9)) + 1
+    last = duration / out_step + 1e-9
+    if last >= ch.samples.size:  # refused before the output is allocated
+        raise InvariantViolation(f"duration {duration} s needs more samples "
+                                 f"than the channel array's {ch.samples.size}")
+    n = int(last) + 1
     # infinity focus reads every element at t, whatever the angle
     key = (ch.geometry, alpha if focus_mode == "dynamic" else 0.0,
            focus_mode, n, out_step, ch.grid_step, ch.grid_len)

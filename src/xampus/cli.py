@@ -249,13 +249,16 @@ def cmd_compare(args) -> int:
             b_est = np.array([b for _, b in ests])
             sq = 0.0
             rel = 0.0
-            for t_true, b_true in truths:
-                j = int(np.argmin(np.abs(d_est - t_true)))
-                sq += (d_est[j] - t_true) ** 2
-                rel += (abs(b_est[j] / n_elem - b_true) / abs(b_true)
-                        if b_true else np.inf)
+            with np.errstate(over="ignore"):
+                for t_true, b_true in truths:
+                    j = int(np.argmin(np.abs(d_est - t_true)))
+                    sq += (d_est[j] - t_true) ** 2
+                    rel += abs(b_est[j] / n_elem - b_true) / abs(b_true)
             rmse = float(np.sqrt(sq / len(truths)))
-            amp_err = rel / len(truths)
+            amp_err = float(rel / len(truths))
+            if not np.isfinite([rmse, amp_err]).all():
+                raise InvariantViolation(
+                    f"line {i}: its delay or amplitude error overflows")
         elif truths:
             rmse = float("inf")
             amp_err = float("inf")

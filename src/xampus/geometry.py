@@ -69,12 +69,13 @@ def arrival_time(t_n, alpha, delta_m, c):
     ) / c
 
 
-def tau_hat(tau: float, geometry: ArrayGeometry) -> float:
+def tau_hat(tau: float, geometry: ArrayGeometry, alpha: float = 0.0) -> float:
     """Upper integration bound covering the longest warped arrival.
 
     The latest arrival of the echo from the end of the window, focal time
-    tau/2, over all elements: ``max_m arrival_time(tau/2, 0, delta_m, c)``;
-    always >= tau.
+    tau/2, on a beam steered by ``alpha``, over all elements:
+    ``max_m arrival_time(tau/2, alpha, delta_m, c)``; always >= tau, and
+    the offsets' symmetry makes the unsteered bound the least over alpha.
     """
     c = geometry.speed_of_sound
-    return float(np.max(arrival_time(tau / 2.0, 0.0, geometry.offsets, c)))
+    return float(np.max(arrival_time(tau / 2.0, alpha, geometry.offsets, c)))

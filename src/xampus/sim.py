@@ -17,14 +17,13 @@ from ``tests/util.eval_pulse``.
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._worker import alongside
+from ._worker import both
 from .errors import GridTooCoarse, GridTooShort, InvariantViolation
 from .geometry import ArrayGeometry, arrival_time, tau_hat
 from .pulse import PulseModel
@@ -100,8 +99,10 @@ class Scene:
                 raise InvariantViolation(
                     f"scatterer round trip 2*{t_n} falls outside the window {self.tau}"
                 )
-        if not all(math.isfinite(s.reflectivity) for s in self.scatterers):
-            raise InvariantViolation("scatterer reflectivities must be finite")
+        if not all(math.isfinite(s.reflectivity) and s.reflectivity != 0
+                   for s in self.scatterers):
+            raise InvariantViolation(
+                "scatterer reflectivities must be finite and nonzero")
         if len(set(times)) != len(times):
             raise InvariantViolation("scatterer delays must be distinct")
 
@@ -118,7 +119,8 @@ class ChannelSet:
 
     The grid spans [0, tau_hat(tau, geometry)] so that the warped-time
     integrals stay inside it; construction checks the step (``GridTooCoarse``),
-    rows and tau (``InvariantViolation``) and reach (``GridTooShort``).
+    rows and tau (``InvariantViolation``) and reach (``GridTooShort``), the
+    latter unsteered, the least over all angles, since a file stores none.
     """
 
     grid_step: float
@@ -240,10 +242,12 @@ def synthesize_channels(
 
     Element m sees every scatterer as a pulse replica delayed to its own
     arrival time; replica amplitude equals the scatterer reflectivity
-    (transmit illumination is idealized as uniform along the beam).
+    (transmit illumination is idealized as uniform along the beam).  The
+    grid ends at the line's own ``tau_hat``, at its beam angle.
     """
     check_grid_step(grid_step)
-    grid_len = math.ceil(tau_hat(scene.tau, geometry) / grid_step - 1e-9) + 1
+    end = tau_hat(scene.tau, geometry, scene.beam_angle)
+    grid_len = math.ceil(end / grid_step - 1e-9) + 1
     t0 = arrival_time([sc.axial_time for sc in scene.scatterers],
                       scene.beam_angle, geometry.offsets[:, None],
                       geometry.speed_of_sound)
@@ -304,12 +308,10 @@ def add_interference(
 
     noise = np.empty_like(ch.samples)
     noise_sd = np.sqrt((1.0 - speckle_frac) * target)
-    next_row = itertools.count()  # its next() is atomic under the GIL
+    rows = iter(range(len(row_seeds)))  # its next() is atomic under the GIL
 
     def draw_noise():
-        for m in next_row:
-            if m >= len(row_seeds):
-                return
+        for m in rows:
             rng_m = np.random.Generator(np.random.SFC64(row_seeds[m]))
             rng_m.standard_normal(out=noise[m])
             noise[m] *= noise_sd[m]
@@ -329,11 +331,9 @@ def add_interference(
         draw_noise()
         return out
 
-    # One handoff: the worker builds clean plus speckle while this thread
-    # draws noise rows, then both take rows until none is left.  A row's
-    # noise depends on its own stream only, so the split does not matter.
-    with alongside(clean_plus_speckle) as share:
-        draw_noise()
-    out = share.result()
+    # the worker builds clean plus speckle while this thread draws noise
+    # rows, then both take rows until none is left; a row's noise depends
+    # on its own stream only, so the split does not matter
+    out = both(clean_plus_speckle, draw_noise)
     out += noise
     return ChannelSet(ch.grid_step, out, ch.geometry, ch.tau)

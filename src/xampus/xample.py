@@ -26,10 +26,7 @@ consecutive harmonics.  They depend on no echo, so they are built once per
 takes the member sum, one multiply by the first table and K = 2 rho L complex
 multiply-adds per sample and pass; the -k half is the conjugate of the +k
 half because the traces are real.  The passes are independent, so the
-package's worker thread takes every second one while the caller takes the
-rest, each with its own buffers.  A pass writes only its own column of
-``c_qm`` and does the same arithmetic on either thread, so the outputs are
-bitwise those of one thread.
+package's worker thread takes half of them.
 """
 
 from __future__ import annotations
@@ -39,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._worker import alongside
+from ._worker import both
 from .beamform import BeamformedLine
 from .errors import GridTooShort, InvariantViolation
 from .geometry import ArrayGeometry
@@ -297,12 +294,8 @@ def xample_channels(ch: ChannelSet, cfg: XampleConfig,
     as delta^2 and |delta|), so their traces are summed and take one
     harmonic pass: pairs +/-m in dynamic focus, the whole aperture in
     infinity focus.  The passes' weighted, warped kernels come from
-    ``_bank_tables``.
-    The package's worker thread takes every second group while this thread
-    takes the rest; each side allocates its own two grid-length buffers and
-    each group writes only its own column, so ``c_qm`` is bitwise that of
-    one thread taking every group.  Raises ``InvariantViolation`` unless the
-    channels come from the configuration's array and window.
+    ``_bank_tables``.  Raises ``InvariantViolation`` unless the channels
+    come from the configuration's array and window.
     """
     if ch.geometry != cfg.geometry:
         raise InvariantViolation(
@@ -314,8 +307,11 @@ def xample_channels(ch: ChannelSet, cfg: XampleConfig,
         raise InvariantViolation("mixing matrix branches must match |kappa|")
     groups = _bank_tables(cfg, ch.grid_len, ch.grid_step)
     c_qm = np.zeros((S.p, cfg.geometry.num_elements))
-    with alongside(_bank_passes, groups[1::2], ch.samples, cfg, c_qm):
-        _bank_passes(groups[0::2], ch.samples, cfg, c_qm)
+    # the worker takes every second group and this thread the rest, each
+    # with its own buffers; a group writes only its own column, so c_qm is
+    # bitwise that of one thread taking every group
+    both(lambda: _bank_passes(groups[1::2], ch.samples, cfg, c_qm),
+         lambda: _bank_passes(groups[0::2], ch.samples, cfg, c_qm))
     return XampleOutput(c_qm=c_qm, c=c_qm.sum(axis=1))
 
 

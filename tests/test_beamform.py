@@ -207,12 +207,14 @@ def test_grid_resolution_line_allocates_about_one_channel_array():
 @pytest.mark.parametrize("kwargs", [
     {"alpha": math.nan}, {"alpha": math.inf}, {"out_step": math.nan},
     {"out_step": math.inf}, {"duration": math.nan}, {"duration": math.inf},
-    {"duration": -1.0},
+    {"duration": -1.0}, {"duration": 1e3}, {"duration": 1e12},
 ], ids=["alpha-nan", "alpha-inf", "out_step-nan", "out_step-inf",
-        "duration-nan", "duration-inf", "duration-negative"])
+        "duration-nan", "duration-inf", "duration-negative",
+        "duration-1e3", "duration-1e12"])
 def test_hostile_arguments_are_refused_before_the_plan(kwargs):
     # each once failed in numpy (a cast warning, a bare ValueError, an
-    # OverflowError, a negative dimension) or read NaN positions
+    # OverflowError, a negative dimension, a MemoryError for a 149 GiB
+    # output, a dimension beyond numpy's maximum) or read NaN positions
     ch = synthesize(Scene(scatterers=(Scatterer(8e-6, 1.0),), tau=25.6e-6),
                     default_geometry(num_elements=4))
     before = beamform._read_plan.cache_info()

@@ -382,9 +382,26 @@ def test_compare_identical_estimates_zero_rmse(scene_path, tmp_path):
         assert int(r["peak_row_delta"]) == 0
 
 
-def test_compare_zero_reflectivity_is_infinite_error_without_warning(
+def test_compare_line_with_echoes_and_no_estimate_reads_inf(scene_path,
+                                                            tmp_path, capsys):
+    est = tmp_path / "est.csv"
+    est.write_text(f"line_index,t_l_s,b_l,residual\n0,{2e-5!r},16.0,0.0\n")
+    img = tmp_path / "same.pgm"
+    img.write_bytes(b"P5\n2 1\n255\n" + bytes([0, 255]))
+    out = tmp_path / "metrics.csv"
+    assert main(["compare", "--reference", str(img), "--xampled", str(img),
+                 "--estimates", str(est), "--scene", str(scene_path),
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    found, missed = read_rows(out)
+    assert np.isfinite([float(v) for v in found.values()]).all()
+    assert (missed["delay_rmse_s"], missed["amp_rel_err"]) == ("inf", "inf")
+    assert (missed["detections"], missed["true_count"]) == ("0", "1")
+
+
+def test_compare_refuses_a_scatterer_of_zero_reflectivity(
         scene_path, tmp_path, capsys):
-    # any RuntimeWarning fails the test, so a division by the zero truth does
+    # its relative amplitude error would be inf whatever the estimates
     doc = json.loads(scene_path.read_text())
     doc["lines"][1]["scatterers"][0]["reflectivity"] = 0.0
     scene_path.write_text(json.dumps(doc))
@@ -395,9 +412,33 @@ def test_compare_zero_reflectivity_is_infinite_error_without_warning(
     out = tmp_path / "metrics.csv"
     assert main(["compare", "--reference", str(img), "--xampled", str(img),
                  "--estimates", str(est), "--scene", str(scene_path),
-                 "--out", str(out)]) == 0
-    assert capsys.readouterr().err == ""
-    assert read_rows(out)[1]["amp_rel_err"] == "inf"
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error[InvariantViolation]: scatterer reflectivities must be finite "
+        "and nonzero\n")
+    assert not out.exists()
+
+
+def test_compare_refuses_an_error_beyond_the_float_range(scene_path,
+                                                         tmp_path, capsys):
+    # a 1e-300 echo matched to an estimate of 1e300: its relative error
+    # overflows, and an inf would read as a line with no estimate
+    doc = json.loads(scene_path.read_text())
+    doc["lines"][1]["scatterers"][0]["reflectivity"] = 1e-300
+    scene_path.write_text(json.dumps(doc))
+    est = tmp_path / "est.csv"
+    est.write_text("line_index,t_l_s,b_l,residual\n"
+                   f"1,{2 * 8e-6!r},1e300,0.0\n")
+    img = tmp_path / "same.pgm"
+    img.write_bytes(b"P5\n2 1\n255\n" + bytes([0, 255]))
+    out = tmp_path / "metrics.csv"
+    assert main(["compare", "--reference", str(img), "--xampled", str(img),
+                 "--estimates", str(est), "--scene", str(scene_path),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error[InvariantViolation]: line 1: its delay or amplitude error "
+        "overflows\n")
+    assert not out.exists()
 
 
 def test_compare_line_count_mismatch(scene_path, tmp_path, capsys):
@@ -819,7 +860,8 @@ _scatterer = st.fixed_dictionaries({
                               st.floats(-2.0, 2.0)),
 })
 _line = st.fixed_dictionaries({
-    "alpha_rad": st.floats(-0.5, 0.5),
+    # unsteered often enough that xample, which images only alpha = 0, runs
+    "alpha_rad": st.just(0.0) | st.floats(-0.5, 0.5),
     "scatterers": st.lists(_scatterer, max_size=3,
                            unique_by=lambda s: s["t_n_s"]),
 })
@@ -846,17 +888,20 @@ def _ended_cleanly(rc, err, outputs):
         assert not any(path.exists() for path in outputs)
 
 
-@settings(max_examples=50, deadline=None, derandomize=True, database=None,
+@settings(max_examples=100, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(doc=_scene_doc)
-def test_simulate_then_beamform_ends_cleanly(tmp_path, capsys, doc):
+def test_every_command_ends_cleanly(tmp_path, capsys, doc):
     """Every scene of 1-3 steered lines on 1-8 elements, with echoes at the
-    window's edges, zero or huge reflectivities and noise on or off, ends in
-    success with finite numbers or in one error line and no output."""
+    window's edges, zero or huge reflectivities and noise on or off, taken
+    through simulate, beamform, xample and compare (100 examples), ends each
+    command in success with finite numbers or in one error line and no
+    output.  A metric is inf only on a line with true echoes and no
+    estimate."""
     work = fresh_dir(tmp_path)
     scene = work / "scene.json"
     scene.write_text(json.dumps(doc))
-    ch_dir, img_dir = work / "ch", work / "img"
+    ch_dir, img_dir, xa_dir = work / "ch", work / "img", work / "xa"
     rc = main(["simulate", "--scene", str(scene), "--out", str(ch_dir)])
     lines = [ch_dir / f"line_{i:03d}.urf" for i in range(len(doc["lines"]))]
     _ended_cleanly(rc, capsys.readouterr().err, lines)
@@ -870,3 +915,27 @@ def test_simulate_then_beamform_ends_cleanly(tmp_path, capsys, doc):
         assert len(rows) == len(doc["lines"])
         values = [float(v) for row in rows for v in row.values()]
         assert np.isfinite(values).all()
+
+    rc = main(["xample", "--scene", str(scene), "--channels", str(ch_dir),
+               "--out", str(xa_dir), "--L", "5", "--rho", "2",
+               "--sv-threshold", "0.1"])
+    estimates = xa_dir / "estimates.csv"
+    _ended_cleanly(rc, capsys.readouterr().err,
+                   [estimates, xa_dir / "xampled.pgm"])
+    if rc == 0:
+        values = [float(v) for row in read_rows(estimates)
+                  for v in row.values()]
+        assert np.isfinite(values).all()
+    metrics = work / "metrics.csv"
+    rc = main(["compare", "--reference", str(img_dir / "reference.pgm"),
+               "--xampled", str(xa_dir / "xampled.pgm"),
+               "--estimates", str(estimates), "--scene", str(scene),
+               "--out", str(metrics)])
+    _ended_cleanly(rc, capsys.readouterr().err, [metrics])
+    if rc == 0:
+        for row in read_rows(metrics):
+            missed = (int(row["true_count"]) > 0
+                      and int(row["detections"]) == 0)
+            odd = {k: v for k, v in row.items() if not np.isfinite(float(v))}
+            assert odd == (dict.fromkeys(["delay_rmse_s", "amp_rel_err"],
+                                         "inf") if missed else {})

@@ -173,6 +173,7 @@ FUZZ = settings(max_examples=60, deadline=None, derandomize=True,
 
 positive = st.floats(0.0, exclude_min=True, allow_infinity=False)
 finite = st.floats(allow_nan=False, allow_infinity=False)
+reflecting = finite.filter(bool)  # a scatterer's reflectivity is nonzero
 
 
 @st.composite
@@ -189,7 +190,7 @@ def scene_files(draw):
         lambda ts, gains, alpha: Scene(
             scatterers=tuple(map(Scatterer, ts, gains)), beam_angle=alpha,
             tau=tau),
-        times, st.lists(finite, min_size=4, max_size=4), finite),
+        times, st.lists(reflecting, min_size=4, max_size=4), finite),
         min_size=1, max_size=3))
     return SceneFile(
         pulse=PulseModel(draw(positive), draw(positive), draw(finite)),

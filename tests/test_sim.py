@@ -1,8 +1,6 @@
-import contextlib
 import multiprocessing
 import sys
 import threading
-from concurrent import futures
 
 import numpy as np
 import pytest
@@ -38,7 +36,8 @@ def assert_rows_close(got, want, rel=1e-12):
 
 def reference_channels(scene, geom):
     dt = simulation_grid_step(16)
-    grid_len = int(np.ceil(tau_hat(scene.tau, geom) / dt - 1e-9)) + 1
+    end = tau_hat(scene.tau, geom, scene.beam_angle)
+    grid_len = int(np.ceil(end / dt - 1e-9)) + 1
     t0 = [[float(arrival_time(sc.axial_time, scene.beam_angle, delta, SPEED))
            for sc in scene.scatterers] for delta in geom.offsets]
     gains = [sc.reflectivity for sc in scene.scatterers]
@@ -84,6 +83,17 @@ def test_grid_covers_warped_bound():
     assert ch.duration >= tau_hat(scene.tau, geom) - 1e-15
 
 
+@pytest.mark.parametrize("alpha", [-0.5, 0.5])
+def test_steered_grid_reaches_the_last_echo(alpha):
+    # the echo from the window's end reaches the outer element after the
+    # unsteered tau_hat (51.93 against 51.24 us), so the grid follows alpha
+    geom = default_geometry()
+    scene = Scene(scatterers=(), beam_angle=alpha, tau=51.2e-6)
+    last = arrival_time(scene.tau / 2, alpha, geom.offsets, SPEED).max()
+    assert last > tau_hat(scene.tau, geom) * (1 + 1e-3)
+    assert synthesize(scene, geom).duration >= last
+
+
 def test_linearity_in_reflectivity():
     geom = default_geometry(num_elements=5)
     base = Scene(scatterers=(Scatterer(6e-6, 0.7), Scatterer(9e-6, -1.1)),
@@ -114,6 +124,9 @@ def test_scene_invariants():
     with pytest.raises(InvariantViolation):
         Scene(scatterers=(Scatterer(5e-6, 1.0), Scatterer(5e-6, 2.0)),
               tau=25.6e-6)
+    for gain in (0.0, -0.0):  # a scatterer must reflect
+        with pytest.raises(InvariantViolation, match="nonzero"):
+            Scene(scatterers=(Scatterer(5e-6, gain),), tau=25.6e-6)
 
 
 def test_noise_disabled_is_identity():
@@ -434,25 +447,25 @@ def test_add_interference_rejects_bad_angle_or_speckle_count(kwargs):
         add_interference(ch, **args)
 
 
-def _serial_alongside(worker_first):
-    """A stand-in for ``sim.alongside`` that runs the worker's share on the
-    calling thread, before the ``with`` block or after it."""
-    @contextlib.contextmanager
-    def alongside(fn, *args):
-        share = futures.Future()
+def _serial_both(worker_first):
+    """A stand-in for ``sim.both`` that runs the worker's share on the
+    calling thread, before the caller's share or after it."""
+    def both(on_worker, here):
         if worker_first:
-            share.set_result(fn(*args))
-        yield share
-        if not worker_first:
-            share.set_result(fn(*args))
-    return alongside
+            result = on_worker()
+            here()
+        else:
+            here()
+            result = on_worker()
+        return result
+    return both
 
 
 @pytest.mark.parametrize("speckle", [0, 25])
 def test_noise_does_not_depend_on_the_thread_that_draws_it(speckle,
                                                            monkeypatch):
     # the share run first draws every noise row: the worker's share before
-    # the block, the caller's block before the share
+    # the caller's, or the caller's before the worker's
     ch = synthesize(Scene(scatterers=(Scatterer(5e-6, 1.0),), tau=TAU),
                     default_geometry(num_elements=16))
 
@@ -461,8 +474,26 @@ def test_noise_does_not_depend_on_the_thread_that_draws_it(speckle,
 
     threaded = interfere()
     for worker_first in (True, False):
-        monkeypatch.setattr(sim, "alongside", _serial_alongside(worker_first))
+        monkeypatch.setattr(sim, "both", _serial_both(worker_first))
         np.testing.assert_array_equal(interfere(), threaded)
+
+
+def test_speckle_is_synthesized_on_the_worker(monkeypatch):
+    # the worker builds clean plus speckle, the array that becomes the
+    # output, while the caller draws noise; the caller building it instead
+    # cost about 1000 minor page faults and a fifth of a benchmark line
+    ch = synthesize(Scene(scatterers=(Scatterer(5e-6, 1.0),), tau=TAU),
+                    default_geometry(num_elements=4))
+    echoes = sim._echoes
+    threads = []
+
+    def recording(*args):
+        threads.append(threading.current_thread().name)
+        return echoes(*args)
+
+    monkeypatch.setattr(sim, "_echoes", recording)
+    add_interference(ch, 20.0, 25, seed=4, pulse=PULSE)
+    assert len(threads) == 1 and threads[0].startswith("xampus-worker")
 
 
 def test_each_row_and_seed_has_its_own_noise_stream():
