@@ -221,6 +221,19 @@ def _read_estimates(path) -> dict[int, list[tuple[float, float]]]:
     return table
 
 
+def _match(truths, ests) -> dict[int, int]:
+    """Estimate index by truth index, one to one: every (truth, estimate)
+    pair in order of delay distance, ties by truth then estimate index, is
+    taken when neither side is taken yet."""
+    match = {}
+    for _, i, j in sorted((abs(t_e - t), i, j)
+                          for i, (t, _) in enumerate(truths)
+                          for j, (t_e, _) in enumerate(ests)):
+        if i not in match and j not in match.values():
+            match[i] = j
+    return match
+
+
 def cmd_compare(args) -> int:
     scene = load_scene(args.scene)
     ref_img = read_pgm(args.reference)
@@ -244,27 +257,22 @@ def cmd_compare(args) -> int:
         truths = sorted((2.0 * s.axial_time, s.reflectivity)
                         for s in line.scatterers)
         ests = estimates.get(i, [])
-        if truths and ests:
-            d_est = np.array([t for t, _ in ests])
-            b_est = np.array([b for _, b in ests])
-            sq = 0.0
-            rel = 0.0
+        match = _match(truths, ests)
+        if len(match) < len(truths):  # an echo no estimate is left for
+            rmse = amp_err = float("inf")
+        elif truths:
+            t_true, b_true = np.array(truths).T
+            t_est, b_est = np.array([ests[match[k]]
+                                     for k in range(len(truths))]).T
             with np.errstate(over="ignore"):
-                for t_true, b_true in truths:
-                    j = int(np.argmin(np.abs(d_est - t_true)))
-                    sq += (d_est[j] - t_true) ** 2
-                    rel += abs(b_est[j] / n_elem - b_true) / abs(b_true)
-            rmse = float(np.sqrt(sq / len(truths)))
-            amp_err = float(rel / len(truths))
+                rmse = float(np.sqrt(np.mean((t_est - t_true) ** 2)))
+                amp_err = float(np.mean(np.abs(b_est / n_elem - b_true)
+                                        / np.abs(b_true)))
             if not np.isfinite([rmse, amp_err]).all():
                 raise InvariantViolation(
                     f"line {i}: its delay or amplitude error overflows")
-        elif truths:
-            rmse = float("inf")
-            amp_err = float("inf")
         else:
-            rmse = 0.0
-            amp_err = 0.0
+            rmse = amp_err = 0.0
         r_col = ref_img[:, i]
         x_col = xam_img[:, i]
         if r_col.max() > 0 and x_col.max() > 0:

@@ -106,10 +106,10 @@ class CostRow:
     standard_mops: float
 
 
-def cost_table(L: int, rhos, num_elements: int = DEFAULT_NUM_ELEMENTS,
-               depth_m: float = DEFAULT_DEPTH_M) -> list[CostRow]:
+def cost_table(L: int, rhos,
+               num_elements: int = DEFAULT_NUM_ELEMENTS) -> list[CostRow]:
     """One row per oversampling factor, with the standard path for scale."""
-    std_samples = standard_samples(depth_m)
+    std_samples = standard_samples()
     std_mops = standard_ops(std_samples, num_elements) / 1e6
     M = num_elements // 2
     rows = []

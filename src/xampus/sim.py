@@ -11,8 +11,8 @@ shared by every echo, each echo needs two scalars of its own, and no sample
 takes a trigonometric function.  A row whose arrival times equal an earlier
 row's is copied, not evaluated, so the mirrored elements of an unsteered line
 cost one row per pair.  Each channel row stays within 1e-12 of its peak of
-the per-sample pulse sum over the same windows, the oracle the tests build
-from ``tests/util.eval_pulse``.
+the per-sample pulse sum over +/- 8 sigma windows, the oracle the tests
+build from ``tests/util.eval_pulse``.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ NYQUIST_RATE_HZ = 20e6
 MIN_OVERSAMPLE = 16
 MAX_GRID_STEP = 1.0 / (MIN_OVERSAMPLE * NYQUIST_RATE_HZ)
 
-# Pulse tail is < 1.3e-14 of peak beyond this many sigmas; synthesis windows
-# each echo to that span.
+# Pulse tail is < 1.3e-14 of peak beyond this many sigmas; each echo's table
+# reaches this far, rounded up to whole samples, from its nearest sample.
 _PULSE_WINDOW_SIGMAS = 8.0
 
 
@@ -166,10 +166,12 @@ def _echoes(t0, gains, grid_step, grid_len, pulse):
     """Dense rows of ``sum_e gains[e] * h(t - t0[row, e])`` on the grid.
 
     ``t0`` holds one row of arrival times per output row, one column per
-    echo.  Each echo covers the samples within +/- 8 sigma of its arrival,
-    clipped to the grid, and echoes are added to each sample in column order.
-    Writing the offset of sample ``anchor + k`` as ``u = k*dt - phi``, with
-    ``anchor`` the sample nearest the arrival, gives
+    echo.  Each echo covers the table's span, the ``reach = ceil(8 sigma /
+    dt)`` samples on either side of ``anchor``, the sample nearest its
+    arrival, clipped to the grid; a sample of that span beyond +/- 8 sigma
+    is below 1.3e-14 of the echo's peak.  Echoes are added to each sample
+    in column order.  Writing the offset of sample ``anchor + k`` as
+    ``u = k*dt - phi`` gives
     ``h(u) = A * z**k * Re(T[k] * w)``: the table
     ``T[k] = exp(-(k dt)^2 / 2 sigma^2 + j w_c k dt)`` is shared by every
     echo, and ``z = exp(dt phi / sigma^2)`` and
@@ -187,18 +189,13 @@ def _echoes(t0, gains, grid_step, grid_len, pulse):
             f"sigma {sig:g} s"
         )
     t0 = np.asarray(t0, dtype=float)
-    half = _PULSE_WINDOW_SIGMAS * sig
-    reach = int(np.ceil(half / grid_step))
+    reach = int(np.ceil(_PULSE_WINDOW_SIGMAS * sig / grid_step))
     k = np.arange(-reach, reach + 1, dtype=float)
     wc = 2.0 * np.pi * pulse.carrier_hz
     table = np.exp(-((k * grid_step) ** 2) / (2.0 * sig**2)
                    + 1j * wc * k * grid_step)
     table = np.stack([table.real, table.imag])
     anchor = np.rint(t0 / grid_step)
-    # |phi| <= dt/2, so the +/- 8 sigma window lies within k = -reach..reach
-    # and can exclude at most its first or last entry
-    skip_first = np.ceil((t0 - half) / grid_step) > anchor - reach
-    skip_last = np.floor((t0 + half) / grid_step) < anchor + reach
     phi = t0 - anchor * grid_step
     log_z = grid_step * phi / sig**2
     w = (pulse.amplitude * np.asarray(gains, dtype=float)
@@ -218,8 +215,6 @@ def _echoes(t0, gains, grid_step, grid_len, pulse):
             continue
         vals = coef[m] @ table
         vals *= np.exp(np.multiply.outer(log_z[m], k))
-        vals[skip_first[m], 0] = 0.0
-        vals[skip_last[m], -1] = 0.0
         bins = anchor[m, :, None] + offsets
         padded = np.bincount(bins.ravel(), weights=vals.ravel(),
                              minlength=grid_len + 2 * reach)
@@ -274,11 +269,12 @@ def add_interference(
     budget.  With no SNR, a copy of ``ch``.  ``NoiseSpec`` checks the SNR,
     speckle count and seed.
 
-    Each draw is a function of the seed alone.  With
-    ``ss = np.random.SeedSequence(seed)``, the speckle positions and gains
-    come from ``np.random.default_rng(ss)``, and row m's white noise from
-    ``np.random.Generator(np.random.SFC64(ss.spawn(rows)[m]))``, whichever
-    thread draws it.
+    Each draw is a function of the seed alone.  The speckle positions and
+    gains come from ``np.random.default_rng(seed)``, and row m's white noise
+    from ``np.random.Generator(np.random.SFC64(ss))`` with
+    ``ss = np.random.SeedSequence(seed, spawn_key=(m,))``, which is
+    ``np.random.SeedSequence(seed).spawn(rows)[m]``, whichever thread draws
+    it.
     """
     NoiseSpec(snr_db, speckle_count, seed)
     _check_beam_angle(beam_angle)
@@ -291,36 +287,29 @@ def add_interference(
         target = None
     if target is None or not np.isfinite(target).all():
         raise InvariantViolation("interference power budget overflows")
-    ss = np.random.SeedSequence(seed)
-    row_seeds = ss.spawn(ch.samples.shape[0])
-    rng = np.random.default_rng(ss)
     speckle_frac = 0.5 if speckle_count > 0 else 0.0
-    t0 = gains = None
-    if speckle_count > 0:
-        # Weak reflectors spread over the usable depth span, synthesized like
-        # real scatterers and rescaled per channel to hit their power share.
-        t_lo = 0.02 * ch.tau
-        t_hi = 0.48 * ch.tau
-        positions = rng.uniform(t_lo, t_hi, speckle_count)
-        gains = rng.standard_normal(speckle_count)
-        t0 = arrival_time(positions, beam_angle, ch.geometry.offsets[:, None],
-                          ch.geometry.speed_of_sound)
-
     noise = np.empty_like(ch.samples)
     noise_sd = np.sqrt((1.0 - speckle_frac) * target)
-    rows = iter(range(len(row_seeds)))  # its next() is atomic under the GIL
+    rows = iter(range(len(ch.samples)))  # its next() is atomic under the GIL
 
     def draw_noise():
         for m in rows:
-            rng_m = np.random.Generator(np.random.SFC64(row_seeds[m]))
-            rng_m.standard_normal(out=noise[m])
+            ss = np.random.SeedSequence(seed, spawn_key=(m,))
+            np.random.Generator(np.random.SFC64(ss)).standard_normal(
+                out=noise[m])
             noise[m] *= noise_sd[m]
 
     def clean_plus_speckle():
-        if t0 is None:
+        if speckle_count == 0:
             out = ch.samples.copy()
         else:
-            # the speckle buffer becomes the output: one full-size array fewer
+            # weak reflectors over the usable depth span, rescaled per row to
+            # their power share; their buffer becomes the output
+            rng = np.random.default_rng(seed)
+            t_n = rng.uniform(0.02 * ch.tau, 0.48 * ch.tau, speckle_count)
+            gains = rng.standard_normal(speckle_count)
+            t0 = arrival_time(t_n, beam_angle, ch.geometry.offsets[:, None],
+                              ch.geometry.speed_of_sound)
             out = _echoes(t0, gains, ch.grid_step, ch.grid_len, pulse)
             sp_power = _row_power(out)
             scale = np.zeros_like(sp_power)

@@ -213,9 +213,10 @@ def _harmonics(z, step, n):
     integrals before the S mixing is applied (mixing commutes with the time
     integral); the -k half is their conjugate.  Advances ``z`` in place."""
     g = np.empty(n, dtype=complex)
-    for i in range(n):
-        g[i] = z.sum()
+    g[0] = z.sum()
+    for i in range(1, n):
         z *= step
+        g[i] = z.sum()
     return g
 
 

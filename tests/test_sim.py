@@ -327,18 +327,6 @@ def test_echoes_match_dense_reference_at_any_arrival():
                       dense_echoes(t0, gains, dt, grid_len, PULSE))
 
 
-def test_each_echo_covers_exactly_its_window():
-    # one echo per row: the nonzero samples are the +/- 8 sigma window,
-    # whose end samples (~1e-14 of the gain) the tolerance above cannot see
-    dt, grid_len = simulation_grid_step(16), 2000
-    t0 = (np.array([0.0, 10.5, 300.0, 300.25, 300.5, 300.75, 1999.0, 2100.0])
-          * dt)[:, None]
-    got = _echoes(t0, [1.0], dt, grid_len, PULSE)
-    want = dense_echoes(t0, [1.0], dt, grid_len, PULSE)
-    for g, w in zip(got, want):
-        np.testing.assert_array_equal(np.flatnonzero(g), np.flatnonzero(w))
-
-
 def every_row(t0, gains, dt, grid_len, pulse):
     """``_echoes`` called once per row, so that no row is copied."""
     return np.vstack([_echoes(row[None], gains, dt, grid_len, pulse)
