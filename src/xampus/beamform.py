@@ -30,19 +30,12 @@ class BeamformedLine:
         return np.arange(len(self.samples)) * self.grid_step
 
 
-# bytes the kept plan holds per read: four tap indices, four Keys weights
-# and the outside mask
-_PLAN_BYTES_PER_READ = (4 * (np.dtype(np.intp).itemsize
-                             + np.dtype(float).itemsize)
-                        + np.dtype(bool).itemsize)
-
-
 def _keys_reads(x, base, size):
-    """``(taps, weights, outside)`` of Keys reads at grid positions ``x``,
-    one row per element, whose rows start at the flat indices ``base``: the
-    four taps, clamped to the element's own row, and their weights, each
-    stacked on the first axis, and the mask of reads off the grid.  Takes
-    ``x`` over and frees it early."""
+    """``(taps, weights)`` of Keys reads at grid positions ``x``, one row per
+    element, whose rows start at the flat indices ``base``: the four taps,
+    clamped to the element's own row, and their weights, each stacked on the
+    first axis.  A read off the grid has four zero weights.  Takes ``x``
+    over and frees it early."""
     outside = ~((x >= 0.0) & (x <= size - 1))
     np.clip(x, 0.0, size - 1, out=x)
     k = np.minimum(x.astype(np.intp), size - 2)
@@ -59,7 +52,8 @@ def _keys_reads(x, base, size):
     weights[1] = 1.5 * u3 - 2.5 * u2 + 1.0
     weights[2] = -1.5 * u3 + 2.0 * u2 + 0.5 * u
     weights[3] = 0.5 * u3 - 0.5 * u2
-    return taps, weights, outside
+    weights[:, outside] = 0.0
+    return taps, weights
 
 
 def _read_blocks(geometry, alpha, focus_mode, n, out_step, grid_step,
@@ -96,7 +90,7 @@ def _read_plan(*key) -> tuple:
     return blocks
 
 
-def _add_reads(acc, flat, taps, weights, outside) -> None:
+def _add_reads(acc, flat, taps, weights) -> None:
     """Add one block's rows to ``acc``, summed as ``beamform_line`` says."""
     y = flat[taps]
     y *= weights
@@ -104,7 +98,6 @@ def _add_reads(acc, flat, taps, weights, outside) -> None:
     w0g0 += w1g1
     w0g0 += w2g2
     w0g0 += w3g3
-    w0g0[outside] = 0.0
     for row in w0g0:
         acc += row
 
@@ -123,21 +116,21 @@ def beamform_line(
     is Keys' cubic convolution (a = -0.5) of the element's row: its passband
     droop is O((f dt)^4), which keeps the warped evaluation error orders of
     magnitude below the quadrature tolerance (linear interpolation's
-    O((f dt)^2) droop does not).  Reads outside the grid are zero; edge
-    neighbors are clamped.
+    O((f dt)^2) droop does not).  A read outside the grid has four zero
+    weights, so it adds zero on finite samples; edge neighbors are clamped.
 
     The reads depend on no echo, only on the array, angle, focus mode,
     output grid and channel grid, so ``_read_blocks`` derives them and
     ``_read_plan`` keeps them (one plan at a time) when they take no more
-    bytes than the channel array: 65 bytes per read against 8 per channel
-    sample, about half the channel bytes for a 50 ns line on the 16x grid.
-    A line at the grid step would need about 8x, so it streams its blocks
-    and keeps nothing.  The kept plan saves work only for consecutive lines
-    on one array, angle and grid; lines steered each at their own angle
-    rebuild it every line.  Either way a line takes four gathers per block,
-    the sum ``w0 g0 + w1 g1 + w2 g2 + w3 g3`` in that order and its rows
-    added in element order, so each row is bitwise that of one element
-    alone.
+    bytes than the channel array: 64 bytes per read (four taps, four
+    weights) against 8 per channel sample, about half the channel bytes for
+    a 50 ns line on the 16x grid.  A line at the grid step would need about
+    8x, so it streams its blocks and keeps nothing.  The kept plan saves
+    work only for consecutive lines on one array, angle and grid; lines
+    steered each at their own angle rebuild it every line.  Either way a
+    line takes four gathers per block, the sum ``w0 g0 + w1 g1 + w2 g2 +
+    w3 g3`` in that order and its rows added in element order, so each row
+    is bitwise that of one element alone.
 
     Raises ``InvariantViolation`` for an unknown focus mode, a non-finite
     angle, an output step that is not finite or is below the grid step, and
@@ -163,8 +156,7 @@ def beamform_line(
     # infinity focus reads every element at t, whatever the angle
     key = (ch.geometry, alpha if focus_mode == "dynamic" else 0.0,
            focus_mode, n, out_step, ch.grid_step, ch.grid_len)
-    plan_bytes = ch.geometry.num_elements * n * _PLAN_BYTES_PER_READ
-    if plan_bytes <= ch.samples.nbytes:
+    if 8 * n <= ch.grid_len:  # 64 bytes a read, 8 a channel sample
         blocks = _read_plan(*key)
     else:
         blocks = _read_blocks(*key)

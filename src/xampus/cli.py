@@ -244,11 +244,11 @@ def cmd_compare(args) -> int:
     if last >= n_lines:
         raise InvariantViolation(f"{args.estimates}: line_index {last} is "
                                  f"not a line of the scene ({n_lines} lines)")
-    if ref_img.shape[1] != n_lines or xam_img.shape[1] != n_lines:
+    size = (_axial_samples(scene.tau), n_lines)
+    if ref_img.shape != size or xam_img.shape != size:
         raise InvariantViolation(
-            f"image line counts ({ref_img.shape[1]}, {xam_img.shape[1]}) "
-            f"do not match the scene ({n_lines})"
-        )
+            f"image sizes {ref_img.shape} and {xam_img.shape} (rows, lines) "
+            f"do not match the scene's {size}")
     n_elem = scene.geometry.num_elements
 
     out = Path(args.out)

@@ -31,7 +31,7 @@ def render_line(est: LineEstimate, pulse: PulseModel, axial_grid) -> np.ndarray:
     trace = np.zeros(len(axial_grid))
     sig = pulse.envelope_sigma
     for t_l, b_l in zip(est.delays, est.amplitudes):
-        trace += abs(b_l) * pulse.amplitude * np.exp(
+        trace += abs(b_l) * np.exp(
             -((axial_grid - t_l) ** 2) / (2.0 * sig**2)
         )
     return trace

@@ -31,7 +31,7 @@ class PulseModel:
         Gaussian window standard deviation in seconds.  The pulse decays
         below 1e-6 of its peak beyond ``6 * envelope_sigma``.
     amplitude : float
-        Peak amplitude, h(0).
+        Peak amplitude, h(0); finite and nonzero.
     """
 
     carrier_hz: float = 5.142e6
@@ -45,8 +45,9 @@ class PulseModel:
         if not 0 < self.envelope_sigma < math.inf:
             raise InvariantViolation(
                 "pulse envelope_sigma must be finite and positive")
-        if not math.isfinite(self.amplitude):
-            raise InvariantViolation("pulse amplitude must be finite")
+        if not (math.isfinite(self.amplitude) and self.amplitude != 0):
+            raise InvariantViolation(
+                "pulse amplitude must be finite and nonzero")
 
 
 def pulse_spectrum(model: PulseModel, omega):

@@ -198,8 +198,12 @@ def _echoes(t0, gains, grid_step, grid_len, pulse):
     anchor = np.rint(t0 / grid_step)
     phi = t0 - anchor * grid_step
     log_z = grid_step * phi / sig**2
-    w = (pulse.amplitude * np.asarray(gains, dtype=float)
-         * np.exp(-(phi**2) / (2.0 * sig**2) - 1j * wc * phi))
+    with np.errstate(over="ignore"):
+        peaks = pulse.amplitude * np.asarray(gains, dtype=float)
+    if not np.isfinite(peaks).all():
+        raise InvariantViolation("an echo's pulse amplitude x reflectivity "
+                                 "overflows")
+    w = peaks * np.exp(-(phi**2) / (2.0 * sig**2) - 1j * wc * phi)
     # Re(T[k] w) = Re(T[k]) Re(w) - Im(T[k]) Im(w), one matrix product per row
     coef = np.stack([w.real, -w.imag], axis=-1)
     # bins run over the grid padded by `reach` on each side: anchor >= 0 puts

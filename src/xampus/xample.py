@@ -229,11 +229,11 @@ def _trapezoid_weights(n: int, step: float) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class _WarpGroup:
-    """Elements sharing one warp a: their rows, the ``c_qm`` column they fill
-    and their ``_harmonic_table`` on the support ``t >= a`` of the grid."""
+    """Elements sharing one warp a: their rows, ascending, the first of which
+    is the ``c_qm`` column they fill, and their ``_harmonic_table`` on the
+    support ``t >= a`` of the grid."""
 
     members: np.ndarray
-    column: int
     support: slice
     z0: np.ndarray
     step: np.ndarray
@@ -254,17 +254,17 @@ def _bank_tables(cfg: XampleConfig, grid_len: int,
     a = cfg.geometry.offset_times
     if cfg.focus_mode != "dynamic":
         a = np.zeros_like(a)
-    warps, first, group = np.unique(a, return_index=True, return_inverse=True)
+    warps, group = np.unique(a, return_inverse=True)
     groups = []
-    for k, (a_k, m) in enumerate(zip(warps, first)):
+    for k, a_k in enumerate(warps):
         # t is ascending, so the support t >= a is a suffix of the grid
         support = slice(int(np.searchsorted(t, a_k)), None)
         z0, step = _harmonic_table(cfg.kappa_pos, cfg.tau, t[support], a_k,
                                    weights[support])
         members = np.flatnonzero(group == k)
         members.flags.writeable = False
-        groups.append(_WarpGroup(members=members, column=int(m),
-                                 support=support, z0=z0, step=step))
+        groups.append(_WarpGroup(members=members, support=support, z0=z0,
+                                 step=step))
     return tuple(groups)
 
 
@@ -284,7 +284,7 @@ def _bank_passes(groups, samples, cfg: XampleConfig,
         z = z_buf[sup]
         np.multiply(grp.z0, trace, out=z)
         g = _harmonics(z, grp.step, cfg.K)
-        c_qm[:, grp.column] = np.concatenate([g.real, g.imag]) / cfg.tau
+        c_qm[:, first] = np.concatenate([g.real, g.imag]) / cfg.tau
 
 
 def xample_channels(ch: ChannelSet, cfg: XampleConfig,

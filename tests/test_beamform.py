@@ -274,7 +274,7 @@ def test_kept_plan_is_read_only_and_no_larger_than_the_channels():
         with pytest.raises(ValueError):
             arr.flat[0] = 0
     kept = sum(arr.nbytes for arr in arrays)
-    assert kept == ch.geometry.num_elements * n * 65
+    assert kept == ch.geometry.num_elements * n * 64
     assert kept <= ch.samples.nbytes
 
 

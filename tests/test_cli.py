@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from xampus import cli, read_channels, read_pgm
@@ -37,6 +37,15 @@ def scene_path(tmp_path):
 def read_rows(path):
     with open(path, newline="") as f:
         return list(csv.DictReader(f))
+
+
+def scene_image(tmp_path):
+    """A PGM of the size ``compare`` takes for ``scene_path``: 2 lines of
+    1024 rows (51.2 us at 50 ns)."""
+    img = tmp_path / "same.pgm"
+    img.write_bytes(b"P5\n2 1024\n255\n" + bytes([0, 0, 255, 10, 1, 255])
+                    + bytes(2 * 1021))
+    return img
 
 
 def test_simulate_writes_channel_files(scene_path, tmp_path):
@@ -97,6 +106,51 @@ def test_simulate_refuses_an_snr_whose_budget_overflows(scene_path, tmp_path,
     assert "interference power budget overflows" in err
     assert len(err.splitlines()) == 1
     assert not out.exists()
+
+
+def test_simulate_refuses_an_echo_that_overflows(scene_path, tmp_path,
+                                                 capsys):
+    # 10 x 1e308 is beyond the float range: with no noise budget to refuse
+    # it, the echo's samples would be inf and nan, in a file no reader takes
+    doc = json.loads(scene_path.read_text())
+    doc["pulse"]["amplitude"] = 10.0
+    doc["lines"][0]["scatterers"][0]["reflectivity"] = 1e308
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(doc))
+    out = tmp_path / "ch"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["simulate", "--scene", str(huge), "--out", str(out)])
+    assert rc == 1
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == (
+        "error[InvariantViolation]: line_000.urf: an echo's pulse amplitude "
+        "x reflectivity overflows\n")
+    assert not out.exists()
+
+
+def test_pulse_sign_changes_no_estimate_and_no_image(scene_path, tmp_path):
+    # a negative pulse negates every channel sample and the pulse spectrum
+    # alike, so the estimates and both images are those of its positive twin
+    outputs = {}
+    for amplitude in (1.0, -1.0):
+        doc = json.loads(scene_path.read_text())
+        doc["pulse"]["amplitude"] = amplitude
+        work = tmp_path / f"amplitude{amplitude}"
+        work.mkdir()
+        scene = work / "scene.json"
+        scene.write_text(json.dumps(doc))
+        common = ["--scene", str(scene), "--channels", str(work / "ch")]
+        assert main(["simulate", "--scene", str(scene),
+                     "--out", str(work / "ch")]) == 0
+        assert main(["beamform", *common, "--out", str(work / "ref")]) == 0
+        assert main(["xample", *common, "--out", str(work / "xa"), "--L", "5",
+                     "--rho", "2", "--sv-threshold", "0.1"]) == 0
+        outputs[amplitude] = [
+            (work / name).read_bytes() for name in
+            ("ref/reference.pgm", "xa/estimates.csv", "xa/xampled.pgm")]
+    assert len(outputs[1.0][1].splitlines()) == 4  # header and three echoes
+    assert outputs[-1.0] == outputs[1.0]
 
 
 def _overflow_on_line_1(tmp_path):
@@ -370,8 +424,7 @@ def test_compare_identical_estimates_zero_rmse(scene_path, tmp_path):
         w.writerow([0, repr(2 * 0.01 / SPEED), repr(16 * 1.0), "0.0"])
         w.writerow([0, repr(2 * 0.02 / SPEED), repr(16 * 1.0), "0.0"])
         w.writerow([1, repr(2 * 8e-6), repr(16 * 1.5), "0.0"])
-    img = tmp_path / "same.pgm"
-    img.write_bytes(b"P5\n2 4\n255\n" + bytes([0, 0, 255, 10, 1, 255, 0, 0]))
+    img = scene_image(tmp_path)
     out = tmp_path / "metrics.csv"
     assert main(["compare", "--reference", str(img), "--xampled", str(img),
                  "--estimates", str(est), "--scene", str(scene_path),
@@ -387,8 +440,7 @@ def test_compare_line_with_echoes_and_no_estimate_reads_inf(scene_path,
     est = tmp_path / "est.csv"
     est.write_text("line_index,t_l_s,b_l,residual\n"
                    f"0,{2e-5!r},16.0,0.0\n0,{1.3e-5!r},16.0,0.0\n")
-    img = tmp_path / "same.pgm"
-    img.write_bytes(b"P5\n2 1\n255\n" + bytes([0, 255]))
+    img = scene_image(tmp_path)
     out = tmp_path / "metrics.csv"
     assert main(["compare", "--reference", str(img), "--xampled", str(img),
                  "--estimates", str(est), "--scene", str(scene_path),
@@ -451,8 +503,7 @@ def test_compare_refuses_a_scatterer_of_zero_reflectivity(
     scene_path.write_text(json.dumps(doc))
     est = tmp_path / "est.csv"
     est.write_text(f"line_index,t_l_s,b_l,residual\n1,{2 * 8e-6!r},1.0,0.0\n")
-    img = tmp_path / "same.pgm"
-    img.write_bytes(b"P5\n2 1\n255\n" + bytes([0, 255]))
+    img = scene_image(tmp_path)
     out = tmp_path / "metrics.csv"
     assert main(["compare", "--reference", str(img), "--xampled", str(img),
                  "--estimates", str(est), "--scene", str(scene_path),
@@ -473,8 +524,7 @@ def test_compare_refuses_an_error_beyond_the_float_range(scene_path,
     est = tmp_path / "est.csv"
     est.write_text("line_index,t_l_s,b_l,residual\n"
                    f"1,{2 * 8e-6!r},1e300,0.0\n")
-    img = tmp_path / "same.pgm"
-    img.write_bytes(b"P5\n2 1\n255\n" + bytes([0, 255]))
+    img = scene_image(tmp_path)
     out = tmp_path / "metrics.csv"
     assert main(["compare", "--reference", str(img), "--xampled", str(img),
                  "--estimates", str(est), "--scene", str(scene_path),
@@ -495,6 +545,29 @@ def test_compare_line_count_mismatch(scene_path, tmp_path, capsys):
                "--out", str(tmp_path / "m.csv")])
     assert rc != 0
     assert capsys.readouterr().err.startswith("error[InvariantViolation]:")
+
+
+@pytest.mark.parametrize("ref_rows, xam_rows",
+                         [(1024, 800), (800, 1024), (4, 4)])
+def test_compare_refuses_images_of_another_height(scene_path, tmp_path,
+                                                  capsys, ref_rows, xam_rows):
+    # the scene's 51.2 us window is 1024 rows at 50 ns; an 800-row image is
+    # a 40 us window, whose peak rows mean other depths
+    paths = []
+    for name, rows in (("ref.pgm", ref_rows), ("xa.pgm", xam_rows)):
+        paths.append(tmp_path / name)
+        paths[-1].write_bytes(f"P5\n2 {rows}\n255\n".encode()
+                              + bytes([0, 255]) * rows)
+    est = tmp_path / "est.csv"
+    est.write_text(HEADER)
+    out = tmp_path / "metrics.csv"
+    assert main(["compare", "--reference", str(paths[0]),
+                 "--xampled", str(paths[1]), "--estimates", str(est),
+                 "--scene", str(scene_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error[InvariantViolation]: image sizes ({ref_rows}, 2) and "
+        f"({xam_rows}, 2) (rows, lines) do not match the scene's (1024, 2)\n")
+    assert not out.exists()
 
 
 def test_xample_infinity_focus_side_by_side(scene_path, tmp_path):
@@ -842,8 +915,7 @@ def test_bad_option_is_refused_before_the_channels(scene_path, tmp_path,
 def _compare_with(scene_path, tmp_path, estimates_text):
     est = tmp_path / "est.csv"
     est.write_text(estimates_text)
-    img = tmp_path / "same.pgm"
-    img.write_bytes(b"P5\n2 4\n255\n" + bytes([0, 0, 255, 10, 1, 255, 0, 0]))
+    img = scene_image(tmp_path)
     out = tmp_path / "metrics.csv"
     rc = main(["compare", "--reference", str(img), "--xampled", str(img),
                "--estimates", str(est), "--scene", str(scene_path),
@@ -920,11 +992,15 @@ _well_formed_line = st.fixed_dictionaries({
 })
 
 
-def _scene_doc(line):
+def _scene_doc(line, amplitudes):
+    """Scenes of 1-3 ``line``s whose pulse amplitude is one of
+    ``amplitudes``, None for a pulse that omits it."""
+    pulse = {"carrier_hz": 5.142e6, "sigma_s": 1e-7}
     return st.fixed_dictionaries({
         "speed_of_sound_m_s": st.just(SPEED),
         "tau_s": st.just(TAU_PROP),
-        "pulse": st.just({"carrier_hz": 5.142e6, "sigma_s": 1e-7}),
+        "pulse": st.sampled_from(amplitudes).map(
+            lambda a: pulse if a is None else {**pulse, "amplitude": a}),
         "array": st.fixed_dictionaries({"num_elements": st.integers(1, 8),
                                         "pitch_m": st.just(0.3e-3)}),
         "lines": st.lists(line, min_size=1, max_size=3),
@@ -946,11 +1022,23 @@ def _ended_cleanly(rc, err, outputs):
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(doc=_scene_doc(_line) | _scene_doc(_well_formed_line))
+# a zero amplitude is refused, and 1e200 times a 1e200 reflectivity
+# overflows; a well-formed scene's pulse may be negative
+@given(doc=_scene_doc(_line, [None, -1.0, 0.0, 1e200])
+       | _scene_doc(_well_formed_line, [None, -1.0]))
+# the draws give the overflow with a zero reflectivity beside it, which the
+# scene refuses first; here it stands alone
+@example(doc={"speed_of_sound_m_s": SPEED, "tau_s": TAU_PROP,
+              "pulse": {"carrier_hz": 5.142e6, "sigma_s": 1e-7,
+                        "amplitude": 1e200},
+              "array": {"num_elements": 2, "pitch_m": 0.3e-3},
+              "lines": [{"scatterers": [{"t_n_s": 2e-6,
+                                         "reflectivity": -1e200}]}]})
 def test_every_command_ends_cleanly(tmp_path, capsys, doc):
     """Every scene of 1-3 steered lines on 1-8 elements, with echoes at the
-    window's edges, zero or huge reflectivities and noise on or off, taken
-    through simulate, beamform, xample and compare (100 examples), ends each
+    window's edges, zero or huge reflectivities, a pulse amplitude omitted,
+    negative, zero or huge and noise on or off, taken through simulate,
+    beamform, xample and compare (100 drawn examples and one above), ends each
     command in success with finite numbers or in one error line and no
     output.  A metric is inf only on a line with more true echoes than
     estimates.  Part of the scenes have well-formed lines only, so that

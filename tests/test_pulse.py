@@ -96,6 +96,7 @@ def test_invalid_parameters():
     {"envelope_sigma": float("nan")},
     {"amplitude": float("nan")},
     {"amplitude": float("inf")},
+    {"amplitude": 0.0},
 ])
 def test_pulse_rejects_non_finite(kwargs):
     field = next(iter(kwargs))

@@ -173,7 +173,8 @@ FUZZ = settings(max_examples=60, deadline=None, derandomize=True,
 
 positive = st.floats(0.0, exclude_min=True, allow_infinity=False)
 finite = st.floats(allow_nan=False, allow_infinity=False)
-reflecting = finite.filter(bool)  # a scatterer's reflectivity is nonzero
+# a scatterer's reflectivity and the pulse amplitude are nonzero
+reflecting = finite.filter(bool)
 
 
 @st.composite
@@ -193,7 +194,7 @@ def scene_files(draw):
         times, st.lists(reflecting, min_size=4, max_size=4), finite),
         min_size=1, max_size=3))
     return SceneFile(
-        pulse=PulseModel(draw(positive), draw(positive), draw(finite)),
+        pulse=PulseModel(draw(positive), draw(positive), draw(reflecting)),
         geometry=ArrayGeometry(draw(st.integers(1, 64)), draw(positive),
                                draw(positive)),
         tau=tau, noise=noise, lines=lines)
