@@ -12,6 +12,7 @@ The thread starts on the first call, not on import, in each forked child too.
 
 from __future__ import annotations
 
+import contextvars
 import os
 from concurrent import futures
 
@@ -29,11 +30,13 @@ def both(on_worker, here):
     """Run ``on_worker()`` on the worker while ``here()`` runs on this thread,
     and return ``on_worker()``'s result.
 
-    Returns or raises only after both have ended, so nothing either uses is
-    still in use when the call returns.  An error raised by ``on_worker``
-    reaches the caller with its type unchanged, unless ``here`` raised first.
+    ``on_worker`` runs in a copy of the caller's context, so the caller's
+    ``np.errstate`` holds on both threads.  Returns or raises only after
+    both have ended, so nothing either uses is still in use when the call
+    returns.  An error raised by ``on_worker`` reaches the caller with its
+    type unchanged, unless ``here`` raised first.
     """
-    share = _WORKER.submit(on_worker)
+    share = _WORKER.submit(contextvars.copy_context().run, on_worker)
     try:
         here()
     finally:

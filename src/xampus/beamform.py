@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvariantViolation
+from .errors import InvariantViolation, check_finite, refuse_overflow
 from .geometry import arrival_time
-from .sim import NYQUIST_RATE_HZ, ChannelSet, _check_beam_angle
+from .sim import NYQUIST_RATE_HZ, ChannelSet
 
 DEFAULT_OUT_STEP = 1.0 / NYQUIST_RATE_HZ
 
@@ -135,11 +135,11 @@ def beamform_line(
     Raises ``InvariantViolation`` for an unknown focus mode, a non-finite
     angle, an output step that is not finite or is below the grid step, and
     a duration that is not finite, is negative or asks for more output
-    samples than the channel array holds.
+    samples than the channel array holds, and a line whose sum overflows.
     """
     if focus_mode not in ("dynamic", "infinity"):
         raise InvariantViolation(f"unknown focus_mode {focus_mode!r}")
-    _check_beam_angle(alpha)
+    check_finite(alpha, f"beam_angle {alpha}")
     if not ch.grid_step * (1 - 1e-12) <= out_step < math.inf:
         raise InvariantViolation(
             "out_step must be finite and >= the grid step")
@@ -162,19 +162,23 @@ def beamform_line(
         blocks = _read_blocks(*key)
     flat = ch.samples.ravel()
     acc = np.zeros(n)
-    for block in blocks:
-        _add_reads(acc, flat, *block)
-        del block  # a streamed block is freed before the next one is built
-    return BeamformedLine(samples=acc, grid_step=out_step)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for block in blocks:
+            _add_reads(acc, flat, *block)
+            del block  # a streamed block is freed before the next is built
+    return BeamformedLine(samples=refuse_overflow(acc, "delay-and-sum line"),
+                          grid_step=out_step)
 
 
 def envelope_detect(line: BeamformedLine) -> np.ndarray:
     """Magnitude of the analytic signal: bins 1..(n-1)//2 doubled, bin 0 and
-    the Nyquist bin (even n) kept, the negative half zeroed."""
+    the Nyquist bin (even n) kept, the negative half zeroed.  Raises
+    ``InvariantViolation`` if a transform overflows."""
     n = len(line.samples)
     if n == 0:
         return np.zeros(0)
     spectrum = np.zeros(n, dtype=complex)
-    spectrum[:n // 2 + 1] = np.fft.rfft(line.samples)
-    spectrum[1:(n + 1) // 2] *= 2.0
-    return np.abs(np.fft.ifft(spectrum))
+    with np.errstate(over="ignore", invalid="ignore"):
+        spectrum[:n // 2 + 1] = np.fft.rfft(line.samples)
+        spectrum[1:(n + 1) // 2] *= 2.0
+        return refuse_overflow(np.abs(np.fft.ifft(spectrum)), "envelope")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -25,7 +26,8 @@ import numpy as np
 from . import costs, urf
 from .beamform import DEFAULT_OUT_STEP as AXIAL_STEP
 from .beamform import beamform_line, envelope_detect
-from .errors import InvariantViolation, ParseError, XampusError
+from .errors import (InvariantViolation, ParseError, XampusError,
+                     refuse_overflow)
 from .imaging import assemble_image, read_pgm, render_line, write_pgm
 from .outfile import open_new
 from .recover import SV_THRESHOLD_DEFAULT, check_sv_threshold, recover_line
@@ -195,29 +197,33 @@ def cmd_cost(args) -> int:
 
 
 def _read_estimates(path) -> dict[int, list[tuple[float, float]]]:
-    """(t_l, b_l) pairs by line index.  A missing column, a line index that
-    is not a non-negative integer or a delay or amplitude that is not finite
-    raises ``ParseError`` naming the file and the row (the header is row 1).
+    """(t_l, b_l) pairs by line index.  Text that is not UTF-8, a missing
+    column, a line index that is not a non-negative integer or a delay or
+    amplitude that is not finite raises ``ParseError`` naming the file, and
+    the row where there is one (the header is row 1).
     """
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as f:
+            text = f.read()
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not UTF-8 text ({e.reason})") from e
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    missing = {"line_index", "t_l_s", "b_l"} - set(reader.fieldnames or ())
+    if missing:
+        raise ParseError(f"{path}: row 1: missing column(s) {sorted(missing)}")
     table: dict[int, list[tuple[float, float]]] = {}
-    with open(path, "r", newline="") as f:
-        reader = csv.DictReader(f)
-        missing = {"line_index", "t_l_s", "b_l"} - set(reader.fieldnames or ())
-        if missing:
+    for row in reader:
+        index, t_l, b_l = row["line_index"], row["t_l_s"], row["b_l"]
+        try:
+            t, b = float(t_l), float(b_l)
+        except (TypeError, ValueError):
+            t = b = np.nan
+        if not ((index or "").isdecimal() and np.isfinite([t, b]).all()):
             raise ParseError(
-                f"{path}: row 1: missing column(s) {sorted(missing)}")
-        for row in reader:
-            index, t_l, b_l = row["line_index"], row["t_l_s"], row["b_l"]
-            try:
-                t, b = float(t_l), float(b_l)
-            except (TypeError, ValueError):
-                t = b = np.nan
-            if not ((index or "").isdecimal() and np.isfinite([t, b]).all()):
-                raise ParseError(
-                    f"{path}: row {reader.line_num}: line_index {index!r} "
-                    f"must be a non-negative integer, t_l_s {t_l!r} and "
-                    f"b_l {b_l!r} finite numbers")
-            table.setdefault(int(index), []).append((t, b))
+                f"{path}: row {reader.line_num}: line_index {index!r} "
+                f"must be a non-negative integer, t_l_s {t_l!r} and "
+                f"b_l {b_l!r} finite numbers")
+        table.setdefault(int(index), []).append((t, b))
     return table
 
 
@@ -264,13 +270,12 @@ def cmd_compare(args) -> int:
             t_true, b_true = np.array(truths).T
             t_est, b_est = np.array([ests[match[k]]
                                      for k in range(len(truths))]).T
-            with np.errstate(over="ignore"):
+            with np.errstate(over="ignore", invalid="ignore"):
                 rmse = float(np.sqrt(np.mean((t_est - t_true) ** 2)))
                 amp_err = float(np.mean(np.abs(b_est / n_elem - b_true)
                                         / np.abs(b_true)))
-            if not np.isfinite([rmse, amp_err]).all():
-                raise InvariantViolation(
-                    f"line {i}: its delay or amplitude error overflows")
+            refuse_overflow([rmse, amp_err],
+                            f"line {i}: its delay or amplitude error")
         else:
             rmse = amp_err = 0.0
         r_col = ref_img[:, i]

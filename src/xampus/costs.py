@@ -15,12 +15,11 @@ phi = c[:K] + j c[K:] with no factorization or stored matrix
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvariantViolation
+from .errors import InvariantViolation, check_positive
 from .sim import NYQUIST_RATE_HZ
 from .xample import harmonic_count
 
@@ -68,9 +67,7 @@ def xampled_ops(L: int, K: int, p: int, M: int) -> float:
 def standard_samples(depth_m: float = DEFAULT_DEPTH_M) -> int:
     """Per-element samples per line for a round trip to the given depth, at
     ``sim.NYQUIST_RATE_HZ`` and ``SPEED_OF_SOUND``."""
-    if not 0 < depth_m < math.inf:
-        raise InvariantViolation(f"depth_m {depth_m!r} must be finite and "
-                                 "positive")
+    check_positive(depth_m, f"depth_m {depth_m!r}")
     samples = 2.0 * depth_m / SPEED_OF_SOUND * NYQUIST_RATE_HZ
     # beyond 2**53 the count is no longer an exact integer, and standard_ops
     # would take the log of an int past int64

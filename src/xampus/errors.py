@@ -1,4 +1,6 @@
-"""Exception types raised across the package."""
+"""Exception types raised across the package, and its numeric input rules."""
+
+import numpy as np
 
 
 class XampusError(Exception):
@@ -39,3 +41,21 @@ class ParseError(XampusError):
 
 class InvariantViolation(XampusError):
     """A validated input breaks a documented invariant; message names the check."""
+
+
+def check_positive(value, what: str) -> None:
+    if not 0 < value < np.inf:
+        raise InvariantViolation(f"{what} must be finite and positive")
+
+
+def check_finite(value, what: str) -> None:
+    if not np.isfinite(value).all():
+        raise InvariantViolation(f"{what} must be finite")
+
+
+def refuse_overflow(x, what: str):
+    """``x``, unless a number in it overflowed: the caller computes it under
+    ``np.errstate(over="ignore", invalid="ignore")``, so none warns."""
+    if not np.isfinite(x).all():
+        raise InvariantViolation(f"{what} overflows")
+    return x

@@ -11,12 +11,11 @@ integration bound, is the latest arrival of the echo from the window's end.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvariantViolation
+from .errors import InvariantViolation, check_positive
 
 
 @dataclass(frozen=True)
@@ -36,12 +35,8 @@ class ArrayGeometry:
     def __post_init__(self):
         if self.num_elements < 1:
             raise InvariantViolation("array num_elements must be >= 1")
-        if not 0 < self.pitch < math.inf:
-            raise InvariantViolation(
-                "array pitch must be finite and positive")
-        if not 0 < self.speed_of_sound < math.inf:
-            raise InvariantViolation(
-                "array speed_of_sound must be finite and positive")
+        check_positive(self.pitch, "array pitch")
+        check_positive(self.speed_of_sound, "array speed_of_sound")
 
     @property
     def offsets(self) -> np.ndarray:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvariantViolation, OffBand
+from .errors import InvariantViolation, OffBand, check_positive
 
 # Relative spectrum magnitude below which a harmonic counts as off-band.
 SPECTRUM_FLOOR = 1e-9
@@ -39,12 +39,8 @@ class PulseModel:
     amplitude: float = 1.0
 
     def __post_init__(self):
-        if not 0 < self.carrier_hz < math.inf:
-            raise InvariantViolation(
-                "pulse carrier_hz must be finite and positive")
-        if not 0 < self.envelope_sigma < math.inf:
-            raise InvariantViolation(
-                "pulse envelope_sigma must be finite and positive")
+        check_positive(self.carrier_hz, "pulse carrier_hz")
+        check_positive(self.envelope_sigma, "pulse envelope_sigma")
         if not (math.isfinite(self.amplitude) and self.amplitude != 0):
             raise InvariantViolation(
                 "pulse amplitude must be finite and nonzero")

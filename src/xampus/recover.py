@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ConditioningFailure, IllConditioned, InvariantViolation,
-                     OrderOverflow)
+                     OrderOverflow, check_finite, refuse_overflow)
 from .pulse import PulseModel, build_H
 from .xample import MixingMatrix, XampleConfig, build_S
 
@@ -60,7 +60,7 @@ def recover_fourier(c, S: MixingMatrix, H, kappa, tau: float) -> FourierCoeffs:
     half of phi is conjugate-redundant and is not formed.  H is divided out.
 
     Raises ``InvariantViolation`` when the shapes of S, H, kappa and c
-    disagree or c is not finite.
+    disagree, c is not finite or y overflows.
     """
     c = np.asarray(c, dtype=complex)
     H = np.asarray(H)
@@ -75,11 +75,12 @@ def recover_fourier(c, S: MixingMatrix, H, kappa, tau: float) -> FourierCoeffs:
     if c.shape != (p,):
         raise InvariantViolation(
             f"branch samples shape {c.shape} != ({p},) mixing matrix rows")
-    if not np.all(np.isfinite(c)):
-        raise InvariantViolation("branch samples must be finite")
+    check_finite(c, "branch samples")
     K = p // 2
     phi = c[:K] + 1j * c[K:]
-    return FourierCoeffs(y=phi / H[:K], kappa_pos=kappa[:K], tau=tau)
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = refuse_overflow(phi / H[:K], "Fourier coefficient y")
+    return FourierCoeffs(y=y, kappa_pos=kappa[:K], tau=tau)
 
 
 def _delays_from_poles(z: np.ndarray, tau: float) -> np.ndarray:

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._worker import both
-from .errors import GridTooCoarse, GridTooShort, InvariantViolation
+from .errors import (GridTooCoarse, GridTooShort, InvariantViolation,
+                     check_finite, check_positive, refuse_overflow)
 from .geometry import ArrayGeometry, arrival_time, tau_hat
 from .pulse import PulseModel
 
@@ -46,11 +47,6 @@ class Scatterer:
     reflectivity: float
 
 
-def _check_beam_angle(beam_angle: float) -> None:
-    if not math.isfinite(beam_angle):
-        raise InvariantViolation(f"beam_angle {beam_angle} must be finite")
-
-
 @dataclass(frozen=True)
 class NoiseSpec:
     snr_db: float | None = None
@@ -58,8 +54,8 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.snr_db is not None and not math.isfinite(self.snr_db):
-            raise InvariantViolation(f"snr_db {self.snr_db} must be finite")
+        if self.snr_db is not None:
+            check_finite(self.snr_db, f"snr_db {self.snr_db}")
         if (isinstance(self.speckle_count, bool)
                 or not isinstance(self.speckle_count, numbers.Integral)
                 or self.speckle_count < 0):
@@ -88,9 +84,8 @@ class Scene:
 
     def __post_init__(self):
         object.__setattr__(self, "scatterers", tuple(self.scatterers))
-        _check_beam_angle(self.beam_angle)
-        if not 0 < self.tau < math.inf:
-            raise InvariantViolation("tau must be finite and positive")
+        check_finite(self.beam_angle, f"beam_angle {self.beam_angle}")
+        check_positive(self.tau, "tau")
         times = [s.axial_time for s in self.scatterers]
         for t_n in times:
             if not t_n > 0:
@@ -134,8 +129,7 @@ class ChannelSet:
         rows, elements = self.samples.shape[0], self.geometry.num_elements
         if rows != elements:
             raise InvariantViolation(f"{rows} rows for {elements} elements")
-        if not 0 < self.tau < math.inf:
-            raise InvariantViolation("tau must be finite and positive")
+        check_positive(self.tau, "tau")
         with np.errstate(over="ignore"):  # a hostile tau overflows to inf
             end = tau_hat(self.tau, self.geometry)
         if self.duration < end * (1 - 1e-12):
@@ -170,8 +164,10 @@ def _echoes(t0, gains, grid_step, grid_len, pulse):
     dt)`` samples on either side of ``anchor``, the sample nearest its
     arrival, clipped to the grid; a sample of that span beyond +/- 8 sigma
     is below 1.3e-14 of the echo's peak.  Echoes are added to each sample
-    in column order.  Writing the offset of sample ``anchor + k`` as
-    ``u = k*dt - phi`` gives
+    in column order, so no sample exceeds the sum of their peaks
+    ``|A * gain|``; twice that sum must be finite, however far apart the
+    echoes lie, or ``InvariantViolation`` refuses them.  Writing the offset
+    of sample ``anchor + k`` as ``u = k*dt - phi`` gives
     ``h(u) = A * z**k * Re(T[k] * w)``: the table
     ``T[k] = exp(-(k dt)^2 / 2 sigma^2 + j w_c k dt)`` is shared by every
     echo, and ``z = exp(dt phi / sigma^2)`` and
@@ -198,11 +194,10 @@ def _echoes(t0, gains, grid_step, grid_len, pulse):
     anchor = np.rint(t0 / grid_step)
     phi = t0 - anchor * grid_step
     log_z = grid_step * phi / sig**2
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         peaks = pulse.amplitude * np.asarray(gains, dtype=float)
-    if not np.isfinite(peaks).all():
-        raise InvariantViolation("an echo's pulse amplitude x reflectivity "
-                                 "overflows")
+        refuse_overflow(2.0 * np.abs(peaks).sum(), "twice the echoes' summed "
+                        "|pulse amplitude x reflectivity|")
     w = peaks * np.exp(-(phi**2) / (2.0 * sig**2) - 1j * wc * phi)
     # Re(T[k] w) = Re(T[k]) Re(w) - Im(T[k]) Im(w), one matrix product per row
     coef = np.stack([w.real, -w.imag], axis=-1)
@@ -281,16 +276,13 @@ def add_interference(
     it.
     """
     NoiseSpec(snr_db, speckle_count, seed)
-    _check_beam_angle(beam_angle)
+    check_finite(beam_angle, f"beam_angle {beam_angle}")
     if snr_db is None:
         return ChannelSet(ch.grid_step, ch.samples.copy(), ch.geometry, ch.tau)
 
-    try:
-        target = _row_power(ch.samples) * 10.0 ** (-snr_db / 10.0)
-    except OverflowError:  # a Python float power, at an SNR below -3083 dB
-        target = None
-    if target is None or not np.isfinite(target).all():
-        raise InvariantViolation("interference power budget overflows")
+    with np.errstate(over="ignore", invalid="ignore"):
+        target = _row_power(ch.samples) * np.power(10.0, -snr_db / 10.0)
+    refuse_overflow(target, "interference power budget")
     speckle_frac = 0.5 if speckle_count > 0 else 0.0
     noise = np.empty_like(ch.samples)
     noise_sd = np.sqrt((1.0 - speckle_frac) * target)

@@ -38,7 +38,7 @@ import numpy as np
 
 from ._worker import both
 from .beamform import BeamformedLine
-from .errors import GridTooShort, InvariantViolation
+from .errors import GridTooShort, InvariantViolation, refuse_overflow
 from .geometry import ArrayGeometry
 from .pulse import PulseModel, build_H
 from .sim import ChannelSet, check_grid_step
@@ -296,7 +296,7 @@ def xample_channels(ch: ChannelSet, cfg: XampleConfig,
     harmonic pass: pairs +/-m in dynamic focus, the whole aperture in
     infinity focus.  The passes' weighted, warped kernels come from
     ``_bank_tables``.  Raises ``InvariantViolation`` unless the channels
-    come from the configuration's array and window.
+    come from the configuration's array and window, or if c overflows.
     """
     if ch.geometry != cfg.geometry:
         raise InvariantViolation(
@@ -310,10 +310,13 @@ def xample_channels(ch: ChannelSet, cfg: XampleConfig,
     c_qm = np.zeros((S.p, cfg.geometry.num_elements))
     # the worker takes every second group and this thread the rest, each
     # with its own buffers; a group writes only its own column, so c_qm is
-    # bitwise that of one thread taking every group
-    both(lambda: _bank_passes(groups[1::2], ch.samples, cfg, c_qm),
-         lambda: _bank_passes(groups[0::2], ch.samples, cfg, c_qm))
-    return XampleOutput(c_qm=c_qm, c=c_qm.sum(axis=1))
+    # bitwise that of one thread taking every group.  A non-finite c_qm
+    # entry makes its row of c non-finite, so c alone is checked
+    with np.errstate(over="ignore", invalid="ignore"):
+        both(lambda: _bank_passes(groups[1::2], ch.samples, cfg, c_qm),
+             lambda: _bank_passes(groups[0::2], ch.samples, cfg, c_qm))
+        c = c_qm.sum(axis=1)
+    return XampleOutput(c_qm=c_qm, c=refuse_overflow(c, "kernel bank output"))
 
 
 def xample_beamformed_oracle(line: BeamformedLine, cfg: XampleConfig,

@@ -381,6 +381,13 @@ def test_beamform_linear_in_channels():
     np.testing.assert_allclose(b, 2 * a, rtol=1e-12)
 
 
+def test_unknown_focus_mode_is_refused():
+    ch = synthesize(Scene(scatterers=(), tau=25.6e-6), default_geometry(1))
+    with pytest.raises(InvariantViolation,
+                       match="^unknown focus_mode 'sideways'$"):
+        beamform_line(ch, focus_mode="sideways")
+
+
 def test_out_step_must_not_undersample_grid():
     geom = default_geometry(num_elements=1)
     ch = synthesize(Scene(scatterers=(), tau=25.6e-6), geom)
@@ -402,6 +409,11 @@ def test_envelope_recovers_gaussian_window():
 def test_envelope_zero_line():
     line = BeamformedLine(samples=np.zeros(64), grid_step=50e-9)
     np.testing.assert_array_equal(envelope_detect(line), np.zeros(64))
+
+
+def test_envelope_of_an_empty_line_is_empty():
+    env = envelope_detect(BeamformedLine(samples=np.zeros(0), grid_step=50e-9))
+    assert env.shape == (0,)
 
 
 def test_envelope_dominates_signal():

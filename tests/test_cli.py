@@ -9,7 +9,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from xampus import cli, read_channels, read_pgm
+from xampus import (ChannelSet, cli, read_channels, read_pgm,
+                    write_channels)
 from xampus.cli import main
 from xampus.imaging import assemble_image
 
@@ -124,9 +125,91 @@ def test_simulate_refuses_an_echo_that_overflows(scene_path, tmp_path,
     assert rc == 1
     assert [str(w.message) for w in caught] == []
     assert capsys.readouterr().err == (
-        "error[InvariantViolation]: line_000.urf: an echo's pulse amplitude "
-        "x reflectivity overflows\n")
+        "error[InvariantViolation]: line_000.urf: twice the echoes' summed "
+        "|pulse amplitude x reflectivity| overflows\n")
     assert not out.exists()
+
+
+def _four_element_scene(tmp_path, scatterers):
+    """A noiseless one-line scene on 4 elements, and its work directories."""
+    doc = {"speed_of_sound_m_s": SPEED, "tau_s": 25.6e-6,
+           "pulse": {"carrier_hz": 5.142e6, "sigma_s": 1e-7},
+           "array": {"num_elements": 4, "pitch_m": 0.3e-3},
+           "lines": [{"scatterers": scatterers}]}
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps(doc))
+    return scene, tmp_path / "ch", tmp_path / "img", tmp_path / "xa"
+
+
+def _refused_without_warning(capsys, argv, outputs, message):
+    """``main(argv)`` exits 1 with ``message`` as its one stderr line, no
+    warning and none of ``outputs`` on disk."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(argv)
+    assert [str(w.message) for w in caught] == []
+    assert (rc, capsys.readouterr().err) == (1, message + "\n")
+    assert not any(path.exists() for path in outputs)
+
+
+def test_simulate_refuses_echoes_that_overlap_beyond_the_float_range(
+        tmp_path, capsys):
+    # each echo is finite, but 1 ns apart their sum is not; the file would
+    # be one that no reader takes
+    scene, ch, _, _ = _four_element_scene(tmp_path, [
+        {"t_n_s": 8e-6, "reflectivity": 1.5e308},
+        {"t_n_s": 8.000001e-6, "reflectivity": 1.5e308}])
+    _refused_without_warning(
+        capsys, ["simulate", "--scene", str(scene), "--out", str(ch)], [ch],
+        "error[InvariantViolation]: line_000.urf: twice the echoes' summed "
+        "|pulse amplitude x reflectivity| overflows")
+
+
+def _image_commands(scene, ch, img, xa):
+    return [(["beamform", "--scene", str(scene), "--channels", str(ch),
+              "--out", str(img)], [img / "reference.pgm",
+                                   img / "reference_lines.csv"]),
+            (["xample", "--scene", str(scene), "--channels", str(ch),
+              "--out", str(xa), "--L", "5", "--rho", "2"],
+             [xa / "estimates.csv", xa / "xampled.pgm"])]
+
+
+def test_a_stage_whose_sums_overflow_refuses_the_line(tmp_path, capsys):
+    # the channels hold 1e306, but the envelope's transform and the
+    # deconvolved coefficients pass the float range
+    scene, ch, img, xa = _four_element_scene(
+        tmp_path, [{"t_n_s": 8e-6, "reflectivity": 1e306}])
+    assert main(["simulate", "--scene", str(scene), "--out", str(ch)]) == 0
+    capsys.readouterr()
+    (beamform, beamformed), (xample, xampled) = _image_commands(scene, ch,
+                                                                img, xa)
+    _refused_without_warning(capsys, beamform, beamformed,
+                             "error[InvariantViolation]: line_000.urf: "
+                             "envelope overflows")
+    _refused_without_warning(capsys, xample, xampled,
+                             "error[InvariantViolation]: line_000.urf: "
+                             "Fourier coefficient y overflows")
+
+
+def test_channels_of_finite_samples_whose_sum_overflows_are_refused(
+        tmp_path, capsys):
+    # every sample is finite, so the reader takes the file; the
+    # delay-and-sum and the kernel bank's sum of mirrored traces overflow
+    scene, ch, img, xa = _four_element_scene(tmp_path, [])
+    assert main(["simulate", "--scene", str(scene), "--out", str(ch)]) == 0
+    capsys.readouterr()
+    line = read_channels(ch / "line_000.urf", default_geometry(4))
+    write_channels(ch / "line_000.urf",
+                   ChannelSet(line.grid_step, np.full_like(line.samples, 1e308),
+                              line.geometry, line.tau))
+    (beamform, beamformed), (xample, xampled) = _image_commands(scene, ch,
+                                                                img, xa)
+    _refused_without_warning(capsys, beamform, beamformed,
+                             "error[InvariantViolation]: line_000.urf: "
+                             "delay-and-sum line overflows")
+    _refused_without_warning(capsys, xample, xampled,
+                             "error[InvariantViolation]: line_000.urf: "
+                             "kernel bank output overflows")
 
 
 def test_pulse_sign_changes_no_estimate_and_no_image(scene_path, tmp_path):
@@ -914,7 +997,10 @@ def test_bad_option_is_refused_before_the_channels(scene_path, tmp_path,
 
 def _compare_with(scene_path, tmp_path, estimates_text):
     est = tmp_path / "est.csv"
-    est.write_text(estimates_text)
+    if isinstance(estimates_text, bytes):
+        est.write_bytes(estimates_text)
+    else:
+        est.write_text(estimates_text)
     img = scene_image(tmp_path)
     out = tmp_path / "metrics.csv"
     rc = main(["compare", "--reference", str(img), "--xampled", str(img),
@@ -944,6 +1030,7 @@ def _bad_row(row, line_index, t_l_s, b_l):
     (HEADER + "0,1e-05,-inf,0.0\n", _bad_row(2, "0", "1e-05", "-inf")),
     (HEADER + "0,1e-05,x,0.0\n", _bad_row(2, "0", "1e-05", "x")),
     (HEADER + "0,1e-05\n", _bad_row(2, "0", "1e-05", None)),
+    (b"\xff" + HEADER.encode(), "not UTF-8 text (invalid start byte)"),
 ])
 def test_compare_rejects_malformed_estimates(scene_path, tmp_path, capsys,
                                              text, message):
@@ -972,8 +1059,11 @@ TAU_PROP = 12.8e-6
 _edge_times = st.sampled_from([math.ulp(0.0), math.nextafter(TAU_PROP / 2, 0)])
 _scatterer = st.fixed_dictionaries({
     "t_n_s": st.one_of(_edge_times, st.floats(1e-7, TAU_PROP / 2 - 1e-7)),
-    "reflectivity": st.one_of(st.sampled_from([0.0, 1e200, -1e200]),
-                              st.floats(-2.0, 2.0)),
+    # 1e306 passes the channels and overflows the stages' sums; two
+    # 1.5e308 echoes, or one with its rounding margin, pass the float range
+    "reflectivity": st.one_of(
+        st.sampled_from([0.0, 1e200, -1e200, 1e306, 1.5e308, -1.5e308]),
+        st.floats(-2.0, 2.0)),
 })
 _line = st.fixed_dictionaries({
     # unsteered often enough that xample, which images only alpha = 0, runs
@@ -1034,12 +1124,25 @@ def _ended_cleanly(rc, err, outputs):
               "array": {"num_elements": 2, "pitch_m": 0.3e-3},
               "lines": [{"scatterers": [{"t_n_s": 2e-6,
                                          "reflectivity": -1e200}]}]})
+# echoes that overlap beyond the float range, and one whose channels are
+# finite but whose stages' sums are not
+@example(doc={"speed_of_sound_m_s": SPEED, "tau_s": TAU_PROP,
+              "pulse": {"carrier_hz": 5.142e6, "sigma_s": 1e-7},
+              "array": {"num_elements": 4, "pitch_m": 0.3e-3},
+              "lines": [{"scatterers": [
+                  {"t_n_s": 2e-6, "reflectivity": 1.5e308},
+                  {"t_n_s": 2.000001e-6, "reflectivity": 1.5e308}]}]})
+@example(doc={"speed_of_sound_m_s": SPEED, "tau_s": TAU_PROP,
+              "pulse": {"carrier_hz": 5.142e6, "sigma_s": 1e-7},
+              "array": {"num_elements": 4, "pitch_m": 0.3e-3},
+              "lines": [{"scatterers": [{"t_n_s": 2e-6,
+                                         "reflectivity": 1e306}]}]})
 def test_every_command_ends_cleanly(tmp_path, capsys, doc):
     """Every scene of 1-3 steered lines on 1-8 elements, with echoes at the
     window's edges, zero or huge reflectivities, a pulse amplitude omitted,
     negative, zero or huge and noise on or off, taken through simulate,
-    beamform, xample and compare (100 drawn examples and one above), ends each
-    command in success with finite numbers or in one error line and no
+    beamform, xample and compare (100 drawn examples and three above), ends
+    each command in success with finite numbers or in one error line and no
     output.  A metric is inf only on a line with more true echoes than
     estimates.  Part of the scenes have well-formed lines only, so that
     xample and compare succeed on most examples."""

@@ -110,6 +110,14 @@ def test_image_ragged_traces_rejected():
         assemble_image([[1.0, 2.0], [1.0]])
 
 
+@pytest.mark.parametrize("traces", [[1.0, 2.0], np.ones((2, 2, 2))],
+                         ids=["1-D", "3-D"])
+def test_image_traces_that_are_not_2d_are_refused(traces):
+    with pytest.raises(InvariantViolation,
+                       match="^traces must share one length$"):
+        assemble_image(traces)
+
+
 def test_image_layout_lines_as_columns():
     img = assemble_image([[1.0, 0.2], [0.4, 1.0]], 50.0)
     assert img.pixels.shape == (2, 2)  # (axial samples, lines)

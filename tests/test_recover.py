@@ -84,7 +84,8 @@ def test_mixing_matrix_read_only_and_build_S_memoized():
 
 @pytest.mark.parametrize("case, message", [
     ("columns", "mixing matrix columns"), ("H", "pulse spectrum H"),
-    ("c_length", "branch samples shape"), ("c_nan", "must be finite")])
+    ("c_length", "branch samples shape"), ("c_nan", "must be finite"),
+    ("y", "^Fourier coefficient y overflows$")])
 def test_unmix_rejects_mismatched_inputs(case, message):
     S, H, kappa, c = build_S(8), np.ones(8), _kappa(8), np.ones(8)
     if case == "columns":
@@ -93,6 +94,8 @@ def test_unmix_rejects_mismatched_inputs(case, message):
         H = np.ones(6)
     elif case == "c_length":
         c = np.ones(9)
+    elif case == "y":  # 1 / 1e-310 is beyond the float range
+        H = np.full(8, 1e-310)
     else:
         c = np.full(8, np.nan)
     with pytest.raises(InvariantViolation, match=message):
@@ -246,6 +249,12 @@ def test_annihilating_singular_on_zero():
         annihilating_filter(fc, 2)
 
 
+def test_annihilating_needs_a_positive_order():
+    fc = make_coeffs([10e-6], [1.0], K=8)
+    with pytest.raises(InvariantViolation, match="^L_est must be >= 1$"):
+        annihilating_filter(fc, 0)
+
+
 def test_annihilating_needs_enough_coefficients():
     fc = make_coeffs([10e-6], [1.0], K=6)
     with pytest.raises(InvariantViolation):
@@ -259,6 +268,13 @@ def test_amplitude_forward_construction():
     amps, residual = least_squares_amplitudes(fc, [11e-6])
     assert amps[0] == pytest.approx(2.5, abs=1e-9)
     assert residual < 1e-12
+
+
+def test_amplitude_refuses_more_delays_than_coefficients():
+    fc = make_coeffs([10e-6], [1.0], K=4)
+    with pytest.raises(InvariantViolation,
+                       match="^more delays than coefficients$"):
+        least_squares_amplitudes(fc, np.linspace(2e-6, 20e-6, 5))
 
 
 def test_amplitude_zero_coefficients():
@@ -357,6 +373,14 @@ def test_recover_line_two_reflectors_end_to_end():
     assert abs(est.delays[0] - 2 * t1) <= 50e-9
     assert abs(est.delays[1] - 2 * t2) <= 50e-9
     assert est.residual <= 1e-3
+
+
+def test_annihilating_recover_line_of_order_zero_is_empty():
+    # order 0 leaves the filter nothing to annihilate, so no delay is sought
+    cfg = XampleConfig.create(5, 2, TAU, PULSE, default_geometry())
+    est = recover_line(np.zeros(cfg.p), cfg, PULSE, method="annihilating")
+    assert (est.model_order, est.delays.size, est.amplitudes.size) == (0, 0, 0)
+    assert est.residual == 0.0
 
 
 def test_recover_line_empty_scene():

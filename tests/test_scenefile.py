@@ -147,6 +147,21 @@ def test_scene_object_given_as_list_is_refused(tmp_path, field, where):
         load_scene(write(tmp_path, doc))
 
 
+def test_top_level_that_is_not_an_object_is_refused(tmp_path):
+    path = tmp_path / "scene.json"
+    path.write_text("[1.0]")
+    with pytest.raises(ParseError, match="top level must be an object$"):
+        load_scene(path)
+
+
+def test_scatterers_that_are_not_a_list_are_refused(tmp_path):
+    doc = base_doc()
+    doc["lines"][0]["scatterers"] = {"t_n_s": 1e-6, "reflectivity": 1.0}
+    with pytest.raises(ParseError,
+                       match=r"^lines\[0\]\.scatterers: expected a list$"):
+        load_scene(write(tmp_path, doc))
+
+
 @pytest.mark.parametrize("snr", ["omitted", None])
 def test_omitted_optional_keys_take_their_defaults(tmp_path, snr):
     doc = base_doc()

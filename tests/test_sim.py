@@ -10,6 +10,7 @@ from xampus import (ChannelSet, GridTooCoarse, InvariantViolation, NoiseSpec,
                     arrival_time, simulation_grid_step,
                     synthesize_channels, tau_hat)
 from xampus import sim
+from xampus._worker import both
 from xampus.sim import _echoes, _row_power
 
 from util import PULSE, SPEED, default_geometry, eval_pulse, synthesize
@@ -364,6 +365,23 @@ def test_echoes_reject_a_pulse_the_grid_cannot_resolve():
     scene = Scene(scatterers=(Scatterer(6e-6, 1.0),), tau=TAU)
     with pytest.raises(GridTooCoarse):
         synthesize(scene, default_geometry(), pulse=narrow)
+
+
+def test_echoes_whose_summed_peaks_pass_the_float_range_are_refused():
+    # no sample exceeds the sum of the peaks, and that sum is checked before
+    # any row: echoes 10 us apart, each of whose samples is finite, too
+    with pytest.raises(InvariantViolation, match="summed .* overflows$"):
+        _echoes([[2e-6, 12e-6]], [1e308, 1e308], simulation_grid_step(),
+                8000, PULSE)
+
+
+def test_worker_share_runs_under_the_callers_errstate():
+    # numpy's errstate is a context variable: a share run outside the
+    # caller's context would warn, here an error, on an overflow it ignores
+    with np.errstate(over="ignore"):
+        got = both(lambda: (np.geterr()["over"], np.float64(1e308) * 10.0),
+                   lambda: None)
+    assert got == ("ignore", np.inf)
 
 
 def test_speckle_error_on_the_worker_reaches_the_caller():

@@ -420,6 +420,15 @@ def test_oracle_orthogonality_single_harmonic():
     np.testing.assert_allclose(c[1:], 0.0, atol=1e-9)
 
 
+def test_oracle_refuses_a_line_short_of_tau():
+    cfg = make_config(L=1, rho=1)
+    step = 3.125e-9
+    n = int(round(cfg.tau / step))  # one sample short of [0, tau]
+    line = BeamformedLine(samples=np.zeros(n), grid_step=step)
+    with pytest.raises(GridTooShort, match="does not span"):
+        xample_beamformed_oracle(line, cfg, build_S(cfg.p))
+
+
 def test_oracle_zero_line():
     cfg = make_config(L=1, rho=1)
     step = 3.125e-9
