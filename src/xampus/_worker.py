@@ -28,7 +28,7 @@ os.register_at_fork(after_in_child=_new_worker)
 
 def both(on_worker, here):
     """Run ``on_worker()`` on the worker while ``here()`` runs on this thread,
-    and return ``on_worker()``'s result.
+    and return both results, ``(on_worker(), here())``.
 
     ``on_worker`` runs in a copy of the caller's context, so the caller's
     ``np.errstate`` holds on both threads.  Returns or raises only after
@@ -38,7 +38,7 @@ def both(on_worker, here):
     """
     share = _WORKER.submit(contextvars.copy_context().run, on_worker)
     try:
-        here()
+        result = here()
     finally:
         futures.wait((share,))
-    return share.result()
+    return share.result(), result

@@ -12,6 +12,7 @@ coefficient Hankel matrix; amplitudes are a linear least-squares fit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,21 +98,34 @@ def pencil_split(K: int, L_max: int) -> int:
     return min(max(K // 3, L_max), K - L_max)
 
 
+def _peak_exponent(y) -> int:
+    """The exponent of y's peak, at least -1022: ``y / 2**exponent`` has its
+    peak in [0.5, 1), and ``2.0**-exponent`` is a finite float."""
+    return max(math.frexp(np.abs(y).max(initial=0.0))[1], -1022)
+
+
 def _hankel_svd(u: np.ndarray, width: int):
     """Singular values and square right-singular-vector matrix ``Vh`` of the
     Hankel with rows ``u[i:i+width]``, by Chan's R-SVD: H = QR with Q
     orthonormal, so the triangular R has H's singular values and right
     singular vectors, and the left factor, which no caller reads, is never
     formed.  ``Vh`` is full, so a wide Hankel's null vector is its last row.
-    Raises ``ConditioningFailure`` if the SVD does not converge.
+
+    The Hankel is first divided by the power of two of u's peak, exactly,
+    so LAPACK works in range however large or small u is; returns
+    ``(s, Vh, exponent)`` with the singular values in that scale, H's being
+    ``s * 2**exponent``.  Raises ``ConditioningFailure`` if the SVD does
+    not converge.
     """
-    hankel = np.lib.stride_tricks.sliding_window_view(u, width)
+    exponent = _peak_exponent(u)
+    scaled = np.ldexp(1.0, -exponent) * u
+    hankel = np.lib.stride_tricks.sliding_window_view(scaled, width)
     try:
         R = np.linalg.qr(hankel, mode="r")
         _, s, Vh = np.linalg.svd(R)
     except np.linalg.LinAlgError as e:
         raise ConditioningFailure(f"SVD did not converge: {e}") from e
-    return s, Vh
+    return s, Vh, exponent
 
 
 def check_sv_threshold(sv_threshold: float) -> None:
@@ -129,18 +143,21 @@ def estimate_order(y, L_max: int, sv_threshold: float = SV_THRESHOLD_DEFAULT):
 
     Returns (order, singular values, right singular vectors).  Raises
     ``InvariantViolation`` for a threshold that ``check_sv_threshold``
-    refuses, ``OrderOverflow`` if the order exceeds ``L_max`` and
-    ``ConditioningFailure`` if the SVD does not converge.
+    refuses or singular values beyond the float range, ``OrderOverflow`` if
+    the order exceeds ``L_max`` and ``ConditioningFailure`` if the SVD does
+    not converge.
     """
     check_sv_threshold(sv_threshold)
     u = np.asarray(y, dtype=complex)
-    s, Vh = _hankel_svd(u, pencil_split(len(u), L_max) + 1)
+    s, Vh, exponent = _hankel_svd(u, pencil_split(len(u), L_max) + 1)
     order = int(np.sum(s / s[0] > sv_threshold)) if s[0] > 0.0 else 0
     if order > L_max:
         raise OrderOverflow(
             f"{order} singular values above threshold {sv_threshold:g}, "
             f"bound is {L_max}"
         )
+    with np.errstate(over="ignore"):
+        s = refuse_overflow(np.ldexp(s, exponent), "Hankel singular value")
     return order, s, Vh[:len(s)]
 
 
@@ -187,7 +204,7 @@ def annihilating_filter(coeffs: FourierCoeffs, L_est: int) -> np.ndarray:
         raise InvariantViolation(f"need K >= 2*L_est, got K={K}, L_est={L_est}")
     if not np.any(u):
         raise InvariantViolation("annihilating filter of all-zero coefficients")
-    _, Vh = _hankel_svd(u, L_est + 1)
+    _, Vh, _ = _hankel_svd(u, L_est + 1)
     # H v = 0 for v = conj(Vh[-1]): sum_m v[m] z^m vanishes at every pole
     z = np.roots(Vh[-1].conj()[::-1])
     return _delays_from_poles(z, coeffs.tau)
@@ -209,8 +226,7 @@ def least_squares_amplitudes(coeffs: FourierCoeffs,
     delays = np.asarray(delays, dtype=float)
     y = np.asarray(coeffs.y)
     # norms of y over a power of two near its peak: exact, and no overflow
-    exponent = np.frexp(np.max(np.abs(y), initial=0.0))[1]
-    scale = np.ldexp(1.0, -max(exponent, -1022))
+    scale = np.ldexp(1.0, -_peak_exponent(y))
     norm = np.linalg.norm(y * scale)
     if delays.size == 0:
         return np.zeros(0), 0.0 if norm == 0 else 1.0

@@ -251,6 +251,29 @@ def synthesize_channels(
                       geometry=geometry, tau=scene.tau)
 
 
+def _unit_noise(seed, shape):
+    """Float32 unit normals of ``shape`` by ``add_interference``'s rule:
+    radii from the first half of the uniforms, angles from the second, the
+    cosines then the sines in row-major order.  Computed in place, with one
+    cosine temporary: 0.75 of a float64 array of ``shape`` in all."""
+    n = math.prod(shape)
+    half = -(-n // 2)
+    ss = np.random.SeedSequence(seed).spawn(1)[0]
+    u = np.random.Generator(np.random.SFC64(ss)).random(2 * half,
+                                                         dtype=np.float32)
+    r, theta = u[:half], u[half:]
+    np.negative(r, out=r)
+    np.log1p(r, out=r)
+    r *= -2
+    np.sqrt(r, out=r)
+    theta *= 2 * np.pi
+    cos = np.cos(theta)
+    np.sin(theta, out=theta)
+    theta *= r
+    r *= cos
+    return u[:n].reshape(shape)
+
+
 def add_interference(
     ch: ChannelSet,
     snr_db: float | None,
@@ -269,11 +292,16 @@ def add_interference(
     speckle count and seed.
 
     Each draw is a function of the seed alone.  The speckle positions and
-    gains come from ``np.random.default_rng(seed)``, and row m's white noise
-    from ``np.random.Generator(np.random.SFC64(ss))`` with
-    ``ss = np.random.SeedSequence(seed, spawn_key=(m,))``, which is
-    ``np.random.SeedSequence(seed).spawn(rows)[m]``, whichever thread draws
-    it.
+    gains come from ``np.random.default_rng(seed)``.  The white noise is one
+    float32 Box-Muller pass per call over the float32 uniforms (u1, u2) of
+    ``np.random.Generator(np.random.SFC64(ss))`` with
+    ``ss = np.random.SeedSequence(seed).spawn(1)[0]``: r = sqrt(-2 log1p(-u1)),
+    theta = 2 pi u2, and the pair (r cos theta, r sin theta), each row scaled
+    by its noise standard deviation in float64 as it is added.  A float32
+    sample is within about 6e-8 of its value in exact arithmetic, relative,
+    and the 24-bit uniforms bound every unit sample by sqrt(48 ln 2) ~ 5.77:
+    a Gaussian pair's radius passes that bound with probability 6e-8, about
+    0.008 times per 16 x 16399 line.
     """
     NoiseSpec(snr_db, speckle_count, seed)
     check_finite(beam_angle, f"beam_angle {beam_angle}")
@@ -284,16 +312,7 @@ def add_interference(
         target = _row_power(ch.samples) * np.power(10.0, -snr_db / 10.0)
     refuse_overflow(target, "interference power budget")
     speckle_frac = 0.5 if speckle_count > 0 else 0.0
-    noise = np.empty_like(ch.samples)
     noise_sd = np.sqrt((1.0 - speckle_frac) * target)
-    rows = iter(range(len(ch.samples)))  # its next() is atomic under the GIL
-
-    def draw_noise():
-        for m in rows:
-            ss = np.random.SeedSequence(seed, spawn_key=(m,))
-            np.random.Generator(np.random.SFC64(ss)).standard_normal(
-                out=noise[m])
-            noise[m] *= noise_sd[m]
 
     def clean_plus_speckle():
         if speckle_count == 0:
@@ -313,12 +332,13 @@ def add_interference(
             scale[ok] = np.sqrt(speckle_frac * target[ok] / sp_power[ok])
             out *= scale[:, None]
             out += ch.samples
-        draw_noise()
         return out
 
-    # the worker builds clean plus speckle while this thread draws noise
-    # rows, then both take rows until none is left; a row's noise depends
-    # on its own stream only, so the split does not matter
-    out = both(clean_plus_speckle, draw_noise)
-    out += noise
+    # the worker builds clean plus speckle, the array that becomes the
+    # output, while this thread draws the noise; splitting the draw by rows
+    # between both threads measured no gain
+    out, noise = both(clean_plus_speckle,
+                      lambda: _unit_noise(seed, ch.samples.shape))
+    for row, unit, sd in zip(out, noise, noise_sd):
+        row += unit * sd  # float64: a float32 product could overflow
     return ChannelSet(ch.grid_step, out, ch.geometry, ch.tau)

@@ -540,6 +540,41 @@ def test_estimate_order_matches_the_dense_hankel_svd(K, L_max):
     assert not np.any(zero_s)
 
 
+def test_a_huge_finite_line_keeps_its_delays_or_is_refused_as_overflow():
+    # two echoes, K = 20.  LAPACK's QR and SVD overflowed inside on the
+    # Hankel of this line times 2**1022 (peak 7.2e307), refused as a
+    # ConditioningFailure, and times 2**1021 it returned an infinite
+    # singular value and order 0.  Divided by the power of two of its
+    # peak, the line times 2**k has the unit line's Hankel, bit for bit
+    unit = make_coeffs([8e-6, 17e-6], [1.0, -0.6], K=20)
+
+    def times(k):
+        return FourierCoeffs(y=unit.y * 2.0**k, kappa_pos=unit.kappa_pos,
+                             tau=unit.tau)
+
+    order, s, _ = estimate_order(unit.y, 5, SV_THRESHOLD_EXACT)
+    delays, _ = matrix_pencil(unit, 5, SV_THRESHOLD_EXACT)
+    ann = annihilating_filter(unit, order)
+    assert order == 2
+    # the largest of these lines whose singular values are floats
+    big = times(1020)
+    big_order, big_s, _ = estimate_order(big.y, 5, SV_THRESHOLD_EXACT)
+    assert big_order == order
+    np.testing.assert_array_equal(big_s, np.ldexp(s, 1020))
+    np.testing.assert_array_equal(matrix_pencil(big, 5, SV_THRESHOLD_EXACT)[0],
+                                  delays)
+    np.testing.assert_array_equal(annihilating_filter(big, order), ann)
+    for k in (1021, 1022):
+        huge = times(k)
+        np.testing.assert_array_equal(annihilating_filter(huge, order), ann)
+        with pytest.raises(InvariantViolation,
+                           match="Hankel singular value overflows"):
+            estimate_order(huge.y, 5, SV_THRESHOLD_EXACT)
+        with pytest.raises(InvariantViolation,
+                           match="Hankel singular value overflows"):
+            matrix_pencil(huge, 5, SV_THRESHOLD_EXACT)
+
+
 def test_pencil_and_annihilating_share_the_order_estimate():
     geom = default_geometry()
     scene, _, _ = random_scene(np.random.default_rng(26), 3, TAU)

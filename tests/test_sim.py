@@ -138,17 +138,29 @@ def test_noise_disabled_is_identity():
     assert out.samples is not ch.samples
 
 
-def row_noise(seed, shape):
-    """White noise drawn row by row: row m from the m-th SFC64 stream
-    spawned from ``SeedSequence(seed)``."""
-    streams = np.random.SeedSequence(seed).spawn(shape[0])
-    return np.stack([np.random.Generator(np.random.SFC64(s))
-                     .standard_normal(shape[1]) for s in streams])
+def box_muller(rng, shape):
+    """Float32 unit normals by Box-Muller from ``rng``'s uniforms, written
+    out of place: radii from the first half of the uniforms, angles from
+    the second, the cosines then the sines in row-major order."""
+    n = shape[0] * shape[1]
+    half = -(-n // 2)
+    u = rng.random(2 * half, dtype=np.float32)
+    r = np.sqrt(-2 * np.log1p(-u[:half]))
+    theta = 2 * np.pi * u[half:]
+    return np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n] \
+        .reshape(shape)
+
+
+def white_noise(seed, shape):
+    """The unit white noise of one call: one SFC64 stream, the first that
+    ``SeedSequence(seed).spawn`` gives."""
+    stream = np.random.SeedSequence(seed).spawn(1)[0]
+    return box_muller(np.random.Generator(np.random.SFC64(stream)), shape)
 
 
 def _interference_reference(ch, snr_db, speckle_count, seed, beam_angle):
     """The full-array algorithm: a copy of the samples plus the scaled
-    speckle plus the white noise drawn row by row."""
+    speckle plus the white noise, scaled in float64."""
     rng = np.random.default_rng(seed)
     target = _row_power(ch.samples) * 10.0 ** (-snr_db / 10.0)
     out = ch.samples.copy()
@@ -161,9 +173,8 @@ def _interference_reference(ch, snr_db, speckle_count, seed, beam_angle):
         speckle = _echoes(t0, gains, ch.grid_step, ch.grid_len, PULSE)
         speckle *= np.sqrt(frac * target / _row_power(speckle))[:, None]
         out += speckle
-    white = row_noise(seed, ch.samples.shape)
-    white *= np.sqrt((1.0 - frac) * target)[:, None]
-    out += white
+    out += white_noise(seed, ch.samples.shape) \
+        * np.sqrt((1.0 - frac) * target)[:, None]
     return out
 
 
@@ -302,11 +313,11 @@ def test_speckle_matches_dense_reference(num_elements, beam_angle, speckle):
     ch = synthesize(scene, geom)
     out = add_interference(ch, 20.0, speckle, seed=5, pulse=PULSE,
                            beam_angle=beam_angle)
-    # the same draws: positions, then gains, then each row's white noise
+    # the same draws: positions, then gains, then the white noise
     rng = np.random.default_rng(5)
     positions = rng.uniform(0.02 * TAU, 0.48 * TAU, speckle)
     gains = rng.standard_normal(speckle)
-    white = row_noise(5, ch.samples.shape)
+    white = white_noise(5, ch.samples.shape)
     t0 = [arrival_time(positions, beam_angle, delta, SPEED)
           for delta in geom.offsets]
     ref = dense_echoes(t0, gains, ch.grid_step, ch.grid_len, PULSE)
@@ -381,12 +392,12 @@ def test_worker_share_runs_under_the_callers_errstate():
     with np.errstate(over="ignore"):
         got = both(lambda: (np.geterr()["over"], np.float64(1e308) * 10.0),
                    lambda: None)
-    assert got == ("ignore", np.inf)
+    assert got == (("ignore", np.inf), None)
 
 
 def test_speckle_error_on_the_worker_reaches_the_caller():
     # the speckle rows are synthesized on the package's worker thread while
-    # the caller draws noise rows; the worker's error must release the
+    # the caller draws the noise; the worker's error must release the
     # caller with its type unchanged.  A helper thread turns a hang into a
     # failure instead of a stalled suite.
     ch = synthesize(Scene(scatterers=(Scatterer(6e-6, 1.0),), tau=TAU),
@@ -458,20 +469,17 @@ def _serial_both(worker_first):
     calling thread, before the caller's share or after it."""
     def both(on_worker, here):
         if worker_first:
-            result = on_worker()
-            here()
-        else:
-            here()
-            result = on_worker()
-        return result
+            return on_worker(), here()
+        mine = here()
+        return on_worker(), mine
     return both
 
 
 @pytest.mark.parametrize("speckle", [0, 25])
 def test_noise_does_not_depend_on_the_thread_that_draws_it(speckle,
                                                            monkeypatch):
-    # the share run first draws every noise row: the worker's share before
-    # the caller's, or the caller's before the worker's
+    # the worker's share before the caller's, or the caller's before the
+    # worker's: the noise depends on the seed alone
     ch = synthesize(Scene(scatterers=(Scatterer(5e-6, 1.0),), tau=TAU),
                     default_geometry(num_elements=16))
 
@@ -486,25 +494,35 @@ def test_noise_does_not_depend_on_the_thread_that_draws_it(speckle,
 
 def test_speckle_is_synthesized_on_the_worker(monkeypatch):
     # the worker builds clean plus speckle, the array that becomes the
-    # output, while the caller draws noise; the caller building it instead
-    # cost about 1000 minor page faults and a fifth of a benchmark line
+    # output, while the caller draws the whole noise array; the caller
+    # building the output instead cost about 1000 minor page faults and a
+    # fifth of a benchmark line, and splitting the noise rows between both
+    # threads measured no gain
     ch = synthesize(Scene(scatterers=(Scatterer(5e-6, 1.0),), tau=TAU),
                     default_geometry(num_elements=4))
-    echoes = sim._echoes
-    threads = []
+    threads = {}
 
-    def recording(*args):
-        threads.append(threading.current_thread().name)
-        return echoes(*args)
+    def recording(name):
+        original = getattr(sim, name)
 
-    monkeypatch.setattr(sim, "_echoes", recording)
+        def record(*args):
+            threads.setdefault(name, []).append(
+                threading.current_thread().name)
+            return original(*args)
+        monkeypatch.setattr(sim, name, record)
+
+    recording("_echoes")
+    recording("_unit_noise")
     add_interference(ch, 20.0, 25, seed=4, pulse=PULSE)
-    assert len(threads) == 1 and threads[0].startswith("xampus-worker")
+    assert len(threads["_echoes"]) == 1
+    assert threads["_echoes"][0].startswith("xampus-worker")
+    assert threads["_unit_noise"] == [threading.current_thread().name]
 
 
 def test_each_row_and_seed_has_its_own_noise_stream():
     # the CLI gives line i the seed noise.seed + i, so neighbouring seeds
-    # must not share a row's stream; nor may row 0 repeat the stream the
+    # must not share a row's noise; one stream fills every row, so no two
+    # rows may repeat each other; nor may the noise repeat the stream the
     # speckle is drawn from
     ch = synthesize(Scene(scatterers=(Scatterer(5e-6, 1.0),), tau=TAU),
                     default_geometry(num_elements=4))
@@ -515,19 +533,50 @@ def test_each_row_and_seed_has_its_own_noise_stream():
         return (out - ch.samples) / sd[:, None]
 
     a, b = noise(7), noise(8)
-    shared = np.random.default_rng(7).standard_normal(ch.grid_len)
-    assert np.max(np.abs(a[0] - shared)) > 1.0
+    shared = box_muller(np.random.default_rng(7), a.shape)
+    assert np.max(np.abs(a[0] - shared[0])) > 1.0
     assert np.all(np.max(np.abs(a - b), axis=1) > 1.0)
     assert all(np.max(np.abs(a[m] - a[n])) > 1.0
                for m in range(len(a)) for n in range(m))
 
 
+def test_white_noise_is_unit_normal():
+    """Over n >= 1M samples of one call with no speckle, each row divided by
+    its noise standard deviation, within bounds fixed before the first run
+    at five standard errors of a unit normal sample:
+
+    - |mean| <= 5 / sqrt(n);
+    - |variance - 1| <= 5 sqrt(2 / n);
+    - |excess kurtosis| <= 5 sqrt(24 / n);
+    - max |z| <= 5.78, the 24-bit uniforms' bound sqrt(48 ln 2) ~ 5.768
+      plus float32 rounding;
+    - the share of |z| > 3 within 5 standard errors of 0.0027.
+    """
+    geom = default_geometry(num_elements=16)
+    ch = synthesize(Scene(scatterers=(Scatterer(50e-6, 1.0),), tau=8 * TAU),
+                    geom)
+    assert ch.samples.size >= 1_000_000
+    out = add_interference(ch, 0.0, 0, seed=2024, pulse=PULSE)
+    z = ((out.samples - ch.samples)
+         / np.sqrt(_row_power(ch.samples))[:, None]).ravel()
+    n = z.size
+    mean = z.mean()
+    var = np.mean((z - mean) ** 2)
+    kurtosis = np.mean((z - mean) ** 4) / var**2 - 3.0
+    assert abs(mean) <= 5 / np.sqrt(n)
+    assert abs(var - 1.0) <= 5 * np.sqrt(2 / n)
+    assert abs(kurtosis) <= 5 * np.sqrt(24 / n)
+    assert np.max(np.abs(z)) <= 5.78
+    p = 0.0027
+    assert abs(np.mean(np.abs(z) > 3) - p) <= 5 * np.sqrt(p * (1 - p) / n)
+
+
 def test_concurrent_callers_each_get_every_row():
     # more calling threads than cores, each queueing shares on the one
-    # worker and switching every microsecond: each call's rows must be
-    # drawn from that call's own counter and streams, or a call would leave
-    # a row unwritten or noise from another seed, and not match its serial
-    # result
+    # worker and switching every microsecond: each call's noise must come
+    # from that call's own stream and be added to that call's own output,
+    # or a call would get noise from another seed, and not match its
+    # serial result
     ch = synthesize(Scene(scatterers=(Scatterer(5e-6, 1.0),), tau=TAU),
                     default_geometry(num_elements=8))
     want = {seed: _interference_reference(ch, 20.0, 5, seed, 0.0)
