@@ -4,7 +4,7 @@ Subcommands::
 
     simulate   scene JSON -> one URF1 channel file per image line
     beamform   channel files -> reference image (PGM) + peak CSV
-    xample     channel files -> low-rate estimates CSV + image (PGM)
+    xample     channel files -> branch samples + estimates CSVs + image (PGM)
     cost       sampling-rate / op-count table (CSV)
     compare    estimates + images vs. scene ground truth (metrics CSV)
 
@@ -156,7 +156,6 @@ def cmd_xample(args) -> int:
     def work(ch, _):
         out_samples = xample_channels(ch, cfg, S)
         return out_samples, recover_line(out_samples.c, cfg, scene.pulse,
-                                         method=args.method,
                                          sv_threshold=args.sv_threshold, S=S)
 
     results = _each_line(args, scene, work)
@@ -171,15 +170,11 @@ def cmd_xample(args) -> int:
                 for i, (_, est) in enumerate(results)
                 for t_l, b_l in zip(est.delays, est.amplitudes)))
     write_pgm(out / "xampled.pgm", image)
-
-    if args.dump_samples:
-        _write_csv(out / "samples_c.csv", ["line_index", "q", "value"],
-                   ([i, q, _fmt(v)] for i, (xo, _) in enumerate(results)
-                    for q, v in enumerate(xo.c)))
-        _write_csv(out / "samples_cqm.csv", ["line_index", "q", "m", "value"],
-                   ([i, q, m, _fmt(v)] for i, (xo, _) in enumerate(results)
-                    for (q, m), v in np.ndenumerate(xo.c_qm)))
-    print(f"wrote {out / 'estimates.csv'} and {out / 'xampled.pgm'}")
+    _write_csv(out / "samples_c.csv", ["line_index", "q", "value"],
+               ([i, q, _fmt(v)] for i, (xo, _) in enumerate(results)
+                for q, v in enumerate(xo.c)))
+    print(f"wrote {out / 'estimates.csv'}, {out / 'xampled.pgm'} and "
+          f"{out / 'samples_c.csv'}")
     return 0
 
 
@@ -326,12 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
     xa.add_argument("--L", type=int, required=True,
                     help="upper bound on reflectors per line")
     xa.add_argument("--rho", type=float, default=2.0)
-    xa.add_argument("--method", choices=["pencil", "annihilating"],
-                    default="pencil")
     xa.add_argument("--sv-threshold", type=float,
                     default=SV_THRESHOLD_DEFAULT)
-    xa.add_argument("--dump-samples", action="store_true",
-                    help="also write the branch sample CSVs")
     xa.set_defaults(fn=cmd_xample)
 
     co = sub.add_parser("cost", help="sampling-rate and op-count table")
@@ -358,6 +349,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (XampusError, OSError, ValueError) as e:
         print(f"error[{type(e).__name__}]: {e}", file=sys.stderr)
+        return 1
+    except MemoryError as e:  # numpy raises a subclass of its own
+        print(f"error[MemoryError]: {e}", file=sys.stderr)
         return 1
 
 

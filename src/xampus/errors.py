@@ -24,7 +24,7 @@ class OrderOverflow(XampusError):
 
 
 class ConditioningFailure(XampusError):
-    """An SVD or eigen-solve in a delay estimator did not converge."""
+    """A factorization in delay or amplitude recovery did not converge."""
 
 
 class IllConditioned(XampusError):

@@ -71,6 +71,10 @@ def tau_hat(tau: float, geometry: ArrayGeometry, alpha: float = 0.0) -> float:
     tau/2, on a beam steered by ``alpha``, over all elements:
     ``max_m arrival_time(tau/2, alpha, delta_m, c)``; always >= tau, and
     the offsets' symmetry makes the unsteered bound the least over alpha.
+    The arrival time is convex in the offset, so the maximum is at an end
+    element, and the others are not formed.
     """
     c = geometry.speed_of_sound
-    return float(np.max(arrival_time(tau / 2.0, alpha, geometry.offsets, c)))
+    half = (geometry.num_elements - 1) / 2.0 * geometry.pitch
+    ends = np.array([-half, half])  # offsets[0] and offsets[-1], bitwise
+    return float(np.max(arrival_time(tau / 2.0, alpha, ends, c)))

@@ -195,6 +195,8 @@ def annihilating_filter(coeffs: FourierCoeffs, L_est: int) -> np.ndarray:
     coefficient poles.  Needs K >= 2 * L_est coefficients, not all zero.
     Asked for more poles than the data hold, it returns spurious roots, as
     noisy data can; ``recover_line`` takes ``L_est`` from ``estimate_order``.
+    Raises ``ConditioningFailure`` if the SVD or the root finding does not
+    converge.
     """
     u = np.asarray(coeffs.y, dtype=complex)
     K = len(u)
@@ -206,7 +208,10 @@ def annihilating_filter(coeffs: FourierCoeffs, L_est: int) -> np.ndarray:
         raise InvariantViolation("annihilating filter of all-zero coefficients")
     _, Vh, _ = _hankel_svd(u, L_est + 1)
     # H v = 0 for v = conj(Vh[-1]): sum_m v[m] z^m vanishes at every pole
-    z = np.roots(Vh[-1].conj()[::-1])
+    try:
+        z = np.roots(Vh[-1].conj()[::-1])
+    except np.linalg.LinAlgError as e:
+        raise ConditioningFailure(f"filter roots did not converge: {e}") from e
     return _delays_from_poles(z, coeffs.tau)
 
 
@@ -221,7 +226,8 @@ def least_squares_amplitudes(coeffs: FourierCoeffs,
     orthogonal to the range of V, so residual^2 = |y - V a_c|^2 / |y|^2
     + |V Im a_c|^2 / |y|^2 for the complex solution a_c.  Raises
     ``IllConditioned`` when V's condition number exceeds 1e10, equal or
-    near-coincident delays included.
+    near-coincident delays included, and ``ConditioningFailure`` if the
+    least-squares SVD does not converge.
     """
     delays = np.asarray(delays, dtype=float)
     y = np.asarray(coeffs.y)
@@ -233,7 +239,10 @@ def least_squares_amplitudes(coeffs: FourierCoeffs,
     if delays.size > len(y):
         raise InvariantViolation("more delays than coefficients")
     V = np.exp((-2j * np.pi / coeffs.tau) * np.outer(coeffs.kappa_pos, delays))
-    a, _, _, sv = np.linalg.lstsq(V, y, rcond=None)
+    try:
+        a, _, _, sv = np.linalg.lstsq(V, y, rcond=None)
+    except np.linalg.LinAlgError as e:
+        raise ConditioningFailure(f"amplitude fit did not converge: {e}") from e
     if sv[0] > _COND_LIMIT * sv[-1]:  # 2-norm condition number of V
         raise IllConditioned(
             f"amplitude system condition exceeds {_COND_LIMIT:g} "

@@ -237,10 +237,19 @@ def synthesize_channels(
     Element m sees every scatterer as a pulse replica delayed to its own
     arrival time; replica amplitude equals the scatterer reflectivity
     (transmit illumination is idealized as uniform along the beam).  The
-    grid ends at the line's own ``tau_hat``, at its beam angle.
+    grid ends at the line's own ``tau_hat``, at its beam angle.  Raises
+    ``InvariantViolation`` if that end is not finite or the grid's float64
+    samples take more bytes than a numpy array can, before anything is
+    allocated.
     """
     check_grid_step(grid_step)
-    end = tau_hat(scene.tau, geometry, scene.beam_angle)
+    with np.errstate(over="ignore", invalid="ignore"):
+        end = tau_hat(scene.tau, geometry, scene.beam_angle)
+    check_finite(end, "the line's grid end tau_hat")
+    n_samples = geometry.num_elements * (end / grid_step + 1)
+    if 8 * n_samples > np.iinfo(np.intp).max:
+        raise InvariantViolation(f"a grid of {n_samples:.3g} channel samples "
+                                 "is beyond the largest numpy array")
     grid_len = math.ceil(end / grid_step - 1e-9) + 1
     t0 = arrival_time([sc.axial_time for sc in scene.scatterers],
                       scene.beam_angle, geometry.offsets[:, None],

@@ -178,15 +178,9 @@ def build_S(p: int) -> MixingMatrix:
 
 @dataclass
 class XampleOutput:
-    """Branch outputs per warp group and their fold over the aperture.
+    """The p branch samples of one line, folded over the aperture."""
 
-    A group of elements sharing one warp fills the column of its lowest
-    index and leaves its other columns zero: pair i, N-1-i fills column i in
-    dynamic focus, the whole aperture fills column 0 in infinity focus.
-    """
-
-    c_qm: np.ndarray  # (p, num_elements), grouped layout
-    c: np.ndarray     # (p,)
+    c: np.ndarray  # (p,)
 
 
 def _harmonic_table(kappa_pos, tau, ts, a, weights):
@@ -229,9 +223,8 @@ def _trapezoid_weights(n: int, step: float) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class _WarpGroup:
-    """Elements sharing one warp a: their rows, ascending, the first of which
-    is the ``c_qm`` column they fill, and their ``_harmonic_table`` on the
-    support ``t >= a`` of the grid."""
+    """Elements sharing one warp a: their rows, ascending, and their
+    ``_harmonic_table`` on the support ``t >= a`` of the grid."""
 
     members: np.ndarray
     support: slice
@@ -268,12 +261,12 @@ def _bank_tables(cfg: XampleConfig, grid_len: int,
     return tuple(groups)
 
 
-def _bank_passes(groups, samples, cfg: XampleConfig,
-                 c_qm: np.ndarray) -> None:
-    """One harmonic pass per warp group, each into its own ``c_qm`` column;
-    every pass reuses one pair of grid-length buffers, allocated here."""
+def _bank_passes(groups, samples, cfg: XampleConfig) -> np.ndarray:
+    """The sum, in group order, of one harmonic pass per warp group; every
+    pass reuses one pair of grid-length buffers, allocated here."""
     trace_buf = np.empty(samples.shape[1])
     z_buf = np.empty(samples.shape[1], dtype=complex)
+    g_sum = np.zeros(cfg.K, dtype=complex)
     for grp in groups:
         sup = grp.support
         trace = trace_buf[sup]
@@ -283,8 +276,8 @@ def _bank_passes(groups, samples, cfg: XampleConfig,
             np.add(trace, samples[m, sup], out=trace)
         z = z_buf[sup]
         np.multiply(grp.z0, trace, out=z)
-        g = _harmonics(z, grp.step, cfg.K)
-        c_qm[:, first] = np.concatenate([g.real, g.imag]) / cfg.tau
+        g_sum += _harmonics(z, grp.step, cfg.K)
+    return g_sum
 
 
 def xample_channels(ch: ChannelSet, cfg: XampleConfig,
@@ -307,16 +300,18 @@ def xample_channels(ch: ChannelSet, cfg: XampleConfig,
     if S.p != len(cfg.kappa):
         raise InvariantViolation("mixing matrix branches must match |kappa|")
     groups = _bank_tables(cfg, ch.grid_len, ch.grid_step)
-    c_qm = np.zeros((S.p, cfg.geometry.num_elements))
     # the worker takes every second group and this thread the rest, each
-    # with its own buffers; a group writes only its own column, so c_qm is
-    # bitwise that of one thread taking every group.  A non-finite c_qm
-    # entry makes its row of c non-finite, so c alone is checked
+    # with its own buffers and sum; the split and the order of every sum
+    # are fixed, so c is bitwise the same whichever thread runs first.  A
+    # non-finite harmonic integral makes its entry of c non-finite, so c
+    # alone is checked
     with np.errstate(over="ignore", invalid="ignore"):
-        both(lambda: _bank_passes(groups[1::2], ch.samples, cfg, c_qm),
-             lambda: _bank_passes(groups[0::2], ch.samples, cfg, c_qm))
-        c = c_qm.sum(axis=1)
-    return XampleOutput(c_qm=c_qm, c=refuse_overflow(c, "kernel bank output"))
+        g_worker, g_here = both(
+            lambda: _bank_passes(groups[1::2], ch.samples, cfg),
+            lambda: _bank_passes(groups[0::2], ch.samples, cfg))
+        g = g_here + g_worker
+        c = np.concatenate([g.real, g.imag]) / cfg.tau
+    return XampleOutput(c=refuse_overflow(c, "kernel bank output"))
 
 
 def xample_beamformed_oracle(line: BeamformedLine, cfg: XampleConfig,

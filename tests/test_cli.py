@@ -283,6 +283,32 @@ def test_failed_simulate_leaves_no_line_of_an_earlier_run(scene_path,
         f"error[InvariantViolation]: no line_*.urf files in {out}\n")
 
 
+@pytest.mark.parametrize("key, value, kind", [
+    # tau_hat overflows to inf
+    ("pitch_m", 1e300, "InvariantViolation"),
+    # tau_hat is finite, the grid beyond any array numpy can make
+    ("speed_of_sound_m_s", 1e-300, "InvariantViolation"),
+    ("num_elements", 10**12, "InvariantViolation"),
+    # a grid numpy can make, but 36 PiB that no allocation gets
+    ("tau_s", 1e6, "MemoryError"),
+], ids=["pitch", "speed", "elements", "tau"])
+def test_simulate_refuses_a_hostile_scalar_typed(scene_path, tmp_path, capsys,
+                                                 key, value, kind):
+    doc = json.loads(scene_path.read_text())
+    doc["lines"] = doc["lines"][1:]
+    (doc["array"] if key in doc["array"] else doc)[key] = value
+    scene_path.write_text(json.dumps(doc))
+    out = tmp_path / "ch"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["simulate", "--scene", str(scene_path), "--out", str(out)])
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(f"error[{kind}]: ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
 def test_malformed_scene_fails_with_error_line(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"speed_of_sound_m_s": }')
@@ -354,8 +380,8 @@ def test_xample_outputs(scene_path, tmp_path):
     main(["simulate", "--scene", str(scene_path), "--out", str(ch_dir)])
     out = tmp_path / "xa"
     assert main(["xample", "--channels", str(ch_dir), "--scene",
-                 str(scene_path), "--out", str(out), "--L", "5", "--rho", "2",
-                 "--dump-samples"]) == 0
+                 str(scene_path), "--out", str(out), "--L", "5",
+                 "--rho", "2"]) == 0
     rows = read_rows(out / "estimates.csv")
     by_line = {}
     for r in rows:
@@ -368,10 +394,22 @@ def test_xample_outputs(scene_path, tmp_path):
     assert img.shape == (1024, 2)
     c_rows = read_rows(out / "samples_c.csv")
     assert len(c_rows) == 2 * 40  # p = 4*rho*L = 40 per line
-    cqm_rows = read_rows(out / "samples_cqm.csv")
-    assert len(cqm_rows) == 2 * 40 * 16
-    # grouped layout: each mirror pair sits in its lower-index element's rows
-    assert all(float(r["value"]) == 0 for r in cqm_rows if int(r["m"]) >= 8)
+    assert sorted(f.name for f in out.iterdir()) == [
+        "estimates.csv", "samples_c.csv", "xampled.pgm"]
+
+
+@pytest.mark.parametrize("retired", [["--method", "pencil"],
+                                     ["--dump-samples"]])
+def test_retired_xample_options_are_usage_errors(scene_path, tmp_path,
+                                                 capsys, retired):
+    # xample runs the pencil and writes samples_c.csv on every run
+    with pytest.raises(SystemExit) as exc:
+        main(["xample", "--channels", str(tmp_path), "--scene",
+              str(scene_path), "--out", str(tmp_path / "o"), "--L", "5",
+              *retired])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        f"error[Usage]: unrecognized arguments: {' '.join(retired)}\n")
 
 
 def test_xample_eta_guard_before_compute(scene_path, tmp_path, capsys):
@@ -552,6 +590,27 @@ def test_compare_matches_each_estimate_to_one_echo(scene_path, tmp_path):
     assert float(line0["delay_rmse_s"]) == pytest.approx(want, rel=1e-9)
     assert float(line0["amp_rel_err"]) == 0.0
     assert float(line1["delay_rmse_s"]) == 0.0
+
+
+def test_compare_amplitude_error_is_the_mean_over_a_line(scene_path,
+                                                        tmp_path):
+    # three echoes whose estimates are 10%, 20% and 60% off: the mean,
+    # 0.3, is not the median, 0.2
+    doc = json.loads(scene_path.read_text())
+    doc["lines"][0]["scatterers"] = [{"t_n_s": 5e-6, "reflectivity": 1.0},
+                                     {"t_n_s": 8e-6, "reflectivity": 2.0},
+                                     {"t_n_s": 11e-6, "reflectivity": -0.5}]
+    scene_path.write_text(json.dumps(doc))
+    rows = (f"0,{10e-6!r},{16 * 1.1!r},0.0\n"
+            f"0,{16e-6!r},{16 * 2.0 * 1.2!r},0.0\n"
+            f"0,{22e-6!r},{16 * -0.5 * 0.4!r},0.0\n"
+            f"1,{16e-6!r},24.0,0.0\n")
+    rc, _, out = _compare_with(scene_path, tmp_path, HEADER + rows)
+    assert rc == 0
+    line0, _ = read_rows(out)
+    assert float(line0["delay_rmse_s"]) == 0.0
+    assert float(line0["amp_rel_err"]) == pytest.approx((0.1 + 0.2 + 0.6) / 3,
+                                                        rel=1e-12)
 
 
 def test_compare_line_with_more_echoes_than_estimates_reads_inf(
@@ -886,8 +945,7 @@ def test_rerun_into_the_same_paths_matches_a_fresh_run(scene_path, tmp_path):
                   "--focus", focus]
         for argv in (
                 ["beamform", "--out", str(ref), *common],
-                ["xample", "--out", str(xa), "--L", "5", "--dump-samples",
-                 *common],
+                ["xample", "--out", str(xa), "--L", "5", *common],
                 ["cost", "--L", "5", "--rho", *rhos,
                  "--out", str(root / "cost.csv")],
                 ["compare", "--reference", str(ref / "reference.pgm"),
@@ -902,7 +960,7 @@ def test_rerun_into_the_same_paths_matches_a_fresh_run(scene_path, tmp_path):
     first = run(tmp_path / "reused", "infinity", ["1", "2", "3", "4"])
     again = run(tmp_path / "reused", "dynamic", ["2"])
     assert again == run(tmp_path / "fresh", "dynamic", ["2"])
-    assert len(again) == 8
+    assert len(again) == 7
     assert again != first
 
 

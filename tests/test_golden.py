@@ -1,16 +1,16 @@
 """The README walkthrough's outputs stay what ``tests/golden/`` holds.
 
 The walkthrough of ``test_readme.walkthrough`` runs once per focus mode,
-with ``--focus`` added to ``beamform`` and both ``xample`` commands and
-``--dump-samples`` to the first.  Each file under ``tests/golden/<focus>/``
-is compared with the rerun's file at the same path.  Two bounds allow for
+with ``--focus`` added to ``beamform`` and ``xample``.  Each file under
+``tests/golden/<focus>/`` is compared with the rerun's file at the same
+path.  Two bounds allow for
 a LAPACK other than the one the files were written with:
 
 - CSV: the same rows and columns, text cells equal, and each number within
   1e-6 of the largest magnitude in its column (infinities equal);
 - PGM: the same header, and each pixel within one grey level.
 
-``samples_cqm.csv`` and the URF1 channel files are not kept.  Regenerate
+The URF1 channel files are not kept.  Regenerate
 the files from the current code with ``python tests/test_golden.py``.
 """
 
@@ -34,13 +34,9 @@ def run_walkthrough(focus: str) -> None:
     """Run the README walkthrough in the current directory."""
     scene, commands = walkthrough()
     Path("scene.json").write_text(scene)
-    dumped = False
     for argv in commands:
         if argv[0] in ("beamform", "xample"):
             argv += ["--focus", focus]
-        if argv[0] == "xample" and not dumped:
-            argv.append("--dump-samples")
-            dumped = True
         assert main(argv) == 0, argv
 
 
@@ -84,7 +80,7 @@ def assert_pgm_close(got: Path, want: Path) -> None:
 @pytest.mark.parametrize("focus", FOCUS_MODES)
 def test_walkthrough_outputs_match_golden(tmp_path, monkeypatch, focus):
     files = golden_files(focus)
-    assert len(files) == 9, files
+    assert len(files) == 7, files
     monkeypatch.chdir(tmp_path)
     run_walkthrough(focus)
     for rel in files:
@@ -103,8 +99,7 @@ if __name__ == "__main__":
             run_walkthrough(focus)
             shutil.rmtree(GOLDEN / focus, ignore_errors=True)
             for path in Path(tmp).rglob("*"):
-                if path.suffix in (".csv", ".pgm") \
-                        and path.name != "samples_cqm.csv":
+                if path.suffix in (".csv", ".pgm"):
                     dest = GOLDEN / focus / path.relative_to(tmp)
                     dest.parent.mkdir(parents=True, exist_ok=True)
                     shutil.copyfile(path, dest)

@@ -45,7 +45,7 @@ def test_walkthrough_commands_succeed(tmp_path, monkeypatch):
     scene, commands = walkthrough()
     json.loads(scene)
     assert [argv[0] for argv in commands] == [
-        "simulate", "beamform", "xample", "xample", "cost", "compare"]
+        "simulate", "beamform", "xample", "cost", "compare"]
     monkeypatch.chdir(tmp_path)
     (tmp_path / "scene.json").write_text(scene)
     # a successful run, noisy lines included, raises no warning: each

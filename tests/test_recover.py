@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from xampus import (FourierCoeffs, IllConditioned, InvariantViolation,
+from xampus import (ConditioningFailure, FourierCoeffs, IllConditioned,
+                    InvariantViolation,
                     MixingMatrix, OrderOverflow, Scatterer, Scene,
                     annihilating_filter, beamform_line,
                     build_H, build_S, estimate_order,
@@ -596,3 +597,26 @@ def test_recover_line_order_overflow(method):
     with pytest.raises(OrderOverflow,
                        match=r"above threshold 0\.01, bound is 3$"):
         recover_line(c, cfg, PULSE, method=method)
+
+
+def _no_convergence(*args, **kwargs):
+    raise np.linalg.LinAlgError("no convergence (injected)")
+
+
+@pytest.mark.parametrize("module, name, call", [
+    (np.linalg, "svd", lambda fc: estimate_order(fc.y, 2)),
+    (np.linalg, "eigvals", lambda fc: matrix_pencil(fc, 2)),
+    (np, "roots", lambda fc: annihilating_filter(fc, 2)),
+    (np.linalg, "lstsq",
+     lambda fc: least_squares_amplitudes(fc, [3e-6, 9e-6])),
+], ids=["hankel-svd", "pencil-eigvals", "filter-roots", "amplitude-lstsq"])
+def test_a_factorization_that_does_not_converge_is_typed(monkeypatch, module,
+                                                         name, call):
+    # numpy's LinAlgError is a ValueError; each recovery step raises the
+    # package's own type in its place, with numpy's error as the cause
+    fc = make_coeffs([3e-6, 9e-6], [1.0, 0.5])
+    monkeypatch.setattr(module, name, _no_convergence)
+    with pytest.raises(ConditioningFailure,
+                       match=r"no convergence \(injected\)") as info:
+        call(fc)
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)

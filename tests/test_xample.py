@@ -197,7 +197,6 @@ def test_zero_channels_give_zero_samples():
     cfg = make_config(geometry=geom)
     ch = synthesize(Scene(scatterers=(), tau=cfg.tau), geom)
     out = xample_channels(ch, cfg, build_S(cfg.p))
-    assert not np.any(out.c_qm)
     assert not np.any(out.c)
 
 
@@ -217,21 +216,14 @@ def test_output_fold_identity():
     geom = default_geometry()
     scene, _, _ = random_scene(np.random.default_rng(12), 3, 25.6e-6)
     ch = synthesize(scene, geom)
-    half = geom.num_elements // 2
     for focus in ("dynamic", "infinity"):
         cfg = make_config(geometry=geom, focus=focus)
         S = build_S(cfg.p)
         out = xample_channels(ch, cfg, S)
-        plain = _dense_c_qm(ch, cfg, S).sum(axis=1)  # one pass per element
+        plain = _dense_per_element(ch, cfg, S).sum(axis=1)
         scale = np.linalg.norm(plain)
+        assert out.c.shape == (cfg.p,)
         assert np.max(np.abs(out.c - plain)) <= 1e-12 * scale
-        assert np.array_equal(out.c, out.c_qm.sum(axis=1))
-        assert out.c_qm.shape == (cfg.p, geom.num_elements)
-        # grouped layout: a mirror pair shares column i < N/2 in dynamic
-        # focus, the whole aperture shares column 0 in infinity focus
-        empty = half if focus == "dynamic" else 1
-        assert not np.any(out.c_qm[:, empty:])
-        assert np.all(np.any(out.c_qm[:, :empty], axis=0))
 
 
 # --- dense reference --------------------------------------------------------
@@ -242,8 +234,9 @@ def _trapezoid(ch):
     return w
 
 
-def _dense_c_qm(ch, cfg, S):
-    """Per-element branch samples from the dense |kappa| x N exp table."""
+def _dense_per_element(ch, cfg, S):
+    """Branch samples of each element, one pass per element, from the dense
+    |kappa| x N exp table: a (p, N) array whose row sums are c."""
     t = ch.times
     w = _trapezoid(ch)
     dynamic = cfg.focus_mode == "dynamic"
@@ -287,20 +280,9 @@ def test_kernel_bank_matches_dense_reference(L, rho, focus):
                           focus=focus)
         S = build_S(cfg.p)
         ch = _noisy_channels(cfg, seed=15)
-        ref = _dense_c_qm(ch, cfg, S)
+        ref = _dense_per_element(ch, cfg, S)
         out = xample_channels(ch, cfg, S)
         assert _rel(out.c, ref.sum(axis=1)) <= 1e-12
-        # dynamic focus: mirrored elements m and N-1-m share column
-        # min(m, N-1-m); infinity focus: the whole aperture fills column 0
-        want = np.zeros_like(ref)
-        for m in range(num_elements):
-            col = min(m, num_elements - 1 - m) if focus == "dynamic" else 0
-            want[:, col] += ref[:, m]
-        for got_col, want_col in zip(out.c_qm.T, want.T):
-            if np.any(want_col):
-                assert _rel(got_col, want_col) <= 1e-12
-            else:
-                assert not np.any(got_col)
 
 
 def test_concurrent_callers_match_serial_results():
@@ -315,7 +297,7 @@ def test_concurrent_callers_match_serial_results():
     def run(k, i):
         noisy = add_interference(chans[k], 20.0, 25, 100 * k + i,
                                  pulse=PULSE)
-        return noisy.samples, xample_channels(noisy, cfg, S).c_qm
+        return noisy.samples, xample_channels(noisy, cfg, S).c
 
     serial = [[run(k, i) for i in range(20)] for k in range(2)]
     mismatches = []
@@ -376,20 +358,20 @@ def test_kernel_bank_waits_for_the_worker_share(monkeypatch):
         xample_channels(ch, cfg, build_S(cfg.p))
 
 
-def test_kernel_value_integrates_to_c_qm_column():
-    geom = default_geometry(num_elements=3, pitch=1e-3)
+def test_kernel_value_integrates_to_the_branch_samples():
+    geom = default_geometry(num_elements=2, pitch=1e-3)
     cfg = make_config(L=5, rho=2, tau=51.2e-6, geometry=geom)
     S = build_S(cfg.p)
     ch = _noisy_channels(cfg, seed=16)
     out = xample_channels(ch, cfg, S)
-    # off-axis pair 0 and 2: exercises the step and the warp, and shares
-    # one kernel, so column 0 holds both elements
-    weighted = _trapezoid(ch) * (ch.samples[0] + ch.samples[2])
+    # the off-axis pair 0 and 1 exercises the step and the warp, and shares
+    # one kernel, so c is that kernel's integral over both elements
+    weighted = _trapezoid(ch) * (ch.samples[0] + ch.samples[1])
     kernels = [kernel_value(cfg, q, 0, ch.times) for q in range(cfg.p)]
     for q, k in enumerate(kernels):
-        assert np.array_equal(k, kernel_value(cfg, q, 2, ch.times))
-    col = np.array([k @ weighted for k in kernels]) / cfg.tau
-    assert _rel(col, out.c_qm[:, 0]) <= 1e-12
+        assert np.array_equal(k, kernel_value(cfg, q, 1, ch.times))
+    c = np.array([k @ weighted for k in kernels]) / cfg.tau
+    assert _rel(c, out.c) <= 1e-12
 
 
 def test_grid_too_short_detected():
@@ -511,7 +493,6 @@ def test_cached_tables_match_a_cleared_cache_bitwise():
     for name in order * 2:
         cfg, ch = cases[name]
         out = xample_channels(ch, cfg, build_S(cfg.p))
-        np.testing.assert_array_equal(out.c_qm, fresh[name].c_qm)
         np.testing.assert_array_equal(out.c, fresh[name].c)
         assert _bank_tables.cache_info().currsize <= 1
     assert _bank_tables.cache_info().maxsize == 1
@@ -584,10 +565,8 @@ def test_cli_focus_switch_reuses_no_stale_table(tmp_path):
         out = tmp_path / f"run{i}"
         assert main(["xample", "--channels", str(ch_dir), "--scene",
                      str(scene), "--out", str(out), "--L", "5",
-                     "--focus", focus,
-                     "--dump-samples"]) == 0
+                     "--focus", focus]) == 0
         runs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
-    assert set(runs[0]) >= {"estimates.csv", "samples_c.csv",
-                            "samples_cqm.csv", "xampled.pgm"}
+    assert set(runs[0]) == {"estimates.csv", "samples_c.csv", "xampled.pgm"}
     assert runs[0] == runs[2]
     assert runs[0]["samples_c.csv"] != runs[1]["samples_c.csv"]
