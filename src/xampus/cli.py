@@ -55,6 +55,8 @@ def _naming(path: Path):
     except (XampusError, ValueError) as e:
         e.args = (f"{path.name}: {e}",)
         raise
+    except MemoryError as e:  # numpy's subclass prints its shape, not args
+        raise MemoryError(f"{path.name}: {e}") from e
 
 
 def _line_files(directory, count: int) -> list[Path]:
@@ -350,7 +352,7 @@ def main(argv=None) -> int:
     except (XampusError, OSError, ValueError) as e:
         print(f"error[{type(e).__name__}]: {e}", file=sys.stderr)
         return 1
-    except MemoryError as e:  # numpy raises a subclass of its own
+    except MemoryError as e:
         print(f"error[MemoryError]: {e}", file=sys.stderr)
         return 1
 

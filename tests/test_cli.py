@@ -305,7 +305,8 @@ def test_simulate_refuses_a_hostile_scalar_typed(scene_path, tmp_path, capsys,
     assert [str(w.message) for w in caught] == []
     err = capsys.readouterr().err
     assert rc == 1
-    assert err.startswith(f"error[{kind}]: ") and err.count("\n") == 1, err
+    assert err.startswith(f"error[{kind}]: line_000.urf: "), err
+    assert err.count("\n") == 1, err
     assert not out.exists()
 
 

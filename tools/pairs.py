@@ -1,15 +1,22 @@
 """Paired benchmark runs of a base commit against this working tree.
 
     python3 tools/pairs.py --base REV --pairs N --out BENCH_<n>.json
-        [--workload NAME ...] [--seed S] [--seconds T]
 
 Run from anywhere inside the repository.  The base side is the committed
 files of ``REV``, unpacked by ``git archive`` into a temporary directory;
 the change side is this tree as it stands, uncommitted edits included.
-Pair i runs ``BENCHMARK.json``'s command with ``--workload W --seed S+i
---seconds T`` once on each side, the base first in even pairs and the
+Pair i (from 0) runs ``BENCHMARK.json``'s command with ``--workload W
+--seed i+1 --seconds`` its ``run_seconds`` once on each side, for every
+workload W of ``BENCHMARK.json``, the base first in even pairs and the
 change first in odd ones.  Each round runs one pair of every workload, so
 a workload's pairs spread over the whole run.
+
+The change side is identified by ``HEAD``, by ``tree``, the git tree hash
+of the files it ran (every file ``git add -A`` would take), and by
+``entries``, the object hash of each top-level file and directory of that
+tree.  A commit C holds the code that ran where ``git ls-tree C`` shows the
+same hashes for ``src``, ``perfbench`` and ``pyproject.toml``.  The output
+file is written after the hashes are taken, so its own entry never matches.
 
 The output JSON holds both commits, the environment ``perfbench/run.py``
 reports, every run's result JSON, and for each workload and end-to-end
@@ -21,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import subprocess
 import sys
 import tarfile
@@ -73,13 +81,30 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
     return {"metrics": metrics, "lines": lines}
 
 
-def _git(*args: str) -> str:
+def _git(*args: str, env=None) -> str:
     return subprocess.run(["git", "-C", str(ROOT), *args], check=True,
-                          capture_output=True, text=True).stdout.strip()
+                          capture_output=True, text=True,
+                          env=env).stdout.strip()
+
+
+def _identity(tmp: Path) -> dict:
+    """``HEAD``, the git tree hash of this working tree and the object
+    hash of each of the tree's top-level entries."""
+    env = {**os.environ, "GIT_INDEX_FILE": str(tmp / "index")}
+    _git("read-tree", "HEAD", env=env)
+    _git("add", "-A", env=env)
+    tree = _git("write-tree", env=env)
+    entries = {}
+    for line in _git("ls-tree", tree).splitlines():
+        meta, name = line.split("\t")
+        entries[name] = meta.split()[2]
+    return {"head": _git("rev-parse", "HEAD"), "tree": tree,
+            "entries": entries}
 
 
 def _unpack(rev: str, dest: Path) -> None:
-    """The committed files of ``rev`` under ``dest``."""
+    """The committed files of ``rev`` under a new directory ``dest``."""
+    dest.mkdir()
     proc = subprocess.Popen(["git", "-C", str(ROOT), "archive", rev],
                             stdout=subprocess.PIPE)
     with tarfile.open(fileobj=proc.stdout, mode="r|") as tar:
@@ -110,35 +135,31 @@ def main(argv=None) -> int:
     p.add_argument("--base", required=True, help="base commit")
     p.add_argument("--pairs", type=int, required=True)
     p.add_argument("--out", required=True, help="output JSON path")
-    p.add_argument("--workload", action="append",
-                   choices=[w["name"] for w in spec["workloads"]],
-                   help="repeatable; default every workload")
-    p.add_argument("--seed", type=int, default=1, help="seed of pair 0")
-    p.add_argument("--seconds", type=float, default=spec["run_seconds"])
     args = p.parse_args(argv)
-    workloads = args.workload or [w["name"] for w in spec["workloads"]]
+    workloads = [w["name"] for w in spec["workloads"]]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    seconds = spec["run_seconds"]
 
-    record = {
-        "base": {"rev": args.base, "commit": _git("rev-parse", args.base)},
-        "change": {"commit": _git("rev-parse", "HEAD"),
-                   "uncommitted_edits": bool(_git("status", "--porcelain"))},
-        "command": spec["command"], "seconds": args.seconds,
-        "pairs_per_workload": args.pairs,
-        "workloads": {w: {"pairs": []} for w in workloads},
-    }
     with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
-        trees = {"base": Path(tmp), "change": ROOT}
+        record = {
+            "base": {"rev": args.base,
+                     "commit": _git("rev-parse", args.base)},
+            "change": _identity(Path(tmp)),
+            "command": spec["command"], "seconds": seconds,
+            "pairs_per_workload": args.pairs,
+            "workloads": {w: {"pairs": []} for w in workloads},
+        }
+        trees = {"base": Path(tmp) / "base", "change": ROOT}
         _unpack(args.base, trees["base"])
         for i in range(args.pairs):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             for w in workloads:
                 command = [*spec["command"], "--workload", w, "--seed",
-                           str(args.seed + i), "--seconds", str(args.seconds)]
-                pair = {"seed": args.seed + i, "first": order[0]}
+                           str(i + 1), "--seconds", str(seconds)]
+                pair = {"seed": i + 1, "first": order[0]}
                 for side in order:
                     pair[side] = run_once(trees[side], command,
-                                          timeout=4 * args.seconds + 300)
+                                          timeout=4 * seconds + 300)
                 record["workloads"][w]["pairs"].append(pair)
                 print(f"pair {i} {w}: exits {pair['base']['exit']} (base), "
                       f"{pair['change']['exit']} (change)", file=sys.stderr)
